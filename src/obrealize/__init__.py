@@ -1,12 +1,14 @@
 """obrealize: engineered convection spectra and fast-slow chaos realization.
 
 Pipeline: design a boundary-layer temperature profile whose scalar
-eigenvalue equation has a prescribed kernel wavenumber set (profile,
-scalar); validate against the collocation eigenproblem (spectral, green);
-reduce onto the biorthogonal mode basis to a quadratic ODE system
-(reduction); control its linear term through Fourier-moment synthesis
-(control); and realize arbitrary quadratic targets, chaotic ones
-included, on the slow manifold of a fast-slow extension (realize).
+eigenvalue equation has a prescribed kernel wavenumber set (profile, and
+scalar's closed-form design root find_root_z); validate against the
+collocation eigenproblem and the finite-b layer-transfer hierarchy
+(spectral, scalar's TransferHierarchy, green); reduce onto the
+biorthogonal mode basis to a quadratic ODE system (reduction); control
+its linear term through Fourier-moment synthesis (control); and realize
+arbitrary quadratic targets, chaotic ones included, on the slow manifold
+of a fast-slow extension (realize).
 """
 
 __version__ = "0.1.0"
@@ -16,8 +18,7 @@ from .profile import (DesignPolynomial, ScaleParams, TemperatureProfile,
                       build_profile, calibrate_offsets, compute_beta1,
                       derive_scales, design_polynomial, designed_profile)
 from .green import green_closed, green_numeric
-from .scalar import (ScalarEigenContext, TransferHierarchy, design_y,
-                     find_root_z, scalar_residual)
+from .scalar import TransferHierarchy, design_y, find_root_z
 from .spectral import (EigenMode, ModeBasis, Pencil, SpectrumReport,
                        assemble_pencil, biorthogonalize, default_grid,
                        semigroup_decay, solve_conjugate_modes, solve_modes,

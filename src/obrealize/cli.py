@@ -2,8 +2,8 @@
 
 Single binary with subcommands; configuration is a JSON document whose
 keys can be overridden on the command line with dotted paths
-(--set scales.b=50).  All randomness flows from one seed; outputs are
-byte-deterministic unless --plot-timestamps is requested.
+(--set scales.b=50); an unknown key is rejected.  All randomness flows
+from one seed; outputs are byte-deterministic.
 """
 from __future__ import annotations
 
@@ -32,12 +32,27 @@ DEFAULTS = {
     "reduce": {"b": 50.0, "R0": 1.0},
     "control": {"target": "random", "seed_scale": 1.0},
     "realize": {"preset": "lorenz", "xi": 1e-3, "horizon": 50.0,
-                "ball_radius": 1.0, "lyapunov": True,
-                "xi_ladder": [1e-1, 1e-2, 1e-3]},
+                "ball_radius": 1.0, "lyapunov": True},
     "seed": 1234,
     "threads": 1,
-    "tolerances": {"integrator": 1e-8},
 }
+
+
+def _leaf_keys(doc: dict, prefix: str = ""):
+    for k, v in doc.items():
+        if isinstance(v, dict):
+            yield from _leaf_keys(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}"
+
+
+# the explicit preset reads realize.D, R and f, which have no default
+_KNOWN_KEYS = frozenset(_leaf_keys(DEFAULTS)) | {"realize.D", "realize.R", "realize.f"}
+
+
+def _check_key(key: str) -> None:
+    if key not in _KNOWN_KEYS:
+        raise SystemExit(f"unknown config key {key!r}")
 
 
 def _deep_update(base: dict, other: dict) -> dict:
@@ -50,27 +65,29 @@ def _deep_update(base: dict, other: dict) -> dict:
 
 
 def _apply_override(cfg: dict, key: str, value: str) -> None:
-    parts = key.split(".")
+    *sections, leaf = key.split(".")
     d = cfg
-    for p in parts[:-1]:
-        if p not in d or not isinstance(d[p], dict):
-            d[p] = {}
+    for p in sections:
         d = d[p]
     try:
-        d[parts[-1]] = json.loads(value)
+        d[leaf] = json.loads(value)
     except json.JSONDecodeError:
-        d[parts[-1]] = value
+        d[leaf] = value
 
 
 def load_config(path: str | None, overrides) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))
     if path:
         with open(path) as fh:
-            _deep_update(cfg, json.load(fh))
+            doc = json.load(fh)
+        for key in _leaf_keys(doc):
+            _check_key(key)
+        _deep_update(cfg, doc)
     for ov in overrides or []:
         if "=" not in ov:
             raise SystemExit(f"bad override {ov!r}; expected key.path=value")
         k, v = ov.split("=", 1)
+        _check_key(k)
         _apply_override(cfg, k, v)
     _validate(cfg)
     return cfg
@@ -82,8 +99,6 @@ def _validate(cfg: dict) -> None:
         raise SystemExit("invalid scales: need b > 1 and s0, s2 in (0,1)")
     if cfg["realize"]["preset"] not in ("lorenz", "contraction", "explicit"):
         raise SystemExit(f"unknown preset {cfg['realize']['preset']!r}")
-    if cfg["tolerances"]["integrator"] <= 0:
-        raise SystemExit("tolerances must be positive")
 
 
 def _write(outdir: Path, name: str, text: str) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import factorial
 import json
 
@@ -34,7 +35,6 @@ __all__ = [
     "calibrate_offsets",
     "kernel_target_coeffs",
     "perturbation_response",
-    "paper_second_derivative_formula",
     "tilde_coefficient",
 ]
 
@@ -116,6 +116,12 @@ def _denominator(n: int) -> Fraction:
     return Fraction(3 * factorial(n + 4), 2) + Fraction(factorial(n + 5), 4)
 
 
+@cache
+def _r_per_q(n: int) -> float:
+    """r_n / q_n = 2^{n+6} / (3(n+4)!/2 + (n+5)!/4), the diagonal q -> r map."""
+    return float(Fraction(2 ** (n + 6)) / _denominator(n))
+
+
 def tilde_coefficient(n: int) -> Fraction:
     """a_n = 3 (3(n+4)/2 + (n+4)(n+5)/4)^(-1); a_0 = 3/11, a_1 = 1/5, ..."""
     return Fraction(3, 1) / (Fraction(3 * (n + 4), 2) + Fraction((n + 4) * (n + 5), 4))
@@ -172,8 +178,7 @@ def design_polynomial(targetQ, params: ScaleParams) -> DesignPolynomial:
     q = [float(v) for v in targetQ]
     if not all(np.isfinite(q)):
         raise ProfileError("target coefficients must be finite")
-    coeffs = [qn * float(Fraction(2 ** (n + 6)) / _denominator(n))
-              for n, qn in enumerate(q)]
+    coeffs = [qn * _r_per_q(n) for n, qn in enumerate(q)]
     return DesignPolynomial(degree=len(q) - 1, coeffs=tuple(coeffs),
                             targetQ=tuple(q))
 
@@ -209,52 +214,27 @@ def perturbation_response(k: float, poly: DesignPolynomial, beta: float):
     This is the quantity that feeds the eigenvalue perturbation; it is held
     in closed form (the factorials are exact integers).
     """
+    return _curvature(k, poly.coeffs, beta)
+
+
+def _curvature(k: float, coeffs, beta: float):
+    """perturbation_response over the coefficients r_n; complex-safe."""
     s = 0.0
-    for n, rn in enumerate(poly.coeffs):
+    for n, rn in enumerate(coeffs):
         br = (factorial(n + 5) / 4.0 + factorial(n + 4) / 2.0
               + k * factorial(n + 3) / (beta + k))
         s += rn * (2.0 * k) ** (-(n + 6)) * k * br
     return -s
 
 
-def paper_second_derivative_formula(k: float, poly: DesignPolynomial, beta: float):
-    """The companion closed form sum_n r_n (2k)^{-n-6} (3k(n+3)!/(beta+k)
-    + 3(n+4)!/2 + (n+5)!/4).
-
-    Numerically this equals Psi'''(0)/k^2 of the same boundary-value
-    problem (the third, not second, wall derivative); it is kept as the
-    reference functional behind the q -> r map and the a_n coefficients.
-    """
-    s = 0.0
-    for n, rn in enumerate(poly.coeffs):
-        br = (3.0 * k * factorial(n + 3) / (beta + k)
-              + 1.5 * factorial(n + 4) + 0.25 * factorial(n + 5))
-        s += rn * (2.0 * k) ** (-(n + 6)) * br
-    return s
-
-
-def _kernel_response(k: float, wavenumbers, d, beta: float,
-                     with_scale: bool = False):
+def _kernel_response(k: float, wavenumbers, d, beta: float):
     """perturbation_response for the squared-product target at offsets d.
 
     Complex-safe in d so the calibration Jacobian can use complex-step
-    differentiation.  with_scale also returns the no-cancellation term
-    magnitude, the natural row scale for the Newton solve (the functional
-    is k^{-5}-suppressed, so raw rows differ by many orders).
+    differentiation.
     """
     q = kernel_target_coeffs(wavenumbers, d)
-    s = 0.0
-    mag = 0.0
-    for n, qn in enumerate(q):
-        rn = qn * float(Fraction(2 ** (n + 6)) / _denominator(n))
-        br = (factorial(n + 5) / 4.0 + factorial(n + 4) / 2.0
-              + k * factorial(n + 3) / (beta + k))
-        term = rn * (2.0 * k) ** (-(n + 6)) * k * br
-        s += term
-        mag += abs(term)
-    if with_scale:
-        return -s, mag
-    return -s
+    return _curvature(k, [qn * _r_per_q(n) for n, qn in enumerate(q)], beta)
 
 
 def calibrate_offsets(wavenumbers, params: ScaleParams,
@@ -263,8 +243,8 @@ def calibrate_offsets(wavenumbers, params: ScaleParams,
     """Solve the kernel conditions for the offsets d.
 
     The calibrated polynomial must make the designed eigenvalue
-    perturbation vanish at every kernel wavenumber.  The equations (scaled
-    by their no-cancellation magnitudes) are driven to zero by damped
+    perturbation vanish at every kernel wavenumber.  The equations (carried
+    in lambda units, k^2 mu times the response) are driven to zero by damped
     Gauss-Newton with complex-step Jacobian; the squared-product structure
     leaves the highest wavenumber's equation with a small positive floor,
     so convergence is declared either at tol or at a stationary point of

@@ -443,26 +443,21 @@ class LyapunovReport:
         return float(self.exponents[0])
 
 
-def lyapunov(rhs_and_jac, x0, horizon: float, dt: float = 1e-2,
+def lyapunov(flow, x0, horizon: float, dt: float = 1e-2,
              n_exp: int | None = None, renorm_every: int = 10,
              transient: float = 20.0, seed: int = 0,
              stiff_diag: np.ndarray | None = None) -> LyapunovReport:
     """Benettin QR spectrum along the orbit of an autonomous field.
 
-    rhs_and_jac is either a TargetField/QuadraticSystem-like object with
-    __call__/rhs and jac, or a (rhs, jac) pair.  Tangent vectors are
-    renormalized by QR every renorm_every steps; exponents are the
-    time-averaged log diagonal.  stiff_diag, when given, is the exact
+    flow is a QuadraticSystem (rhs and jac) or a TargetField (called, and
+    jac).  Tangent vectors are renormalized by QR every renorm_every
+    steps, through the transient too, so the measured average starts from
+    an aligned frame; exponents are the log diagonal averaged over the
+    horizon after the transient.  stiff_diag, when given, is the exact
     linear diagonal handled exponentially (fast-slow tangents).
     """
-    if hasattr(rhs_and_jac, "rhs"):
-        rhs = rhs_and_jac.rhs
-        jac = rhs_and_jac.jac
-    elif callable(rhs_and_jac) and hasattr(rhs_and_jac, "jac"):
-        rhs = rhs_and_jac
-        jac = rhs_and_jac.jac
-    else:
-        rhs, jac = rhs_and_jac
+    rhs = getattr(flow, "rhs", flow)
+    jac = flow.jac
     x = np.array(x0, dtype=float)
     n = len(x)
     m = n_exp or n
@@ -499,27 +494,23 @@ def lyapunov(rhs_and_jac, x0, horizon: float, dt: float = 1e-2,
             Qn = np.linalg.solve(B, A @ Q)
             return xn, Qn
 
-    # transient
-    t = 0.0
     nburn = int(transient / dt)
-    for _ in range(nburn):
-        x, _ = step(x, Q)
+    nsteps = int(horizon / dt)
     sums = np.zeros(m)
     trace = []
-    nsteps = int(horizon / dt)
     elapsed = 0.0
-    for i in range(nsteps):
+    for i in range(nburn + nsteps):
         x, Q = step(x, Q)
         if not np.all(np.isfinite(x)):
             raise RealizeError("unbounded orbit in Lyapunov computation")
         if (i + 1) % renorm_every == 0:
             Q, Rm = np.linalg.qr(Q)
-            d = np.abs(np.diag(Rm))
-            d[d < 1e-300] = 1e-300
-            sums += np.log(d)
-            elapsed = (i + 1) * dt
-            trace.append(sums / elapsed)
-    Q, Rm = np.linalg.qr(Q)
+            if i >= nburn:
+                d = np.abs(np.diag(Rm))
+                d[d < 1e-300] = 1e-300
+                sums += np.log(d)
+                elapsed += renorm_every * dt
+                trace.append(sums / elapsed)
     exps = np.sort(sums / max(elapsed, dt))[::-1]
     return LyapunovReport(exponents=exps, horizon=horizon,
                           renorm_interval=renorm_every * dt,

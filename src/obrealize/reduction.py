@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import json
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .grid import Grid
 from .profile import ScaleParams, TemperatureProfile
@@ -185,43 +184,11 @@ def compute_M(u1: FourierProfileSet, basis: ModeBasis) -> np.ndarray:
     return M
 
 
-def compute_M_2d(u1: FourierProfileSet, basis: ModeBasis, nx: int = 256) -> np.ndarray:
-    """Independent 2-D tensor-grid evaluation of <{psi_j, theta*_i}, u1>.
-
-    Trapezoid in x over [0, pi] with the (2/pi) normalization; used as the
-    oracle for compute_M.
-    """
-    g = basis.grid
-    m = len(g.nodes)
-    x = np.linspace(0.0, np.pi, nx)
-    N = basis.size
-    u1_xy = np.zeros((nx, m))
-    for n, prof in u1.entries.items():
-        u1_xy += np.cos(n * x)[:, None] * prof[None, :]
-    M = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            ki, kj = basis.wavenumbers[i], basis.wavenumbers[j]
-            # {psi_j, theta*_i} = k_j Psi_j dTheta*_i cos(k_j x)cos(k_i x)
-            #                    + k_i dPsi_j Theta*_i sin(k_j x)sin(k_i x)
-            fy1 = kj * basis.psi[j] * basis.dthetastar[i]
-            fy2 = ki * basis.dpsi[j] * basis.thetastar[i]
-            fx1 = np.cos(kj * x) * np.cos(ki * x)
-            fx2 = np.sin(kj * x) * np.sin(ki * x)
-            integrand = fx1[:, None] * fy1[None, :] + fx2[:, None] * fy2[None, :]
-            integrand = integrand * u1_xy
-            ix = trapezoid(integrand, x, axis=0)
-            M[i, j] = (2.0 / np.pi) * g.integrate(ix)
-    return M
-
-
-def compute_K(basis: ModeBasis, nu: float, symmetrize: bool = True,
-              sparsity_tol: float = 1e-3, include_velocity: bool = False):
+def compute_K(basis: ModeBasis, nu: float):
     """K_ijl = -M_ij(theta_l), symmetrized over (j, l).
 
     Only Fourier-resonant triples are populated; the sparsity of the rest
-    is reported (not projected).  include_velocity adds the conjugate
-    stream contribution (an O(1/nu) correction) when the basis carries phi.
+    is reported (not projected).
     """
     N = basis.size
     K = np.zeros((N, N, N))
@@ -229,10 +196,7 @@ def compute_K(basis: ModeBasis, nu: float, symmetrize: bool = True,
         kl = basis.wavenumbers[l]
         u1 = FourierProfileSet({kl: basis.theta[l]})
         K[:, :, l] = -compute_M(u1, basis)
-    if include_velocity and basis.phi is not None:
-        K += _velocity_contribution(basis)
-    if symmetrize:
-        K = 0.5 * (K + np.swapaxes(K, 1, 2))
+    K = 0.5 * (K + np.swapaxes(K, 1, 2))
     ks = basis.wavenumbers
     resonant = np.zeros((N, N, N), dtype=bool)
     for i in range(N):
@@ -243,31 +207,8 @@ def compute_K(basis: ModeBasis, nu: float, symmetrize: bool = True,
     kmax_res = np.max(np.abs(K[resonant])) if resonant.any() else 0.0
     off = np.abs(K[~resonant]).max() if (~resonant).any() else 0.0
     info = {"max_resonant": float(kmax_res), "max_nonresonant": float(off),
-            "sparsity_ok": bool(off <= sparsity_tol * max(kmax_res, 1e-300))}
+            "sparsity_ok": bool(off <= 1e-3 * max(kmax_res, 1e-300))}
     return K, info
-
-
-def _velocity_contribution(basis: ModeBasis) -> np.ndarray:
-    """<{psi_j, psi-velocity of e_l}, v*_i>-type cross terms, O(1/nu)."""
-    N = basis.size
-    g = basis.grid
-    Dy = g.diff
-    out = np.zeros((N, N, N))
-    for i in range(N):
-        if basis.phi is None:
-            break
-        dphi = Dy @ basis.phi[i]
-        for j in range(N):
-            for l in range(N):
-                ki, kj, kl = (basis.wavenumbers[m] for m in (i, j, l))
-                if ki != kj + kl and ki != abs(kj - kl):
-                    continue
-                # velocity advection term (v_j . grad) v_l projected on v*_i;
-                # scale is ||phi|| = O(1/nu), kept only as a cross-check.
-                term = (kj * basis.psi[j] * (Dy @ (Dy @ basis.psi[l]))
-                        - kl * basis.dpsi[j] * (Dy @ basis.psi[l]))
-                out[i, j, l] = -0.25 * g.integrate(term * dphi)
-    return out
 
 
 def compute_f(eta1: FourierProfileSet, basis: ModeBasis) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 With z = kbar/k and kbar^2 = k^2 + lambda, the leading eigenvalue of the
 coupled stream/temperature system satisfies a scalar consistency
-condition.  Two forms are implemented:
+condition.  Each regime has one form:
 
-* design form (the b -> infinity contract used to engineer the kernel):
+* design form (the b -> infinity contract used to engineer the kernel),
+  solved in closed form by find_root_z:
 
       (z+1)^2 = 4 + Y_k(d),
 
@@ -12,25 +13,16 @@ condition.  Two forms are implemented:
   offsets d make Y vanish at the kernel wavenumbers, so z = 1 (lambda = 0)
   exactly, and push Y < 0 (hence Re lambda < 0) everywhere else.
 
-* finite-b form (corrections enabled): the exact layer-transfer
-  hierarchy.  The wall curvature of the stream function is balanced
-  against the temperature response of the exponential layer, keeping the
-  full Taylor chain psi = sum rho_n y^n through a configurable order and
-  the exact single-layer moment transfer; the polynomial part of the
-  profile enters through its own closed-form response.  This is the form
-  that tracks the collocation pencil at finite b.
-
-The public residual follows the conventional shape
-
-    R(z) = (z+1)^2 - 4/(1 + a z) - Y_k(z, b, d) - H_k - H~_k,
-
-where a = k/(r b) in finite-b contexts and a = 0 in the design limit;
-H_k/H~_k carry the finite-b corrections when enabled and are zero
-otherwise.
+* finite-b form: the exact layer-transfer hierarchy, whose leading root
+  is TransferHierarchy.leading_lambda.  The wall curvature of the stream
+  function is balanced against the temperature response of the
+  exponential layer, keeping the full Taylor chain psi = sum rho_n y^n
+  through a configurable order and the exact single-layer moment
+  transfer.  This is the form that tracks the collocation pencil at
+  finite b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
@@ -38,8 +30,6 @@ import numpy as np
 from .profile import (DesignPolynomial, ScaleParams, perturbation_response)
 
 __all__ = [
-    "ScalarEigenContext",
-    "scalar_residual",
     "design_y",
     "find_root_z",
     "kbar_bound",
@@ -72,48 +62,6 @@ def design_y(k: int, params: ScaleParams, poly: DesignPolynomial) -> float:
     return 2.0 * params.mu * perturbation_response(k, poly, params.beta)
 
 
-@dataclass
-class ScalarEigenContext:
-    """Evaluation state of the scalar equation at one (k, z) point."""
-
-    z: complex
-    a: float
-    xi_tilde: complex
-    Yk: float
-    Hk: float = 0.0
-    Hk_tilde: float = 0.0
-
-
-def make_context(z, k: int, params: ScaleParams, poly: DesignPolynomial,
-                 finite_b: bool = False, hierarchy_order: int = 8) -> ScalarEigenContext:
-    """Assemble the context; finite_b=True turns on the transfer corrections."""
-    a = k / (params.r * params.b) if finite_b else 0.0
-    xi_tilde = (1.0 + params.r) / (1.0 + a * z)
-    yk = design_y(k, params, poly)
-    hk = hkt = 0.0
-    if finite_b:
-        th = TransferHierarchy(k, params, poly, order=hierarchy_order)
-        # corrections folding exact transfer into the conventional shape:
-        # residual-with-H = (z+1)^2 - Theta(z) (z+1)^2 / 2  (poly included)
-        base = (z + 1.0) ** 2 - 4.0 / (1.0 + a * z) - yk
-        exact = th.residual_z(z)
-        hk = float(np.real(base - exact))
-        hkt = 0.0
-    return ScalarEigenContext(z=z, a=a, xi_tilde=xi_tilde, Yk=yk,
-                              Hk=hk, Hk_tilde=hkt)
-
-
-def scalar_residual(ctx: ScalarEigenContext, k: int, params: ScaleParams,
-                    poly: DesignPolynomial):
-    """R(z) = (z+1)^2 - 4/(1+a z) - Y_k - H_k - H~_k on the search domain."""
-    z = ctx.z
-    if np.real(z) <= 0:
-        raise ScalarError("z outside the search domain: need Re z > 0")
-    if abs(z) > max(4.0, kbar_bound(params) / k):
-        raise ScalarError("z outside the search domain: |z| too large")
-    return (z + 1.0) ** 2 - 4.0 / (1.0 + ctx.a * z) - ctx.Yk - ctx.Hk - ctx.Hk_tilde
-
-
 # ---------------------------------------------------------------------------
 # exact layer-transfer hierarchy (finite-b form)
 # ---------------------------------------------------------------------------
@@ -123,30 +71,24 @@ class TransferHierarchy:
 
     Unknowns are the wall Taylor coefficients rho_2..rho_M of the stream
     function.  The temperature response to the layer forcing
-    y^n e^{-by} rho_n and to the profile polynomial is written in closed
-    form (exponential moments of the Robin kernel plus polynomial
-    particular solutions); the stream responses are closed-form solutions
-    of the clamped fourth-order operator.  rho_2 = 1 normalizes; the
-    equations for m = 3..M are solved linearly and the residual of the
-    m = 2 equation, rescaled to the (z+1)^2 convention, is returned.
+    y^n e^{-by} rho_n is written in closed form (exponential moments of
+    the Robin kernel plus polynomial particular solutions); the stream
+    responses are closed-form solutions of the clamped fourth-order
+    operator.  rho_2 = 1 normalizes; the equations for m = 3..M are solved
+    linearly and the residual of the m = 2 equation is returned.
+
+    The operator is the exponential layer alone.  At desk scales the
+    designed polynomial acts non-perturbatively on the far field (its
+    first-order response has the wrong sign while the actual eigenvalue
+    shift is tiny), so its footprint is read off the collocation pencil.
     """
 
-    def __init__(self, k: int, params: ScaleParams, poly: DesignPolynomial,
-                 order: int = 8, include_poly: bool = False):
+    def __init__(self, k: int, params: ScaleParams, order: int = 8):
         if order < 3:
             raise ScalarError("hierarchy order must be at least 3")
         self.k = int(k)
         self.p = params
-        self.poly = poly
         self.M = order
-        # The polynomial term is kept behind a flag: the chain below is the
-        # correct first-order response, but at desk scales the designed
-        # polynomial acts non-perturbatively on the far field (its
-        # first-order prediction has the wrong sign while the actual
-        # eigenvalue shift is tiny), so the production branch is the
-        # layer-only operator and the polynomial's footprint is read off
-        # the collocation pencil instead.
-        self.include_poly = include_poly
 
     # -- closed-form building blocks -------------------------------------
 
@@ -194,23 +136,21 @@ class TransferHierarchy:
                       dtype=complex)
         return dc - q * c
 
-    def _expoly_particular(self, R: np.ndarray, q: complex, a: complex,
-                           order: int) -> np.ndarray:
-        """Particular polynomial P with (D^2-a^2)^order [P e^{-qy}] = R e^{-qy}.
+    def _expoly_particular(self, R: np.ndarray, q: complex, a: complex) -> np.ndarray:
+        """Particular polynomial P with (D^2-a^2)^2 [P e^{-qy}] = R e^{-qy}.
 
         The least-squares solve handles the resonant case q = a (where the
         kernel polynomials drop the effective rank) by returning any
         particular solution; the clamping/Robin homogeneous pieces absorb
         the kernel freedom.
         """
-        dim = len(R) + 2 * order
+        dim = len(R) + 4
         O = np.zeros((dim, dim), dtype=complex)
         for j in range(dim):
             e = np.zeros(dim, dtype=complex)
             e[j] = 1.0
             c1 = self._shifted_deriv(self._shifted_deriv(e, q), q) - a * a * e
-            if order == 2:
-                c1 = self._shifted_deriv(self._shifted_deriv(c1, q), q) - a * a * c1
+            c1 = self._shifted_deriv(self._shifted_deriv(c1, q), q) - a * a * c1
             O[:, j] = c1
         col = np.linalg.norm(O, axis=0)
         col[col == 0] = 1.0
@@ -236,52 +176,11 @@ class TransferHierarchy:
 
     def _stream_response_layer(self, R: np.ndarray, q: complex) -> np.ndarray:
         """psi^{(m)}(0), m=2..M, for clamped (D^2-k^2)^2 psi = R(y) e^{-qy}."""
-        P = self._expoly_particular(np.asarray(R, dtype=complex), q, self.k,
-                                    order=2)
+        P = self._expoly_particular(np.asarray(R, dtype=complex), q, self.k)
         c1 = -P[0]
         P1 = P[1] if len(P) > 1 else 0.0
         c2 = -(P1 - q * P[0]) + self.k * c1
         return self._wall_derivs(P, q, c1, c2)
-
-    def _robin_solve_pieces(self, R: np.ndarray, q: complex, kbar: complex):
-        """Robin-at-0 decaying solve of (D^2-kbar^2) w = R(y) e^{-qy}.
-
-        Returns [(poly, decay)] pieces: the particular part plus the
-        e^{-kbar y} homogeneous correction enforcing w'(0) = beta w(0).
-        """
-        beta = self.p.beta
-        P = self._expoly_particular(np.asarray(R, dtype=complex), q, kbar,
-                                    order=1)
-        P0 = P[0]
-        P1 = P[1] if len(P) > 1 else 0.0
-        C = (P1 - (q + beta) * P0) / (beta + kbar)
-        return [(P, q), (np.array([C], dtype=complex), kbar)]
-
-    def _poly_correction(self, kbar: complex) -> np.ndarray:
-        """Wall-derivative response Xi_m of the profile-polynomial forcing.
-
-        Per unit e^{-kbar y} temperature amplitude, the stream shape is
-        phi_kbar; the polynomial part of the profile forces the
-        temperature with -mu y P(y) psi, which feeds back into the wall
-        curvature.  Xi is the chain (clamped biharmonic) o (Robin solve)
-        applied to y P(y) phi_kbar(y), computed in closed exponential-
-        polynomial form (resonant cases included).
-        """
-        k = self.k
-        lam = kbar * kbar - k * k
-        den = lam * lam
-        pc = np.array(self.poly.coeffs, dtype=complex)
-        yp = np.concatenate([[0.0], pc])            # y P(y)
-        # phi_kbar components: (poly, decay)
-        phi_pieces = [(np.array([1.0 / den]), kbar),
-                      (np.array([-1.0 / den]), k),
-                      (np.array([0.0, (kbar - k) / den]), k)]
-        Xi = np.zeros(self.M - 1, dtype=complex)
-        for coeffs, q in phi_pieces:
-            R = np.convolve(yp, coeffs)
-            for Pw, qw in self._robin_solve_pieces(R, q, kbar):
-                Xi = Xi + self._stream_response_layer(Pw, qw)
-        return Xi
 
     def _transfer_matrix(self, kbar: complex) -> np.ndarray:
         p = self.p
@@ -289,17 +188,12 @@ class TransferHierarchy:
         AL = abs(p.C_U) * p.r * p.b ** 4
         ns = list(range(2, self.M + 1))
         phid = self._stream_response_bulk(kbar)
-        poly_xi = None
-        if self.include_poly and not self.poly.is_zero:
-            poly_xi = p.mu * k**4 * AL * self._poly_correction(kbar)
         T = np.zeros((len(ns), len(ns)), dtype=complex)
         for jn, n in enumerate(ns):
             s_n = self._layer_bulk_moment(n, kbar)
             contrib = (k * k) * AL * s_n * phid
             Q = self._layer_particular(n, kbar)
             contrib = contrib + AL * self._stream_response_layer(-(k * k) * Q, p.b)
-            if poly_xi is not None:
-                contrib = contrib + s_n * poly_xi
             for im, m in enumerate(ns):
                 T[im, jn] = contrib[im] / factorial(m)
         return T
@@ -318,11 +212,6 @@ class TransferHierarchy:
         theta = 2.0 * (T[0] @ rho)    # psi''(0) with rho_2 = 1
         resid = 2.0 - theta
         return float(resid.real) if abs(resid.imag) < 1e-10 else resid
-
-    def residual_z(self, z: complex) -> complex:
-        """Residual rescaled to the (z+1)^2 convention of scalar_residual."""
-        lam = lambda_from_z(z, self.k)
-        return 0.5 * (z + 1.0) ** 2 * self.residual(lam)
 
     def _safe_residual(self, lam: float) -> float:
         try:
@@ -381,33 +270,26 @@ class TransferHierarchy:
 # ---------------------------------------------------------------------------
 
 def find_root_z(k: int, params: ScaleParams, poly: DesignPolynomial,
-                mode: str = "design", hierarchy_order: int = 8,
                 tol: float = 1e-12) -> complex:
-    """Root of the scalar equation near z = 1 (design) or of the exact
-    finite-b branch (mode='finite').
+    """Root of the design equation near z = 1.
 
-    Design mode: (z+1)^2 = 4 + Y_k has the closed-form root
-    z = sqrt(4 + Y) - 1; with calibrated offsets Y(k in kernel) = 0 so
-    z = 1 to machine precision, and Y < 0 gives Re z < 1 off the kernel.
+    (z+1)^2 = 4 + Y_k has the closed-form root z = sqrt(4 + Y) - 1; with
+    calibrated offsets Y(k in kernel) = 0 so z = 1 to machine precision,
+    and Y < 0 gives Re z < 1 off the kernel.  The finite-b root is
+    TransferHierarchy.leading_lambda.
     """
     if k > kbar_bound(params):
         raise ScalarError(
             f"k={k} beyond the a-priori bound h r b = {kbar_bound(params):.3g}; "
             "mode is gapped a priori")
-    if mode == "design":
-        y = design_y(k, params, poly)
-        if y <= -4.0:
-            raise ScalarError("design perturbation too large; no root near 1")
-        z = np.sqrt(4.0 + y) - 1.0
-        # Newton polish on the residual (a = 0)
-        for _ in range(4):
-            f = (z + 1.0) ** 2 - 4.0 - y
-            z -= f / (2.0 * (z + 1.0))
-        if abs((z + 1.0) ** 2 - 4.0 - y) > tol:
-            raise ScalarError("design root did not converge")
-        return complex(z)
-    if mode == "finite":
-        th = TransferHierarchy(k, params, poly, order=hierarchy_order)
-        lam = th.leading_lambda()
-        return complex(np.sqrt(complex(k * k + lam)) / k)
-    raise ScalarError(f"unknown mode {mode!r}")
+    y = design_y(k, params, poly)
+    if y <= -4.0:
+        raise ScalarError("design perturbation too large; no root near 1")
+    z = np.sqrt(4.0 + y) - 1.0
+    # Newton polish on the residual (a = 0)
+    for _ in range(4):
+        f = (z + 1.0) ** 2 - 4.0 - y
+        z -= f / (2.0 * (z + 1.0))
+    if abs((z + 1.0) ** 2 - 4.0 - y) > tol:
+        raise ScalarError("design root did not converge")
+    return complex(z)

@@ -496,12 +496,12 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
                                           lam_pencil=None, in_kernel=k in kernel,
                                           method="apriori-gapped"))
             continue
-        z = find_root_z(k, params, poly, mode="design")
+        z = find_root_z(k, params, poly)
         lam_d = lambda_from_z(z, k)
         lam_f = None
         if finite_ks is None or k in finite_ks:
             try:
-                th = TransferHierarchy(k, params, poly)
+                th = TransferHierarchy(k, params)
                 lam_f = complex(th.leading_lambda())
             except Exception:
                 lam_f = None

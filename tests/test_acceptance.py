@@ -79,7 +79,7 @@ def _cross_method_max_diff(b):
         A, _, _, _ = _schur_operator(pen)
         ev = np.linalg.eigvals(A)
         lam_p = ev[np.argmax(ev.real)].real
-        lam_h = TransferHierarchy(k, p, prof.poly).leading_lambda()
+        lam_h = TransferHierarchy(k, p).leading_lambda()
         mx = max(mx, abs(lam_p - lam_h) / max(1.0, abs(lam_p)))
     return mx
 
@@ -102,14 +102,14 @@ def test_criterion_4_engineered_spectrum(profile30):
     p = profile30.params
     kernel = (1, 7)
     kr = max(abs(np.real(lambda_from_z(
-        find_root_z(k, p, profile30.poly, mode="design"), k)))
+        find_root_z(k, p, profile30.poly), k)))
         for k in kernel)
     gaps = []
     for k in range(1, 22):
         if k in kernel:
             continue
         lam = np.real(lambda_from_z(
-            find_root_z(k, p, profile30.poly, mode="design"), k))
+            find_root_z(k, p, profile30.poly), k))
         gaps.append(lam)
     ok = kr < 1e-6 and all(g < 0 for g in gaps)
     assert report(4, ok,

@@ -22,9 +22,16 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg["scales"]["b"] == 30.0
 
 
-def test_invalid_scales_rejected():
+def test_invalid_scales_rejected(tmp_path):
     with pytest.raises(SystemExit):
         load_config(None, ["scales.s0=1.5"])
+    # a misspelt key is an error, not a silently ignored setting
+    with pytest.raises(SystemExit, match="scales.bb"):
+        load_config(None, ["scales.bb=3"])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scales": {"bb": 3}}))
+    with pytest.raises(SystemExit, match="scales.bb"):
+        load_config(str(path), None)
 
 
 def test_spectrum_stage_writes_artifacts(tmp_path):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import factorial
 
 from obrealize.profile import (DesignPolynomial, ProfileError, build_profile,
                                calibrate_offsets, compute_beta1, derive_scales,
                                design_polynomial, designed_profile,
                                kernel_target_coeffs,
-                               paper_second_derivative_formula,
                                perturbation_response, tilde_coefficient,
                                TemperatureProfile)
 
@@ -107,6 +107,22 @@ def test_design_polynomial_exact_reexpansion():
                   * (1.5 * factorial(n + 4) + 0.25 * factorial(n + 5))
                   for n, rn in enumerate(poly.coeffs))
         assert rhs == pytest.approx(lhs, rel=1e-12)
+
+
+def paper_second_derivative_formula(k: float, poly: DesignPolynomial, beta: float):
+    """The companion closed form sum_n r_n (2k)^{-n-6} (3k(n+3)!/(beta+k)
+    + 3(n+4)!/2 + (n+5)!/4).
+
+    Numerically this equals Psi'''(0)/k^2 of the same boundary-value
+    problem (the third, not second, wall derivative); it is kept as the
+    reference functional behind the q -> r map and the a_n coefficients.
+    """
+    s = 0.0
+    for n, rn in enumerate(poly.coeffs):
+        br = (3.0 * k * factorial(n + 3) / (beta + k)
+              + 1.5 * factorial(n + 4) + 0.25 * factorial(n + 5))
+        s += rn * (2.0 * k) ** (-(n + 6)) * br
+    return s
 
 
 def test_reference_formula_against_bvp_oracle():

@@ -141,6 +141,17 @@ def test_lyapunov_linear_contraction():
     assert np.allclose(rep.exponents, -1.0, atol=1e-3)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lyapunov_transient_aligns_frame(seed):
+    # distinct rates: over a horizon of 10 the average is this close only
+    # if the transient has already turned the random frame onto the axes
+    field = TargetField(p=3, D=np.zeros((3, 3, 3)), R=np.diag([-1.0, -2.0, -3.0]),
+                        f=np.zeros(3))
+    rep = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=10.0,
+                   dt=1e-2, transient=20.0, seed=seed)
+    assert np.allclose(rep.exponents, [-1.0, -2.0, -3.0], rtol=0.0, atol=1e-3)
+
+
 def test_lyapunov_lorenz_and_trace():
     lor = lorenz_field()
     rep = lyapunov(lor, np.array([1.0, 1.0, 20.0]), horizon=500.0, dt=2e-3,

@@ -5,9 +5,10 @@ from scipy.integrate import trapezoid
 from obrealize.grid import make_grid
 from obrealize.reduction import (FourierProfileSet, ReducedSystem,
                                  asymptotic_basis, asymptotic_profiles,
-                                 compute_K, compute_M, compute_M_2d, compute_f,
+                                 compute_K, compute_M, compute_f,
                                  eta_for_f, numeric_basis,
                                  paper_resonant_factor, zeta_profiles)
+from obrealize.spectral import ModeBasis
 
 
 def test_asymptotic_profile_wall_conditions(params50):
@@ -64,6 +65,36 @@ def test_M_zero_for_nonresonant_slots(basis50):
     u1 = FourierProfileSet({11: np.exp(-g.nodes)})   # 11 never resonates
     M = compute_M(u1, basis50)
     assert np.all(M == 0.0)
+
+
+def compute_M_2d(u1: FourierProfileSet, basis: ModeBasis, nx: int = 256) -> np.ndarray:
+    """Independent 2-D tensor-grid evaluation of <{psi_j, theta*_i}, u1>.
+
+    Trapezoid in x over [0, pi] with the (2/pi) normalization; used as the
+    oracle for compute_M.
+    """
+    g = basis.grid
+    m = len(g.nodes)
+    x = np.linspace(0.0, np.pi, nx)
+    N = basis.size
+    u1_xy = np.zeros((nx, m))
+    for n, prof in u1.entries.items():
+        u1_xy += np.cos(n * x)[:, None] * prof[None, :]
+    M = np.zeros((N, N))
+    for i in range(N):
+        for j in range(N):
+            ki, kj = basis.wavenumbers[i], basis.wavenumbers[j]
+            # {psi_j, theta*_i} = k_j Psi_j dTheta*_i cos(k_j x)cos(k_i x)
+            #                    + k_i dPsi_j Theta*_i sin(k_j x)sin(k_i x)
+            fy1 = kj * basis.psi[j] * basis.dthetastar[i]
+            fy2 = ki * basis.dpsi[j] * basis.thetastar[i]
+            fx1 = np.cos(kj * x) * np.cos(ki * x)
+            fx2 = np.sin(kj * x) * np.sin(ki * x)
+            integrand = fx1[:, None] * fy1[None, :] + fx2[:, None] * fy2[None, :]
+            integrand = integrand * u1_xy
+            ix = trapezoid(integrand, x, axis=0)
+            M[i, j] = (2.0 / np.pi) * g.integrate(ix)
+    return M
 
 
 def test_M_matches_2d_oracle(basis50):
@@ -184,14 +215,6 @@ def test_reduced_system_json_roundtrip(basis50, kset2):
     back = ReducedSystem.from_json(text)
     assert np.allclose(back.K, K)
     assert back.kset == kset2.full
-
-
-def test_velocity_contribution_is_tiny(profile30, grid30):
-    basis = numeric_basis((1, 2), profile30, grid30)
-    K0, _ = compute_K(basis, profile30.params.nu, include_velocity=False)
-    K1, _ = compute_K(basis, profile30.params.nu, include_velocity=True)
-    denom = max(np.max(np.abs(K0)), 1e-300)
-    assert np.max(np.abs(K1 - K0)) < 1e-10 * denom
 
 
 @pytest.mark.xfail(reason="at desk-scale b the leading collocation mode sits "

@@ -2,49 +2,17 @@ import numpy as np
 import pytest
 
 from obrealize.profile import DesignPolynomial, build_profile, derive_scales
-from obrealize.scalar import (ScalarEigenContext, ScalarError,
-                              TransferHierarchy, design_y, find_root_z,
-                              kbar_bound, lambda_from_z, make_context,
-                              scalar_residual)
-
-
-def _ctx(z, a=0.0, yk=0.0):
-    return ScalarEigenContext(z=z, a=a, xi_tilde=1.0, Yk=yk)
-
-
-def test_residual_roots_of_limit_equation(params30):
-    poly = DesignPolynomial.zero()
-    assert scalar_residual(_ctx(1.0), 1, params30, poly) == pytest.approx(0.0)
-    # the second root z = -3 sits outside the search half-plane
-    with pytest.raises(ScalarError):
-        scalar_residual(_ctx(-3.0), 1, params30, poly)
-    assert (-3.0 + 1.0) ** 2 - 4.0 == pytest.approx(0.0)
-
-
-def test_residual_cubic_root(params30):
-    # a = 0.1: the real root of (z+1)^2 (1+0.1 z) = 4 is near 0.915
-    poly = DesignPolynomial.zero()
-    from scipy.optimize import brentq
-    f = lambda z: np.real(scalar_residual(_ctx(z, a=0.1), 1, params30, poly))
-    root = brentq(f, 0.5, 1.0)
-    assert root == pytest.approx(0.915, abs=1e-3)
-
-
-def test_domain_guard(params30):
-    poly = DesignPolynomial.zero()
-    with pytest.raises(ScalarError):
-        scalar_residual(_ctx(-0.2), 1, params30, poly)
-    with pytest.raises(ScalarError):
-        scalar_residual(_ctx(1e9), 1, params30, poly)
+from obrealize.scalar import (ScalarError, TransferHierarchy, find_root_z,
+                              kbar_bound, lambda_from_z)
 
 
 def test_design_root_kernel_and_gap(profile30):
     p = profile30.params
     for k in (1, 7):
-        z = find_root_z(k, p, profile30.poly, mode="design")
+        z = find_root_z(k, p, profile30.poly)
         assert abs(z - 1.0) < 1e-7 / k
     for k in (2, 3, 8, 21):
-        z = find_root_z(k, p, profile30.poly, mode="design")
+        z = find_root_z(k, p, profile30.poly)
         assert np.real(z) < 1.0
         assert np.real(lambda_from_z(z, k)) < 0.0
 
@@ -58,7 +26,7 @@ def test_design_gap_ladder():
         from obrealize.profile import designed_profile
         p = derive_scales(b)
         prof = designed_profile(p, [1, 7])
-        z = find_root_z(ks, prof.params, prof.poly, mode="design")
+        z = find_root_z(ks, prof.params, prof.poly)
         vals.append(1.0 - np.real(z))
     assert vals[0] > vals[1] > vals[2] > 0
     rates = [np.log(vals[i] / vals[i + 1]) / np.log(2.0) for i in range(2)]
@@ -70,17 +38,7 @@ def test_apriori_bound_guard(params30):
     poly = DesignPolynomial.zero()
     kbig = int(kbar_bound(params30)) + 5
     with pytest.raises(ScalarError):
-        find_root_z(kbig, params30, poly, mode="design")
-
-
-def test_find_root_z_finite_mode(params30):
-    poly = DesignPolynomial.zero()
-    z = find_root_z(1, params30, poly, mode="finite")
-    lam = lambda_from_z(z, 1)
-    th = TransferHierarchy(1, params30, poly)
-    assert np.real(lam) == pytest.approx(th.leading_lambda(), abs=1e-10)
-    with pytest.raises(ScalarError):
-        find_root_z(1, params30, poly, mode="nope")
+        find_root_z(kbig, params30, poly)
 
 
 def test_hierarchy_matches_pencil_layer_profile(params30):
@@ -90,7 +48,7 @@ def test_hierarchy_matches_pencil_layer_profile(params30):
     for k in (1, 7):
         pen = assemble_pencil(k, prof, grid)
         lam_p = solve_modes(k, pen, halfplane=np.inf, nev=1, refine=False)[0].lam
-        th = TransferHierarchy(k, prof.params, prof.poly)
+        th = TransferHierarchy(k, prof.params)
         lam_h = th.leading_lambda()
         assert abs(lam_p.real - lam_h) <= 1e-2 * max(1.0, abs(lam_p.real))
 
@@ -98,7 +56,7 @@ def test_hierarchy_matches_pencil_layer_profile(params30):
 def test_hierarchy_internal_consistency(params30):
     # the closed-form bulk moment equals the Robin coefficient of the
     # layer particular solution
-    th = TransferHierarchy(2, params30, DesignPolynomial.zero())
+    th = TransferHierarchy(2, params30)
     kbar = 0.7
     b, beta = params30.b, params30.beta
     for n in (2, 4):
@@ -107,58 +65,3 @@ def test_hierarchy_internal_consistency(params30):
         Q1 = Q[1] if len(Q) > 1 else 0.0
         C = (Q1 - (b + beta) * Q[0]) / (beta + kbar)
         assert C == pytest.approx(-S, rel=1e-12)
-
-
-def test_poly_correction_matches_direct_solve(profile30):
-    # the first-order polynomial response chain agrees with a direct
-    # two-stage collocation solve of the same forcing
-    from scipy.linalg import solve
-    from obrealize.grid import make_grid
-    p = profile30.params
-    th = TransferHierarchy(1, p, profile30.poly, include_poly=True)
-    kbar = 0.4576
-    lam = kbar**2 - 1.0
-    g = make_grid(p.h, 400, 3.0)
-    y, Dy = g.nodes, g.diff
-    P = profile30.poly(y)
-    phi = (np.exp(-kbar * y) - np.exp(-y) + y * (kbar - 1.0) * np.exp(-y)) / lam**2
-    f_w = y * P * phi
-    I = np.eye(len(y))
-    L = Dy @ Dy - kbar**2 * I
-    A = L.copy()
-    rhs = f_w.copy()
-    A[0] = Dy[0] - p.beta * I[0]
-    rhs[0] = 0.0
-    A[-1] = Dy[-1]
-    rhs[-1] = 0.0
-    w = solve(A, rhs)
-    Lk = Dy @ Dy - I
-    m = len(y)
-    Ab = np.block([[Lk, -I], [np.zeros((m, m)), Lk]])
-    rb = np.concatenate([np.zeros(m), w])
-    Ab[0] = 0.0; Ab[0, 0] = 1.0; rb[0] = 0.0
-    Ab[m - 1] = 0.0; Ab[m - 1, m - 1] = 1.0; rb[m - 1] = 0.0
-    Ab[m] = 0.0; Ab[m, :m] = Dy[0]; rb[m] = 0.0
-    Ab[2 * m - 1] = 0.0; Ab[2 * m - 1, :m] = Dy[-1]; rb[2 * m - 1] = 0.0
-    psi = solve(Ab, rb)[:m]
-    Xi = th._poly_correction(complex(kbar, 0.0))
-    assert (Dy @ Dy @ psi)[0] == pytest.approx(float(Xi[0].real), rel=1e-5)
-    assert (Dy @ (Dy @ (Dy @ psi)))[0] == pytest.approx(float(Xi[1].real),
-                                                        rel=1e-4)
-
-
-def test_make_context_populates_fields(profile30):
-    p = profile30.params
-    ctx = make_context(0.9, 2, p, profile30.poly, finite_b=False)
-    assert ctx.a == 0.0
-    assert ctx.Hk == 0.0
-    assert ctx.Yk == pytest.approx(design_y(2, p, profile30.poly))
-    ctx_f = make_context(0.6, 2, p, profile30.poly, finite_b=True)
-    assert ctx_f.a == pytest.approx(2.0 / (p.r * p.b))
-    # with corrections enabled the residual vanishes at the hierarchy root
-    th = TransferHierarchy(2, p, profile30.poly)
-    lam = th.leading_lambda()
-    zr = np.sqrt(lam + 4.0) / 2.0
-    ctx_r = make_context(zr, 2, p, profile30.poly, finite_b=True)
-    val = scalar_residual(ctx_r, 2, p, profile30.poly)
-    assert abs(val) < 1e-9
