@@ -29,7 +29,7 @@ from .reduction import (FourierProfileSet, ReducedSystem, asymptotic_basis,
 from .control import (ControlSolution, WavenumberSet, control_solve,
                       extended_set, g1_from_u1, moment_profile, sidon_set,
                       solve_moment_targets, verify_decomposition)
-from .realize import (LyapunovReport, QuadraticSystem, TargetField, Trajectory,
-                      build_fast_slow, contraction_field, integrate,
-                      lorenz_field, lyapunov, manifold_residual, realize_target,
-                      reduced_field, rescale_into_ball)
+from .realize import (QuadraticSystem, TargetField, Trajectory, build_fast_slow,
+                      contraction_field, integrate, lorenz_field, lyapunov,
+                      manifold_residual, realize_target, reduced_field,
+                      rescale_into_ball)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,7 +33,6 @@ DEFAULTS = {
     "realize": {"preset": "lorenz", "xi": 1e-3, "horizon": 50.0,
                 "ball_radius": 1.0, "lyapunov": True},
     "seed": 1234,
-    "threads": 1,
 }
 
 
@@ -156,8 +154,7 @@ def cmd_spectrum(cfg: dict, outdir: Path, plot: bool) -> int:
     grid = default_grid(profile, n=n)
     rep = spectrum_report(kset.base, cfg["spectrum"]["kmax"], params,
                           profile.poly, profile, grid=grid,
-                          pencil_kmax=cfg["spectrum"]["pencil_kmax"],
-                          threads=int(cfg["threads"]))
+                          pencil_kmax=cfg["spectrum"]["pencil_kmax"])
     _write(outdir, "spectrum.csv", rep.to_csv())
     calib = {"kernel": list(kset.base),
              "offsets": list(profile.poly.offsets),
@@ -281,7 +278,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", type=str, default=None)
     ap.add_argument("--out", type=str, default="out")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--plot", action="store_true")
     ap.add_argument("--set", dest="overrides", action="append", metavar="KEY=VAL")
     ap.add_argument("--version", action="version", version=__version__)
@@ -293,10 +289,6 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    elif os.environ.get("OB_REALIZE_THREADS"):
-        cfg["threads"] = int(os.environ["OB_REALIZE_THREADS"])
     outdir = Path(args.out)
     stages = {"spectrum": cmd_spectrum, "reduce": cmd_reduce,
               "control": cmd_control, "realize": cmd_realize}

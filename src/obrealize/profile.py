@@ -283,10 +283,13 @@ def calibrate_offsets(wavenumbers, params: ScaleParams,
         J = jacobian(d)
         g = J.T @ f
         H = J.T @ J
-        step = np.linalg.solve(H + lm * np.eye(N), -g)
+        try:
+            step = np.linalg.solve(H + lm * np.eye(N), -g)
+        except np.linalg.LinAlgError:   # singular J^T J: damp as after a failed step
+            step = None
         t = 1.0
         improved = False
-        while t > 1e-13:
+        while step is not None and t > 1e-13:
             dn = np.clip(d + t * step, -box, box)
             fn = residual(dn)
             if np.linalg.norm(fn) < np.linalg.norm(f) - 1e-18:

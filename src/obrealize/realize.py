@@ -15,6 +15,15 @@ unordered slow pair, courtesy of the Sidon resonance structure) so the
 leading field equals any prescribed quadratic target.  Diagnostics:
 manifold residuals, empirical field discrepancy, and Benettin-style
 Lyapunov spectra.
+
+Each kind of system has one stepper.  A QuadraticSystem takes the ETDRK2
+step of _etdrk2_step, exact on the fast diagonal -xi^{-1} and second
+order on the rest; integrate drives its state and lyapunov drives its
+state and, through the derivative of the same step, its tangent frame.
+A TargetField takes the classic RK4 step of _rk4_step, which lyapunov
+pairs with a trapezoidal tangent and rescale_into_ball uses for the
+bounding run.  Non-stiff fast-slow systems and the target reference
+orbit use the adaptive Dormand-Prince pair.
 """
 from __future__ import annotations
 
@@ -29,7 +38,6 @@ __all__ = [
     "TargetField",
     "QuadraticSystem",
     "Trajectory",
-    "LyapunovReport",
     "RealizeError",
     "build_fast_slow",
     "integrate",
@@ -171,11 +179,11 @@ class QuadraticSystem:
 
     def nonstiff_rhs(self, X: np.ndarray) -> np.ndarray:
         """Everything except the exact fast diagonal -xi^{-1} on Z."""
-        out = np.einsum("ijl,j,l->i", self.K, X, X) + self.Mslow @ X + self.f
-        return out
+        return np.einsum("ijl,j,l->i", self.K, X, X) + self.Mslow @ X + self.f
 
-    def jac(self, X: np.ndarray) -> np.ndarray:
-        return 2.0 * np.einsum("ijl,l->ij", self.K, X) + self.M
+    def nonstiff_jac(self, X: np.ndarray) -> np.ndarray:
+        """Jacobian of nonstiff_rhs."""
+        return 2.0 * np.einsum("ijl,l->ij", self.K, X) + self.Mslow
 
     def __post_init__(self):
         self.K = np.asarray(self.K, dtype=float)
@@ -245,7 +253,6 @@ class Trajectory:
     X: np.ndarray
     steps: int
     rejected: int
-    tol: float
 
     def sample(self, times) -> np.ndarray:
         times = np.atleast_1d(times)
@@ -277,12 +284,12 @@ _DOPRI_B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640,
 _DOPRI_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 
 
-def _integrate_dopri(rhs, x0, t0, t1, tol, max_step, blowup, dt0=None):
+def _integrate_dopri(rhs, x0, t0, t1, tol, max_step, blowup):
     x = np.array(x0, dtype=float)
     t = t0
     ts = [t]
     xs = [x.copy()]
-    dt = dt0 if dt0 else min(max_step, (t1 - t0) / 100.0)
+    dt = min(max_step, (t1 - t0) / 100.0)
     steps = rejected = 0
     K = np.zeros((7, len(x)))
     while t < t1 - 1e-14 * (t1 - t0):
@@ -313,11 +320,9 @@ def _integrate_dopri(rhs, x0, t0, t1, tol, max_step, blowup, dt0=None):
 
 
 def _phi1(z):
-    out = np.ones_like(z)
     small = np.abs(z) < 1e-5
     zb = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(zb) / zb)
-    return out
+    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(zb) / zb)
 
 
 def _phi2(z):
@@ -327,12 +332,40 @@ def _phi2(z):
                     (np.expm1(zb) - zb) / (zb * zb))
 
 
+def _etdrk2_coeffs(diag, dt):
+    """E = exp(dt L), P1 = dt phi1(dt L), P2 = dt phi2(dt L) for diagonal L."""
+    z = diag * dt
+    return np.exp(z), dt * _phi1(z), dt * _phi2(z)
+
+
+def _etdrk2_step(system: QuadraticSystem, x, E, P1, P2, Q=None):
+    """One exponential midpoint step: exact fast diagonal, 2nd-order nonstiff.
+
+    With a tangent frame Q, also returns the frame carried by the
+    derivative of the same step.
+    """
+    n0 = system.nonstiff_rhs(x)
+    xa = E * x + P1 * n0
+    n1 = system.nonstiff_rhs(xa)
+    xn = xa + P2 * (n1 - n0)
+    if Q is None:
+        return xn
+    J0Q = system.nonstiff_jac(x) @ Q
+    Qa = E[:, None] * Q + P1[:, None] * J0Q
+    return xn, Qa + P2[:, None] * (system.nonstiff_jac(xa) @ Qa - J0Q)
+
+
+def _rk4_step(rhs, x, h):
+    """One classic fourth-order Runge-Kutta step."""
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _integrate_etdrk2(system: QuadraticSystem, x0, t0, t1, dt, blowup):
-    """Exponential midpoint scheme: exact fast diagonal, 2nd-order nonstiff."""
-    lamv = system.fast_diag
-    E = np.exp(lamv * dt)
-    P1 = dt * _phi1(lamv * dt)
-    P2 = dt * _phi2(lamv * dt)
+    E, P1, P2 = _etdrk2_coeffs(system.fast_diag, dt)
     x = np.array(x0, dtype=float)
     nsteps = int(np.ceil((t1 - t0) / dt))
     ts = np.empty(nsteps + 1)
@@ -341,10 +374,7 @@ def _integrate_etdrk2(system: QuadraticSystem, x0, t0, t1, dt, blowup):
     xs[0] = x
     t = t0
     for i in range(nsteps):
-        n0 = system.nonstiff_rhs(x)
-        xa = E * x + P1 * n0
-        n1 = system.nonstiff_rhs(xa)
-        x = xa + P2 * (n1 - n0)
+        x = _etdrk2_step(system, x, E, P1, P2)
         t = t0 + (i + 1) * dt
         ts[i + 1] = t
         xs[i + 1] = x
@@ -380,7 +410,7 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
                                                blowup=blowup_radius)
     else:
         raise RealizeError(f"unknown method {method!r}")
-    return Trajectory(t=ts, X=xs, steps=steps, rejected=rej, tol=tol)
+    return Trajectory(t=ts, X=xs, steps=steps, rejected=rej)
 
 
 # ---------------------------------------------------------------------------
@@ -431,73 +461,42 @@ def empirical_field_error(traj: Trajectory, system: QuadraticSystem,
 # Lyapunov spectra
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LyapunovReport:
-    exponents: np.ndarray
-    horizon: float
-    renorm_interval: float
-    trace: np.ndarray = field(repr=False)
-
-    @property
-    def largest(self) -> float:
-        return float(self.exponents[0])
-
-
 def lyapunov(flow, x0, horizon: float, dt: float = 1e-2,
-             n_exp: int | None = None, renorm_every: int = 10,
-             transient: float = 20.0, seed: int = 0,
-             stiff_diag: np.ndarray | None = None) -> LyapunovReport:
+             renorm_every: int = 10, transient: float = 20.0,
+             seed: int = 0) -> np.ndarray:
     """Benettin QR spectrum along the orbit of an autonomous field.
 
-    flow is a QuadraticSystem (rhs and jac) or a TargetField (called, and
-    jac).  Tangent vectors are renormalized by QR every renorm_every
-    steps, through the transient too, so the measured average starts from
-    an aligned frame; exponents are the log diagonal averaged over the
-    horizon after the transient.  stiff_diag, when given, is the exact
-    linear diagonal handled exponentially (fast-slow tangents).
+    A QuadraticSystem is stepped by ETDRK2 with its own fast diagonal
+    handled exactly, state and tangent frame alike; any other flow (a
+    TargetField: called, and jac) by RK4 with a trapezoidal tangent.
+    Tangent vectors are renormalized by QR every renorm_every steps,
+    through the transient too, so the measured average starts from an
+    aligned frame.  Returns the exponents, in descending order: the log
+    diagonal averaged over the horizon after the transient.
     """
-    rhs = getattr(flow, "rhs", flow)
-    jac = flow.jac
     x = np.array(x0, dtype=float)
     n = len(x)
-    m = n_exp or n
     rng = np.random.default_rng(seed)
-    Q = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
 
-    if stiff_diag is not None:
-        E = np.exp(stiff_diag * dt)
-        P1 = dt * _phi1(stiff_diag * dt)
-        P2 = dt * _phi2(stiff_diag * dt)
+    if isinstance(flow, QuadraticSystem):
+        coeffs = _etdrk2_coeffs(flow.fast_diag, dt)
 
         def step(x, Q):
-            # ETDRK2 on the state and on the linear tangent equation
-            n0 = rhs(x) - stiff_diag * x
-            xa = E * x + P1 * n0
-            n1 = rhs(xa) - stiff_diag * xa
-            xn = xa + P2 * (n1 - n0)
-            J0 = jac(x) - np.diag(stiff_diag)
-            Qa = E[:, None] * Q + P1[:, None] * (J0 @ Q)
-            J1 = jac(xa) - np.diag(stiff_diag)
-            Qn = Qa + P2[:, None] * (J1 @ Qa - J0 @ Q)
-            return xn, Qn
+            return _etdrk2_step(flow, x, *coeffs, Q=Q)
     else:
+        I = np.eye(n)
+
         def step(x, Q):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * dt * k1)
-            k3 = rhs(x + 0.5 * dt * k2)
-            k4 = rhs(x + dt * k3)
-            xn = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            J = jac(x)
-            J2 = jac(xn)
-            A = np.eye(n) + 0.5 * dt * J
-            B = np.eye(n) - 0.5 * dt * J2
-            Qn = np.linalg.solve(B, A @ Q)
-            return xn, Qn
+            xn = _rk4_step(flow, x, dt)
+            # trapezoidal rule on the linear tangent equation
+            A = I + 0.5 * dt * flow.jac(x)
+            B = I - 0.5 * dt * flow.jac(xn)
+            return xn, np.linalg.solve(B, A @ Q)
 
     nburn = int(transient / dt)
     nsteps = int(horizon / dt)
-    sums = np.zeros(m)
-    trace = []
+    sums = np.zeros(n)
     elapsed = 0.0
     for i in range(nburn + nsteps):
         x, Q = step(x, Q)
@@ -510,11 +509,7 @@ def lyapunov(flow, x0, horizon: float, dt: float = 1e-2,
                 d[d < 1e-300] = 1e-300
                 sums += np.log(d)
                 elapsed += renorm_every * dt
-                trace.append(sums / elapsed)
-    exps = np.sort(sums / max(elapsed, dt))[::-1]
-    return LyapunovReport(exponents=exps, horizon=horizon,
-                          renorm_interval=renorm_every * dt,
-                          trace=np.array(trace))
+    return np.sort(sums / max(elapsed, dt))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -535,26 +530,15 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
     """
     rng = np.random.default_rng(seed)
     x = 0.1 * rng.standard_normal(raw.p) + 1e-3
-    # crude transient + bounding run with plain RK4
-    def rk4(x, h):
-        k1 = raw.bare(x)
-        k2 = raw.bare(x + 0.5 * h * k1)
-        k3 = raw.bare(x + 0.5 * h * k2)
-        k4 = raw.bare(x + h * k3)
-        return x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
+    # crude transient + bounding run with plain RK4, sampled after the transient
     nburn = int(20.0 / dt)
-    for _ in range(nburn):
-        x = rk4(x, dt)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e6:
-            raise RealizeError("raw field escaped during the bounding run")
     pts = []
-    for i in range(int(bound_horizon / dt)):
-        x = rk4(x, dt)
+    for i in range(nburn + int(bound_horizon / dt)):
+        x = _rk4_step(raw.bare, x, dt)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e6:
             raise RealizeError("raw field escaped during the bounding run")
-        if i % 5 == 0:
-            pts.append(x.copy())
+        if i >= nburn and (i - nburn) % 5 == 0:
+            pts.append(x)
     pts = np.array(pts)
     center = 0.5 * (pts.max(axis=0) + pts.min(axis=0))
     radius = np.max(np.linalg.norm(pts - center, axis=1))
@@ -623,28 +607,19 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     x0 = np.zeros(kset.N)
     x0[:p] = y0
     x0[p:] = xi * system.kt1(y0)
-    dt = min(5e-3, xi * 0.5) if xi > 2e-3 else 5e-3
-    traj = integrate(system, x0, (0.0, horizon), method="auto", dt=dt)
-
-    def tgt_rhs(Y):
-        return target(Y)
-
-    tgt_traj = _integrate_dopri(tgt_rhs, y0, 0.0, horizon, 1e-10,
-                                max_step=0.25, blowup=None)
-    tt, tx = tgt_traj[0], tgt_traj[1]
+    traj = integrate(system, x0, (0.0, horizon), method="auto", dt=5e-3)
+    tgt_traj = Trajectory(*_integrate_dopri(target, y0, 0.0, horizon, 1e-10,
+                                            max_step=0.25, blowup=None))
     samples = np.linspace(0.0, horizon, 400)
     realized_Y = traj.sample(samples)[:, :p]
-    target_Y = np.empty((len(samples), p))
-    for d in range(p):
-        target_Y[:, d] = np.interp(samples, tt, tx[:, d])
+    target_Y = tgt_traj.sample(samples)
     sup_err = float(np.max(np.linalg.norm(realized_Y - target_Y, axis=1)))
     man = manifold_residual(traj, system)
     c0 = empirical_field_error(traj, system, target)
     if with_lyapunov:
-        lt = lyapunov(target, y0, horizon=lyap_horizon, dt=0.02, seed=seed)
-        lr = lyapunov(system, x0, horizon=lyap_horizon, dt=0.02, seed=seed,
-                      stiff_diag=system.fast_diag, renorm_every=1)
-        lyap_t, lyap_r = lt.exponents, lr.exponents[:p]
+        lyap_t = lyapunov(target, y0, horizon=lyap_horizon, dt=0.02, seed=seed)
+        lyap_r = lyapunov(system, x0, horizon=lyap_horizon, dt=0.02, seed=seed,
+                          renorm_every=1)[:p]
     else:
         lyap_t = lyap_r = np.zeros(p)
     return RealizationReport(sup_error=sup_err, manifold=man,

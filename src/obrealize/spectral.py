@@ -461,7 +461,7 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     The design values carry the engineered-kernel statement; pencil and
     finite-b hierarchy values cross-validate each other where affordable.
     Wavenumbers beyond the a-priori bound h r b are marked gapped without
-    solving.
+    solving.  threads is not read; the benchmark still passes it.
     """
     kernel = tuple(int(k) for k in kernel)
     if grid is None:
@@ -478,24 +478,13 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
         except Exception as exc:
             raise SpectralError(f"pencil solve failed at k={k}: {exc}") from exc
 
-    ks = list(range(1, kmax + 1))
-    pencil_vals: dict[int, complex] = {}
-    todo = [k for k in ks if k <= min(pencil_kmax, bound)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for k, v in zip(todo, ex.map(pencil_leading, todo)):
-                pencil_vals[k] = v
-    else:
-        for k in todo:
-            pencil_vals[k] = pencil_leading(k)
-
-    for k in ks:
+    for k in range(1, kmax + 1):
         if k > bound:
             records.append(SpectrumRecord(k=k, lam_design=None, lam_finite=None,
                                           lam_pencil=None, in_kernel=k in kernel,
                                           method="apriori-gapped"))
             continue
+        lam_p = pencil_leading(k) if k <= pencil_kmax else None
         z = find_root_z(k, params, poly)
         lam_d = lambda_from_z(z, k)
         lam_f = None
@@ -506,7 +495,7 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
             except Exception:
                 lam_f = None
         records.append(SpectrumRecord(k=k, lam_design=lam_d, lam_finite=lam_f,
-                                      lam_pencil=pencil_vals.get(k),
+                                      lam_pencil=lam_p,
                                       in_kernel=k in kernel, method="scalar+pencil"))
     kr = max(abs(r.lam_design) for r in records
              if r.in_kernel and r.lam_design is not None)

@@ -32,6 +32,8 @@ def test_invalid_scales_rejected(tmp_path):
     path.write_text(json.dumps({"scales": {"bb": 3}}))
     with pytest.raises(SystemExit, match="scales.bb"):
         load_config(str(path), None)
+    with pytest.raises(SystemExit, match="threads"):
+        load_config(None, ["threads=2"])
 
 
 def test_spectrum_stage_writes_artifacts(tmp_path):

@@ -136,9 +136,9 @@ def test_manifold_local_invariance(K9, kset3):
 
 def test_lyapunov_linear_contraction():
     field = contraction_field(3, rate=1.0)
-    rep = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=50.0,
-                   dt=1e-2, transient=1.0)
-    assert np.allclose(rep.exponents, -1.0, atol=1e-3)
+    exps = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=50.0,
+                    dt=1e-2, transient=1.0)
+    assert np.allclose(exps, -1.0, atol=1e-3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -147,20 +147,34 @@ def test_lyapunov_transient_aligns_frame(seed):
     # if the transient has already turned the random frame onto the axes
     field = TargetField(p=3, D=np.zeros((3, 3, 3)), R=np.diag([-1.0, -2.0, -3.0]),
                         f=np.zeros(3))
-    rep = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=10.0,
-                   dt=1e-2, transient=20.0, seed=seed)
-    assert np.allclose(rep.exponents, [-1.0, -2.0, -3.0], rtol=0.0, atol=1e-3)
+    exps = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=10.0,
+                    dt=1e-2, transient=20.0, seed=seed)
+    assert np.allclose(exps, [-1.0, -2.0, -3.0], rtol=0.0, atol=1e-3)
+
+
+def test_lyapunov_stiff_linear_system():
+    # fast rate -1/xi at dt/xi = 20: an explicit step blows the fast
+    # coordinates up; the step exact on the fast diagonal does not
+    xi = 1e-3
+    M = np.diag([-1.0, -2.0] + [-1.0 / xi] * 3)
+    sysd = QuadraticSystem(N=5, p=2, K=np.zeros((5, 5, 5)), M=M, f=np.zeros(5),
+                           xi=xi, T=np.zeros((2, 3)), R=M[:2, :2])
+    x0 = np.array([0.1, 0.05, 0.02, -0.01, 0.03])
+    exps = lyapunov(sysd, x0, horizon=10.0, dt=0.02, transient=20.0,
+                    renorm_every=1)
+    assert np.allclose(exps[:2], [-1.0, -2.0], rtol=0.0, atol=1e-3)
+    assert np.allclose(exps[2:], -1.0 / xi, rtol=1e-12, atol=0.0)
 
 
 def test_lyapunov_lorenz_and_trace():
     lor = lorenz_field()
-    rep = lyapunov(lor, np.array([1.0, 1.0, 20.0]), horizon=500.0, dt=2e-3,
-                   transient=20.0, seed=0)
+    exps = lyapunov(lor, np.array([1.0, 1.0, 20.0]), horizon=500.0, dt=2e-3,
+                    transient=20.0, seed=0)
     # classic largest exponent ~ 0.9056
-    assert rep.exponents[0] == pytest.approx(0.9056, rel=0.05)
+    assert exps[0] == pytest.approx(0.9056, rel=0.05)
     # trace identity: sum of exponents ~ average divergence -(sigma+1+beta)
     div = -(10.0 + 1.0 + 8.0 / 3.0)
-    assert np.sum(rep.exponents) == pytest.approx(div, rel=0.01)
+    assert np.sum(exps) == pytest.approx(div, rel=0.01)
 
 
 def test_rescale_into_ball_properties():
