@@ -17,9 +17,8 @@ condition.  Each regime has one form:
   is TransferHierarchy.leading_lambda.  The wall curvature of the stream
   function is balanced against the temperature response of the
   exponential layer, keeping the full Taylor chain psi = sum rho_n y^n
-  through a configurable order and the exact single-layer moment
-  transfer.  This is the form that tracks the collocation pencil at
-  finite b.
+  through order 8 and the exact single-layer moment transfer.  This is
+  the form that tracks the collocation pencil at finite b.
 """
 from __future__ import annotations
 
@@ -70,12 +69,19 @@ class TransferHierarchy:
     """Exact finite-b consistency residual for the leading eigenvalue branch.
 
     Unknowns are the wall Taylor coefficients rho_2..rho_M of the stream
-    function.  The temperature response to the layer forcing
+    function (M = 8).  The temperature response to the layer forcing
     y^n e^{-by} rho_n is written in closed form (exponential moments of
     the Robin kernel plus polynomial particular solutions); the stream
     responses are closed-form solutions of the clamped fourth-order
     operator.  rho_2 = 1 normalizes; the equations for m = 3..M are solved
     linearly and the residual of the m = 2 equation is returned.
+
+    The stream response to R(y) e^{-by} does not depend on lambda, so for
+    each layer degree n the constructor builds once the linear map from
+    the coefficients of R to the wall derivatives psi^(m)(0), together
+    with the residual map of its particular solve; residual() then
+    evaluates any number of lambda with array arithmetic and one batched
+    solve.
 
     The operator is the exponential layer alone.  At desk scales the
     designed polynomial acts non-perturbatively on the far field (its
@@ -83,16 +89,18 @@ class TransferHierarchy:
     shift is tiny), so its footprint is read off the collocation pencil.
     """
 
-    def __init__(self, k: int, params: ScaleParams, order: int = 8):
-        if order < 3:
-            raise ScalarError("hierarchy order must be at least 3")
+    M = 8   # highest wall Taylor order kept
+
+    def __init__(self, k: int, params: ScaleParams):
         self.k = int(k)
         self.p = params
-        self.M = order
+        self._AL = abs(params.C_U) * params.r * params.b ** 4
+        self._fact = np.array([float(factorial(m)) for m in range(2, self.M + 1)])
+        self._layer_maps = [(n, *self._layer_map(n)) for n in range(2, self.M + 1)]
 
-    # -- closed-form building blocks -------------------------------------
+    # -- closed-form building blocks (vectorized over kbar) ---------------
 
-    def _layer_bulk_moment(self, n: int, kbar: complex) -> complex:
+    def _layer_bulk_moment(self, n: int, kbar):
         """e^{-kbar y} amplitude of the Robin solve of (D^2-kbar^2) w = y^n e^{-by}.
 
         Positive normalization: the true solve carries amplitude -S_n.
@@ -103,30 +111,28 @@ class TransferHierarchy:
         return f * ((1 + kap) * (b - kbar) ** (-(n + 1))
                     - (1 - kap) * (b + kbar) ** (-(n + 1))) / (2 * kbar * (1 + kap))
 
-    def _stream_response_bulk(self, kbar: complex) -> np.ndarray:
-        """psi^{(m)}(0), m=2..M, for unit forcing e^{-kbar y} of the clamped
-        biharmonic (D^2-k^2)^2 psi = f."""
+    def _stream_response_bulk(self, kbar) -> np.ndarray:
+        """psi^{(m)}(0), m=2..M along the last axis, for unit forcing
+        e^{-kbar y} of the clamped biharmonic (D^2-k^2)^2 psi = f."""
         k = self.k
-        p = kbar
+        p = np.asarray(kbar)[..., None]
+        m = np.arange(2, self.M + 1)
         den = (p * p - k * k) ** 2
-        out = []
-        for m in range(2, self.M + 1):
-            v = (-p) ** m - (-k) ** m + (p - k) * m * (-k) ** (m - 1)
-            out.append(v / den)
-        return np.array(out)
+        return ((-p) ** m - (-k) ** m + (p - k) * m * (-k) ** (m - 1)) / den
 
-    def _layer_particular(self, n: int, kbar: complex) -> np.ndarray:
-        """Polynomial Q (ascending) with (D^2-kbar^2)[Q e^{-by}] = y^n e^{-by}."""
+    def _layer_particular(self, n: int, kbar) -> np.ndarray:
+        """Polynomial Q (ascending, last axis) with
+        (D^2-kbar^2)[Q e^{-by}] = y^n e^{-by}."""
         b = self.p.b
-        c = np.zeros(n + 1, dtype=complex)
-        A2 = b * b - kbar * kbar
+        A2 = b * b - np.asarray(kbar) ** 2
+        c = np.zeros(A2.shape + (n + 1,), dtype=complex)
         for j in range(n, -1, -1):
             t = 1.0 if j == n else 0.0
             if j + 2 <= n:
-                t -= (j + 2) * (j + 1) * c[j + 2]
+                t = t - (j + 2) * (j + 1) * c[..., j + 2]
             if j + 1 <= n:
-                t += 2 * b * (j + 1) * c[j + 1]
-            c[j] = t / A2
+                t = t + 2 * b * (j + 1) * c[..., j + 1]
+            c[..., j] = t / A2
         return c
 
     @staticmethod
@@ -136,103 +142,96 @@ class TransferHierarchy:
                       dtype=complex)
         return dc - q * c
 
-    def _expoly_particular(self, R: np.ndarray, q: complex, a: complex) -> np.ndarray:
-        """Particular polynomial P with (D^2-a^2)^2 [P e^{-qy}] = R e^{-qy}.
+    def _layer_map(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Maps G, C of the clamped solve (D^2-k^2)^2 psi = R(y) e^{-by}, deg R = n.
 
-        The least-squares solve handles the resonant case q = a (where the
-        kernel polynomials drop the effective rank) by returning any
-        particular solution; the clamping/Robin homogeneous pieces absorb
-        the kernel freedom.
+        psi = P(y) e^{-by} + (c1 + c2 y) e^{-ky}, where the particular
+        polynomial P = X R solves O P = R (O is (D^2-k^2)^2 acting on the
+        coefficients of P e^{-by}) and c1, c2 clamp the wall.  Returns
+        G with psi^{(m)}(0) = G @ R for m = 2..M, and C = O X - E with
+        O P - R = C @ R.  The column-scaled least-squares solve handles
+        the resonant case b = k (where the kernel polynomials drop the
+        effective rank) by returning any particular solution; the
+        clamping pieces absorb the kernel freedom.
         """
-        dim = len(R) + 4
+        q, k = self.p.b, self.k
+        dim = n + 5
         O = np.zeros((dim, dim), dtype=complex)
         for j in range(dim):
             e = np.zeros(dim, dtype=complex)
             e[j] = 1.0
-            c1 = self._shifted_deriv(self._shifted_deriv(e, q), q) - a * a * e
-            c1 = self._shifted_deriv(self._shifted_deriv(c1, q), q) - a * a * c1
+            c1 = self._shifted_deriv(self._shifted_deriv(e, q), q) - k * k * e
+            c1 = self._shifted_deriv(self._shifted_deriv(c1, q), q) - k * k * c1
             O[:, j] = c1
         col = np.linalg.norm(O, axis=0)
         col[col == 0] = 1.0
-        rhs = np.zeros(dim, dtype=complex)
-        rhs[:len(R)] = R
-        P, *_ = np.linalg.lstsq(O / col, rhs, rcond=1e-13)
-        P = P / col
-        if np.linalg.norm(O @ P - rhs) > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-            raise ScalarError("exponential-polynomial solve failed")
-        return P
+        E = np.eye(dim, n + 1, dtype=complex)
+        X, *_ = np.linalg.lstsq(O / col, E, rcond=1e-13)
+        X = X / col[:, None]
+        # wall derivatives of P e^{-qy} + (c1 + c2 y) e^{-ky} with
+        # c1 = -P_0 and c2 = -P_1 + (q - k) P_0
+        W = np.zeros((self.M - 1, dim), dtype=complex)
+        for im, m in enumerate(range(2, self.M + 1)):
+            for j in range(min(m, dim - 1) + 1):
+                W[im, j] = comb(m, j) * factorial(j) * (-q) ** (m - j)
+            W[im, 0] += -(-k) ** m + (q - k) * m * (-k) ** (m - 1)
+            W[im, 1] += -m * (-k) ** (m - 1)
+        return W @ X, O @ X - E
 
-    def _wall_derivs(self, P: np.ndarray, q: complex, c1: complex,
-                     c2: complex) -> np.ndarray:
-        """m-th wall derivatives of P(y)e^{-qy} + (c1 + c2 y)e^{-ky}."""
-        k = self.k
-        out = []
-        for m in range(2, self.M + 1):
-            v = sum(comb(m, j) * factorial(j) * P[j] * (-q) ** (m - j)
-                    for j in range(0, min(m, len(P) - 1) + 1))
-            v += c1 * (-k) ** m + c2 * m * (-k) ** (m - 1)
-            out.append(v)
-        return np.array(out)
+    def residual(self, lam):
+        """Consistency residual 2 - psi''(0) at the normalized Taylor chain.
 
-    def _stream_response_layer(self, R: np.ndarray, q: complex) -> np.ndarray:
-        """psi^{(m)}(0), m=2..M, for clamped (D^2-k^2)^2 psi = R(y) e^{-qy}."""
-        P = self._expoly_particular(np.asarray(R, dtype=complex), q, self.k)
-        c1 = -P[0]
-        P1 = P[1] if len(P) > 1 else 0.0
-        c2 = -(P1 - q * P[0]) + self.k * c1
-        return self._wall_derivs(P, q, c1, c2)
-
-    def _transfer_matrix(self, kbar: complex) -> np.ndarray:
-        p = self.p
-        k = self.k
-        AL = abs(p.C_U) * p.r * p.b ** 4
-        ns = list(range(2, self.M + 1))
+        lam is a scalar or an array; the result has its shape, real where
+        every imaginary part is below 1e-10.  A point whose particular
+        solve fails its check (|O P - R| > 1e-8 |R|) gives NaN, as does a
+        singular transfer system.
+        """
+        k, AL = self.k, self._AL
+        lam_a = np.asarray(lam, dtype=complex)
+        kbar = np.sqrt(k * k + lam_a.ravel())
+        kbar.imag[np.abs(kbar.imag) < 1e-300] = 0.0
         phid = self._stream_response_bulk(kbar)
-        T = np.zeros((len(ns), len(ns)), dtype=complex)
-        for jn, n in enumerate(ns):
+        T = np.empty(kbar.shape + (self.M - 1, self.M - 1), dtype=complex)
+        bad = np.zeros(kbar.shape, dtype=bool)
+        for jn, (n, G, C) in enumerate(self._layer_maps):
             s_n = self._layer_bulk_moment(n, kbar)
-            contrib = (k * k) * AL * s_n * phid
-            Q = self._layer_particular(n, kbar)
-            contrib = contrib + AL * self._stream_response_layer(-(k * k) * Q, p.b)
-            for im, m in enumerate(ns):
-                T[im, jn] = contrib[im] / factorial(m)
-        return T
-
-    def residual(self, lam: complex) -> float:
-        """Consistency residual 2 - psi''(0) at the normalized Taylor chain."""
-        k = self.k
-        kbar = np.sqrt(complex(k * k + lam))
-        if abs(kbar.imag) < 1e-300:
-            kbar = complex(kbar.real, 0.0)
-        T = self._transfer_matrix(kbar)
-        nM = T.shape[0]
-        A = T[1:, 1:] - np.eye(nM - 1)
-        rho_rest = np.linalg.solve(A, -T[1:, 0])
-        rho = np.concatenate([[1.0], rho_rest])
-        theta = 2.0 * (T[0] @ rho)    # psi''(0) with rho_2 = 1
-        resid = 2.0 - theta
-        return float(resid.real) if abs(resid.imag) < 1e-10 else resid
-
-    def _safe_residual(self, lam: float) -> float:
+            R = -(k * k) * self._layer_particular(n, kbar)
+            bad |= (np.linalg.norm(R @ C.T, axis=-1)
+                    > 1e-8 * np.maximum(np.linalg.norm(R, axis=-1), 1e-300))
+            T[:, :, jn] = ((k * k) * AL * s_n)[:, None] * phid + AL * (R @ G.T)
+        T /= self._fact[:, None]
+        A = T[:, 1:, 1:] - np.eye(self.M - 2)
         try:
-            return self.residual(lam)
-        except (np.linalg.LinAlgError, ScalarError):
-            return np.nan
+            rho_rest = np.linalg.solve(A, -T[:, 1:, :1])[..., 0]
+        except np.linalg.LinAlgError:
+            if kbar.size == 1:
+                return np.nan
+            return np.array([self.residual(x) for x in lam_a.ravel()]
+                            ).reshape(lam_a.shape)[()]
+        rho = np.concatenate([np.ones((kbar.size, 1)), rho_rest], axis=1)
+        theta = 2.0 * np.einsum("bi,bi->b", T[:, 0, :], rho)   # psi''(0), rho_2 = 1
+        resid = 2.0 - theta
+        resid[bad] = np.nan
+        if np.all(np.abs(resid.imag) < 1e-10):
+            resid = resid.real
+        return resid.reshape(lam_a.shape)[()]
 
-    def leading_lambda(self, scan_points: int = 400) -> float:
+    def leading_lambda(self) -> float:
         """Leading real eigenvalue of the separated branch.
 
-        The scan runs over kbar in (0, k) -- i.e. lambda in (-k^2, 0) -- to
-        stay clear of the removable singularity of the transfer kernels at
-        lambda = 0.  The truncated hierarchy has isolated internal
-        resonances (poles) that also flip the residual's sign, so sign
-        changes are bisected with a pole guard and verified to be genuine
-        zeros; the largest verified root is returned.
+        The scan evaluates 400 points of kbar in (0, k) -- i.e. lambda in
+        (-k^2, 0) -- in one residual call, staying clear of the removable
+        singularity of the transfer kernels at lambda = 0.  The truncated
+        hierarchy has isolated internal resonances (poles) that also flip
+        the residual's sign, so sign changes are bisected one lambda at a
+        time with a pole guard and verified to be genuine zeros; the
+        largest verified root is returned.  Raises ScalarError when no
+        root is found.
         """
         k = self.k
-        kbars = np.linspace(5e-3, 0.999 * k, scan_points)
+        kbars = np.linspace(5e-3, 0.999 * k, 400)
         lams = kbars**2 - k * k
-        vals = np.array([self._safe_residual(x) for x in lams])
+        vals = self.residual(lams)
         roots = []
         for i in range(len(vals) - 1):
             fa, fb = vals[i], vals[i + 1]
@@ -243,10 +242,10 @@ class TransferHierarchy:
             a, b = lams[i], lams[i + 1]
             for _ in range(80):
                 mid = 0.5 * (a + b)
-                fm = self._safe_residual(mid)
+                fm = self.residual(mid)
                 if not np.isfinite(fm):
                     mid = a + 0.61803398875 * (b - a)
-                    fm = self._safe_residual(mid)
+                    fm = self.residual(mid)
                     if not np.isfinite(fm):
                         break
                 if np.sign(fm) == np.sign(fa):
@@ -256,7 +255,7 @@ class TransferHierarchy:
                 if b - a < 1e-14 * max(1.0, abs(a)):
                     break
             cand = 0.5 * (a + b)
-            fc = self._safe_residual(cand)
+            fc = self.residual(cand)
             # genuine zero: residual small and locally bounded (poles blow up)
             if np.isfinite(fc) and abs(fc) < 1e-6:
                 roots.append(cand)

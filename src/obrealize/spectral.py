@@ -26,7 +26,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .grid import Grid, make_grid
 from .profile import TemperatureProfile
-from .scalar import TransferHierarchy, find_root_z, kbar_bound, lambda_from_z
+from .scalar import (ScalarError, TransferHierarchy, find_root_z, kbar_bound,
+                     lambda_from_z)
 
 __all__ = [
     "Pencil",
@@ -490,9 +491,8 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
         lam_f = None
         if finite_ks is None or k in finite_ks:
             try:
-                th = TransferHierarchy(k, params)
-                lam_f = complex(th.leading_lambda())
-            except Exception:
+                lam_f = complex(TransferHierarchy(k, params).leading_lambda())
+            except ScalarError:     # no separated root at this k
                 lam_f = None
         records.append(SpectrumRecord(k=k, lam_design=lam_d, lam_finite=lam_f,
                                       lam_pencil=lam_p,

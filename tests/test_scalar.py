@@ -65,3 +65,45 @@ def test_hierarchy_internal_consistency(params30):
         Q1 = Q[1] if len(Q) > 1 else 0.0
         C = (Q1 - (b + beta) * Q[0]) / (beta + kbar)
         assert C == pytest.approx(-S, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, lam", [(1, -0.836480602089437),
+                                    (7, -48.62223271388277),
+                                    (21, -440.5027213241689)])
+def test_hierarchy_leading_lambda_pinned(params30, k, lam):
+    # roots of the per-point hierarchy that rebuilt its layer maps per lambda
+    assert TransferHierarchy(k, params30).leading_lambda() == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 14])
+def test_residual_batch_matches_pointwise(params30, k):
+    th = TransferHierarchy(k, params30)
+    lams = np.linspace(-k * k, 0.0, 52)[1:-1]
+    batch = th.residual(lams)
+    single = np.array([th.residual(x) for x in lams])
+    assert batch.shape == lams.shape
+    assert np.all(np.isfinite(single))
+    np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
+
+
+def test_residual_singular_solve(params30, monkeypatch):
+    # a singular batch is evaluated point by point; a singular point is NaN
+    th = TransferHierarchy(2, params30)
+    lams = np.array([-3.0, -2.0, -1.0])
+    ref = th.residual(lams)
+    solve = np.linalg.solve
+
+    def singular_batch(a, b):
+        if a.shape[0] > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_batch)
+    np.testing.assert_allclose(th.residual(lams), ref, rtol=1e-13, atol=0.0)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert np.isnan(th.residual(-1.0))
+    assert np.all(np.isnan(th.residual(lams)))

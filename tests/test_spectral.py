@@ -128,6 +128,29 @@ def test_spectrum_report_apriori_bound(profile30):
     assert all(r.lam_design is None for r in gapped)
 
 
+def _report_with_leading_lambda(profile, monkeypatch, exc):
+    from obrealize.scalar import TransferHierarchy
+
+    def leading_lambda(self):
+        raise exc
+
+    monkeypatch.setattr(TransferHierarchy, "leading_lambda", leading_lambda)
+    return spectrum_report([1, 7], 2, profile.params, profile.poly, profile,
+                           pencil_kmax=0)
+
+
+def test_spectrum_report_no_finite_root(profile30, monkeypatch):
+    from obrealize.scalar import ScalarError
+    rep = _report_with_leading_lambda(profile30, monkeypatch,
+                                      ScalarError("no separated root"))
+    assert [r.lam_finite for r in rep.records] == [None, None]
+
+
+def test_spectrum_report_hierarchy_fault_propagates(profile30, monkeypatch):
+    with pytest.raises(RuntimeError, match="fault"):
+        _report_with_leading_lambda(profile30, monkeypatch, RuntimeError("fault"))
+
+
 def test_semigroup_rate_matches_pencil(profile30, grid30):
     pen = assemble_pencil(2, profile30, grid30)
     A, _, _, _ = _schur_operator(pen)
