@@ -6,9 +6,9 @@ scalar's closed-form design root find_root_z); validate against the
 collocation eigenproblem and the finite-b layer-transfer hierarchy
 (spectral, scalar's TransferHierarchy, green); reduce onto the
 biorthogonal mode basis to a quadratic ODE system (reduction); control
-its linear term through Fourier-moment synthesis (control); and realize
-arbitrary quadratic targets, chaotic ones included, on the slow manifold
-of a fast-slow extension (realize).
+its linear term through one least-norm solve for the forcing profile
+(control); and realize arbitrary quadratic targets, chaotic ones
+included, on the slow manifold of a fast-slow extension (realize).
 """
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ from .reduction import (FourierProfileSet, ReducedSystem, asymptotic_basis,
                         numeric_basis, zeta_profiles)
 from .control import (ControlSolution, WavenumberSet, control_solve,
                       extended_set, g1_from_u1, moment_profile, sidon_set,
-                      solve_moment_targets, verify_decomposition)
+                      verify_decomposition)
 from .realize import (QuadraticSystem, TargetField, Trajectory, build_fast_slow,
                       contraction_field, integrate, lorenz_field, lyapunov,
                       manifold_residual, realize_target, reduced_field,

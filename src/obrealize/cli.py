@@ -218,7 +218,9 @@ def cmd_control(cfg: dict, outdir: Path, plot: bool) -> int:
     err = np.linalg.norm(sol.achieved - T) / max(np.linalg.norm(T), 1e-300)
     _write(outdir, "control_solution.json", sol.to_json(basis.grid))
     _write(outdir, "control_report.json",
-           json.dumps({"rel_frobenius_error": float(err)}, sort_keys=True))
+           json.dumps({"rel_frobenius_error": float(err),
+                       "condition_number": sol.condition_number,
+                       "sup_abs_u1": sol.sup_abs_u1}, sort_keys=True))
     if plot:
         g1 = g1_from_u1(sol.profiles, basis.grid, profile, sol.u0, sol.gamma)
         xs = np.linspace(0.0, np.pi, 33)

@@ -6,15 +6,15 @@ wavenumbers has a distinct sum (a Sidon set) with no base element
 divisible by 5, so the resonance map (j, l) -> k_j + k_l is injective and
 all the inverse linear systems decouple.
 
-The control of M works through exponential moments.  For the critical-
-mode shapes the M kernels reduce to
-
-    z_ij  = y^2 [(k_j + 2k_i) + 2 k_i^2 y - 2 k_i^2 k_j y^2] e^{-(k_i+k_j) y},
-    zt_ij = y^2 [(k_j - 2k_i) + 2 k_i (k_j - k_i) y] e^{-(k_i+k_j) y},
-
-so prescribing the moments V^{(p)}_{n,m} = int y^{2+p} e^{-my} u_n dy with
-V^{(2)} = 0 and zeroing the sum-slot moments turns every entry of M into a
-2x2 linear solve per unordered pair (one scalar equation on the diagonal).
+M is linear in u1 = sum_n u_n(y) cos(n x), and entry (i, j) reads only the
+two resonant slots k_i + k_j and |k_i - k_j| (reduction.resonant_slots).
+Expanding every slot profile over bump-Legendre functions makes each entry
+one linear functional of the coefficients, integrated with the same
+kernels and quadrature as compute_M.  control_solve takes the
+minimum-norm coefficients achieving M = T from one row-normalized least
+squares solve over these N^2 functionals (Golub & Van Loan, Matrix
+Computations, section 5.5), for any p.  moment_profile solves the same
+kind of problem for prescribed exponential moments of a single profile.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from numpy.polynomial import legendre
 
 from .grid import Grid, make_grid
 from .profile import TemperatureProfile
-from .reduction import FourierProfileSet, ModeBasis, compute_M, zeta_profiles
+from .reduction import FourierProfileSet, ModeBasis, compute_M, resonant_slots
 
 __all__ = [
     "WavenumberSet",
@@ -35,9 +35,7 @@ __all__ = [
     "sidon_set",
     "extended_set",
     "verify_decomposition",
-    "solve_moment_targets",
     "moment_profile",
-    "build_u1",
     "g1_from_u1",
     "control_solve",
 ]
@@ -171,183 +169,112 @@ def verify_decomposition(K: np.ndarray, kset: WavenumberSet,
 
 
 # ---------------------------------------------------------------------------
-# moment machinery
+# least-norm profile synthesis
 # ---------------------------------------------------------------------------
 
-def moment_profile(targets: dict, h: float, n_quad: int = 500,
-                   basis_factor: int = 6, reg: float = 1e-12,
-                   atol: float = 1e-8) -> np.ndarray:
+_N_QUAD = 500           # moment_profile quadrature nodes
+_BASIS_FACTOR = 6       # moment_profile basis members per constraint
+_SLOT_BASIS = 24        # control_solve basis members per Fourier slot
+_MAX_COND = 1e13        # row-normalized condition number beyond which we refuse
+
+
+def _bump_legendre(h: float, y, nb: int) -> np.ndarray:
+    """nb x len(y) basis y^2 (h-y)^2 P_q(1 - 2e^{-y}), q < nb.
+
+    Every member and its slope vanish at both ends.  The Legendre argument
+    is mapped exponentially: the functionals are concentrated at y = O(1),
+    where a polynomial in y/h has no resolution.
+    """
+    y = np.asarray(y, dtype=float)
+    bump = (y**2) * (h - y) ** 2
+    return (legendre.legvander(1.0 - 2.0 * np.exp(-y), nb - 1) * bump[:, None]).T
+
+
+def _least_norm(A: np.ndarray, a: np.ndarray, rcond: float):
+    """Minimum-norm c with A c = a, after row equilibration.
+
+    Row scaling evens out the wildly different functional scales; the
+    solve is taken by SVD (normal equations bias the solution once the
+    Gram matrix gets stiff).  Returns c and the condition number of the
+    row-normalized matrix; refuses nearly dependent rows.
+    """
+    scale = np.linalg.norm(A, axis=1)
+    if np.min(scale) <= 0:
+        raise ControlError("degenerate functional")
+    As, ash = A / scale[:, None], a / scale
+    c, _, _, sv = np.linalg.lstsq(As, ash, rcond=rcond)
+    cond = float(sv[0] / max(sv[-1], 1e-300))
+    if cond > _MAX_COND:
+        raise ControlError(f"nearly dependent functionals (condition number "
+                           f"{cond:.1e}); enlarge basis")
+    for _ in range(3):     # iterative refinement against the stiff scales
+        resid = ash - As @ c
+        if np.max(np.abs(resid)) < 1e-12:
+            break
+        c = c + np.linalg.lstsq(As, resid, rcond=rcond)[0]
+    return c, cond
+
+
+def moment_profile(targets: dict, h: float) -> np.ndarray:
     """Least-norm W with prescribed moments int y^p e^{-my} W dy = a_{m,p}.
 
     targets maps (m, p) to the desired value; the (m, p) pairs must be
-    distinct.  W is expanded over bump functions y^2 (h-y)^2 times shifted
-    Legendre polynomials (so W and W' vanish at both ends), with
-    basis_factor times as many members as constraints; the least-norm
-    coefficients come from the regularized normal equations.  Returns the
-    Legendre coefficient vector wrapped in a callable-friendly form; use
-    eval_profile to sample it.
+    distinct.  W is expanded over the bump-Legendre basis (W and W' vanish
+    at both ends) with six members per constraint.  Returns the coefficient
+    vector; use eval_profile to sample it.
     """
     items = sorted(targets.items())
     if len({mp for mp, _ in items}) != len(items):
         raise ControlError("moment targets must have distinct (m, p) pairs")
-    ncon = len(items)
-    nb = max(basis_factor * ncon, 8)
-    g = make_grid(h, n_quad, alpha=2.5)
+    g = make_grid(h, _N_QUAD, alpha=2.5)
     y = g.nodes
-    bump = (y**2) * (h - y) ** 2
-    # Legendre argument mapped exponentially: the moment functionals are
-    # concentrated at y = O(1), where a polynomial in y/h has no resolution
-    t = 1.0 - 2.0 * np.exp(-y)
-    B = np.array([bump * legendre.legval(t, [0] * q + [1]) for q in range(nb)])
-    A = np.zeros((ncon, nb))
-    for row, ((m, pexp), _) in enumerate(items):
-        wfun = y**pexp * np.exp(-m * y)
-        A[row] = B @ (g.weights * wfun)
+    B = _bump_legendre(h, y, max(_BASIS_FACTOR * len(items), 8))
+    A = np.array([B @ (g.weights * y**pexp * np.exp(-m * y))
+                  for (m, pexp), _ in items])
     a = np.array([v for _, v in items])
-    # row equilibration evens out the wildly different exponential-moment
-    # scales; the minimum-norm solve is taken by SVD (the regularized
-    # normal equations bias the solution once the Gram matrix gets stiff)
-    row_scale = np.linalg.norm(A, axis=1)
-    if np.min(row_scale) <= 0:
-        raise ControlError("degenerate moment functional")
-    As = A / row_scale[:, None]
-    ash = a / row_scale
-    sv = np.linalg.svd(As, compute_uv=False)
-    if sv[0] / max(sv[-1], 1e-300) > 1e13:
-        raise ControlError("nearly dependent moment functionals; enlarge basis")
-    rcond = max(reg, 1e-13)
-    coeffs, *_ = np.linalg.lstsq(As, ash, rcond=rcond)
-    for _ in range(3):     # iterative refinement against the stiff scales
-        resid = ash - As @ coeffs
-        if np.max(np.abs(resid)) < 1e-12:
-            break
-        coeffs = coeffs + np.linalg.lstsq(As, resid, rcond=rcond)[0]
-    achieved = A @ coeffs
-    err = np.max(np.abs(achieved - a))
-    if err > atol * max(1.0, np.max(np.abs(a))) + 1e-10:
+    coeffs, _ = _least_norm(A, a, rcond=1e-12)
+    err = np.max(np.abs(A @ coeffs - a))
+    if err > 1e-8 * max(1.0, np.max(np.abs(a))) + 1e-10:
         raise ControlError(f"moment targets missed by {err:.2e}")
     return coeffs
 
 
 def eval_profile(coeffs: np.ndarray, h: float, y) -> np.ndarray:
     """Sample the bump-basis profile at points y."""
-    y = np.asarray(y, dtype=float)
-    bump = (y**2) * (h - y) ** 2
-    t = 1.0 - 2.0 * np.exp(-y)
-    return bump * legendre.legval(t, coeffs)
+    return coeffs @ _bump_legendre(h, y, len(coeffs))
 
 
 # ---------------------------------------------------------------------------
 # control of M
 # ---------------------------------------------------------------------------
 
-def _normalizers(basis: ModeBasis):
-    """Per-(i,j) amplitude of the sampled z-kernels against the closed forms.
-
-    For the closed-form basis the projection recovers the exact amplitude
-    products; for a numeric basis it is the best L2 fit.
-    """
-    N = basis.size
-    g = basis.grid
-    y = g.nodes
-    q = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            ki, kj = basis.wavenumbers[i], basis.wavenumbers[j]
-            zeta, _ = zeta_profiles(i, j, basis)
-            eta = (y**2 * ((kj + 2 * ki) + 2 * ki**2 * y - 2 * ki**2 * kj * y**2)
-                   * np.exp(-(ki + kj) * y))
-            q[i, j] = g.integrate(zeta * eta) / g.integrate(eta * eta)
-    return q
-
-
 @dataclass
 class ControlSolution:
     target: np.ndarray
-    moment_targets: dict
     profiles: FourierProfileSet
-    coeffs: dict
     u0: float
     gamma: float
-    achieved: np.ndarray | None = None
+    achieved: np.ndarray
+    condition_number: float
+
+    @property
+    def sup_abs_u1(self) -> float:
+        """max |u1(x, y)| over the grid nodes, x sampled 8 times per period
+        of the highest slot."""
+        nmax = max(self.profiles.entries, default=0)
+        x = np.linspace(0.0, np.pi, 4 * nmax + 2)
+        u1 = sum(np.cos(n * x)[:, None] * v[None, :]
+                 for n, v in self.profiles.entries.items())
+        return float(np.max(np.abs(u1), initial=0.0))
 
     def to_json(self, grid: Grid) -> str:
         prof = {str(n): [[float(y), float(v)] for y, v in
                          zip(grid.nodes, vals)]
                 for n, vals in self.profiles.entries.items()}
         doc = {"T": self.target.tolist(), "profiles": prof,
-               "u0": self.u0, "gamma": self.gamma}
-        if self.achieved is not None:
-            doc["achieved_M"] = self.achieved.tolist()
+               "u0": self.u0, "gamma": self.gamma,
+               "achieved_M": self.achieved.tolist()}
         return json.dumps(doc, sort_keys=True)
-
-
-def solve_moment_targets(T: np.ndarray, kset_full, normalizers: np.ndarray):
-    """Moment values X=V^(0), Y=V^(1) per unordered index pair achieving T.
-
-    Off-diagonal pairs solve the ordered 2x2 system
-
-        (k_j + 2 k_i) X + 2 k_i^2 Y = Tbar_ij,
-        (k_i + 2 k_j) X + 2 k_j^2 Y = Tbar_ji,
-
-    (determinant 2(k_j-k_i)(k_i^2+3k_ik_j+k_j^2) != 0); the diagonal uses
-    the single equation 3 k X = Tbar with Y fixed to 0.  V^(2) moments and
-    all sum-slot moments are zeroed as side conditions.
-    """
-    T = np.asarray(T, dtype=float)
-    N = len(kset_full)
-    if T.shape != (N, N):
-        raise ControlError("target matrix must be N x N")
-    out = {}
-    for i in range(N):
-        for j in range(i, N):
-            ki, kj = kset_full[i], kset_full[j]
-            dif, sig = abs(kj - ki), ki + kj
-            if i == j:
-                tbar = T[i, i] / normalizers[i, i]
-                X = tbar / (3.0 * ki)
-                Y = 0.0
-            else:
-                tij = 2.0 * T[i, j] / normalizers[i, j]
-                tji = 2.0 * T[j, i] / normalizers[j, i]
-                A = np.array([[(kj + 2.0 * ki), 2.0 * ki**2],
-                              [(ki + 2.0 * kj), 2.0 * kj**2]])
-                det = np.linalg.det(A)
-                if abs(det) < 1e-10:
-                    raise ControlError(f"singular moment block at pair ({i},{j})")
-                X, Y = np.linalg.solve(A, [tij, tji])
-            out[(dif, sig)] = {"X": float(X), "Y": float(Y), "pair": (i, j)}
-    return out
-
-
-def build_u1(moments: dict, h: float) -> dict:
-    """Per-slot bump-basis coefficients of u1 from the moment targets.
-
-    Slot n = |k_j - k_i| carries (X, Y, 0) at exponent m = k_i + k_j;
-    slot n = k_i + k_j carries zero moments at m = n (suppressing the
-    sum-slot kernels).  A slot shared by several pairs accumulates all its
-    (m, p) constraints; slots constrained to zero only are dropped (the
-    least-norm profile is identically zero).
-    """
-    slot_targets: dict[int, dict] = {}
-    for (dif, sig), rec in moments.items():
-        st = slot_targets.setdefault(dif, {})
-        for pexp, val in ((2, rec["X"]), (3, rec["Y"]), (4, 0.0)):
-            key = (sig, pexp)
-            if key in st and abs(st[key] - val) > 1e-12:
-                raise ControlError("conflicting moment assignments")
-            st[key] = val
-        stz = slot_targets.setdefault(sig, {})
-        for pexp in (2, 3, 4):
-            stz.setdefault((sig, pexp), 0.0)
-    coeffs = {}
-    for n, targets in sorted(slot_targets.items()):
-        if all(abs(v) < 1e-300 for v in targets.values()):
-            continue
-        # the binding accuracy gate for the control chain is the achieved-M
-        # report; the per-slot moment check is a looser sanity guard here
-        coeffs[n] = moment_profile(targets, h, atol=1e-6)
-    return coeffs
 
 
 def g1_from_u1(u1: FourierProfileSet, grid: Grid, profile: TemperatureProfile,
@@ -384,20 +311,34 @@ def g1_from_u1(u1: FourierProfileSet, grid: Grid, profile: TemperatureProfile,
 def control_solve(T: np.ndarray, basis: ModeBasis, kset: WavenumberSet,
                   profile: TemperatureProfile, u0: float | None = None,
                   gamma: float | None = None) -> ControlSolution:
-    """End-to-end synthesis of u1 achieving M(u1) = T over the basis."""
+    """Least-norm u1 achieving M(u1) = T over the basis.
+
+    One row per entry M_ij, one column per bump-Legendre member of each
+    slot that some entry reads.  kset is not read: the wavenumbers are the
+    basis's.
+    """
+    T = np.asarray(T, dtype=float)
+    N = basis.size
+    if T.shape != (N, N):
+        raise ControlError("target matrix must be N x N")
     g = basis.grid
-    q = _normalizers(basis)
-    moments = solve_moment_targets(T, basis.wavenumbers, q)
-    coeffs = build_u1(moments, g.h)
+    Bw = _bump_legendre(g.h, g.nodes, _SLOT_BASIS) * g.weights
+    rows = [resonant_slots(i, j, basis) for i in range(N) for j in range(N)]
+    slots = sorted({n for row in rows for n, _, _ in row})
+    col = {n: _SLOT_BASIS * s for s, n in enumerate(slots)}
+    A = np.zeros((N * N, _SLOT_BASIS * len(slots)))
+    for r, row in enumerate(rows):
+        for n, w, kern in row:
+            A[r, col[n]:col[n] + _SLOT_BASIS] += w * (Bw @ kern)
+    c, cond = _least_norm(A, T.ravel(), rcond=1e-13)
     profiles = FourierProfileSet(
-        {n: eval_profile(c, g.h, g.nodes) for n, c in coeffs.items()})
-    achieved = compute_M(profiles, basis)
-    p = profile.params
+        {n: eval_profile(c[col[n]:col[n] + _SLOT_BASIS], g.h, g.nodes)
+         for n in slots})
     if u0 is None:
         u0 = 2.0 * profile.sup_abs_u() + 1.0
     if gamma is None:
-        gamma = p.gamma
-    return ControlSolution(target=np.asarray(T, dtype=float),
-                           moment_targets=moments, profiles=profiles,
-                           coeffs=coeffs, u0=float(u0), gamma=float(gamma),
-                           achieved=achieved)
+        gamma = profile.params.gamma
+    return ControlSolution(target=T, profiles=profiles, u0=float(u0),
+                           gamma=float(gamma),
+                           achieved=compute_M(profiles, basis),
+                           condition_number=cond)

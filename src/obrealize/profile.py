@@ -163,10 +163,6 @@ class DesignPolynomial:
             out = out + c * np.asarray(y) ** (n + 2) / (n + 2)
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
-
 
 def design_polynomial(targetQ, params: ScaleParams) -> DesignPolynomial:
     """Map target coefficients q_n to polynomial coefficients r_n.

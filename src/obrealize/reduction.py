@@ -39,11 +39,11 @@ __all__ = [
     "asymptotic_basis",
     "numeric_basis",
     "zeta_profiles",
+    "resonant_slots",
     "compute_M",
     "compute_K",
     "compute_f",
     "eta_for_f",
-    "paper_resonant_factor",
 ]
 
 
@@ -162,8 +162,17 @@ def zeta_profiles(i: int, j: int, basis: ModeBasis):
     return zeta, zeta_t
 
 
-def _slot_weight(delta: int) -> float:
-    return 1.0 if delta == 0 else 0.5
+def resonant_slots(i: int, j: int, basis: ModeBasis):
+    """The Fourier slots M_ij reads, as (n, weight, y-kernel) triples.
+
+    M_ij is the sum over them of weight * int kernel u_n dy: the sum slot
+    k_i+k_j at weight 1/2 against zeta~_ij, and the difference slot
+    |k_i-k_j| against zeta_ij at weight 1/2, or 1 on the diagonal (u_0).
+    """
+    ki, kj = basis.wavenumbers[i], basis.wavenumbers[j]
+    zeta, zeta_t = zeta_profiles(i, j, basis)
+    dif = abs(ki - kj)
+    return ((ki + kj, 0.5, zeta_t), (dif, 1.0 if dif == 0 else 0.5, zeta))
 
 
 def compute_M(u1: FourierProfileSet, basis: ModeBasis) -> np.ndarray:
@@ -174,13 +183,8 @@ def compute_M(u1: FourierProfileSet, basis: ModeBasis) -> np.ndarray:
     M = np.zeros((N, N))
     for i in range(N):
         for j in range(N):
-            ki, kj = basis.wavenumbers[i], basis.wavenumbers[j]
-            zeta, zeta_t = zeta_profiles(i, j, basis)
-            sig = ki + kj
-            dif = abs(ki - kj)
-            val = 0.5 * g.integrate(zeta_t * u1.get(sig, m))
-            val += _slot_weight(dif) * g.integrate(zeta * u1.get(dif, m))
-            M[i, j] = val
+            M[i, j] = sum(w * g.integrate(kern * u1.get(n, m))
+                          for n, w, kern in resonant_slots(i, j, basis))
     return M
 
 
@@ -228,11 +232,6 @@ def eta_for_f(f_target: np.ndarray, basis: ModeBasis) -> FourierProfileSet:
         norm = g.integrate(ts * ts)
         out[basis.wavenumbers[i]] = (fi / norm) * ts
     return out
-
-
-def paper_resonant_factor(kj: int, kl: int) -> float:
-    """Reference closed form J = 2 (2(kj+kl))^{-3} (kj - 5 kl)."""
-    return 2.0 * (2.0 * (kj + kl)) ** (-3.0) * (kj - 5.0 * kl)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,15 @@ def test_control_stage(tmp_path):
     assert rep["rel_frobenius_error"] < 0.05
 
 
+def test_control_stage_p3(tmp_path):
+    out = tmp_path / "c3"
+    code = run_cli(["control", "--out", str(out), "--set", "wavenumbers.p=3"])
+    assert code == 0
+    rep = json.loads((out / "control_report.json").read_text())
+    assert rep["rel_frobenius_error"] < 1e-6
+    assert rep["condition_number"] < 1e13
+
+
 def test_realize_contraction(tmp_path):
     out = tmp_path / "z"
     code = run_cli(["realize", "--out", str(out),

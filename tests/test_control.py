@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obrealize import default_grid, derive_scales, designed_profile
 from obrealize.control import (ControlError, control_solve, eval_profile,
                                extended_set, g1_from_u1, moment_profile,
-                               sidon_set, solve_moment_targets,
-                               verify_decomposition, WavenumberSet)
+                               sidon_set, verify_decomposition, WavenumberSet)
 from obrealize.grid import make_grid
-from obrealize.reduction import FourierProfileSet, compute_K
+from obrealize.reduction import (FourierProfileSet, asymptotic_basis, compute_K,
+                                 compute_M, numeric_basis)
 
 
 def test_sidon_base_cases():
@@ -71,23 +72,6 @@ def test_decomposition_mod5_guard(basis50, params50):
         verify_decomposition(K, bad, np.zeros((2, 2)))
 
 
-def test_moment_block_determinant_nonzero():
-    # the per-pair 2x2 system [(kj+2ki, 2ki^2), (ki+2kj, 2kj^2)] has
-    # determinant 2 (kj-ki)(ki^2+3 ki kj+kj^2)
-    ki, kj = 7, 1
-    A = np.array([[kj + 2 * ki, 2 * ki**2], [ki + 2 * kj, 2 * kj**2]])
-    det = np.linalg.det(A)
-    assert det == pytest.approx(2 * (kj - ki) * (ki**2 + 3 * ki * kj + kj**2))
-    assert det != 0
-
-
-def test_moment_targets_zero(basis50, kset2):
-    from obrealize.control import _normalizers
-    q = _normalizers(basis50)
-    out = solve_moment_targets(np.zeros((5, 5)), basis50.wavenumbers, q)
-    assert all(rec["X"] == 0.0 and rec["Y"] == 0.0 for rec in out.values())
-
-
 def test_moment_profile_single_target():
     h = 34.0
     coeffs = moment_profile({(1, 0): 1.0}, h)
@@ -119,6 +103,21 @@ def test_control_round_trip(basis50, kset2, profile50):
     sol = control_solve(T, basis50, kset2, profile50)
     err = np.linalg.norm(sol.achieved - T) / np.linalg.norm(T)
     assert err < 0.05
+
+
+@pytest.mark.parametrize("b, p, numeric", [(50.0, 3, False), (50.0, 4, False),
+                                         (30.0, 2, True)])
+def test_control_round_trip_exact(b, p, numeric):
+    kset = extended_set(p)
+    prof = designed_profile(derive_scales(b), kset.base)
+    grid = default_grid(prof)
+    basis = (numeric_basis(kset.full, prof, grid) if numeric
+             else asymptotic_basis(kset.full, prof.params, grid))
+    T = np.random.default_rng(42).standard_normal((kset.N, kset.N))
+    sol = control_solve(T, basis, kset, prof)
+    # the reported M is the forward quadrature of the synthesized profiles
+    assert np.array_equal(sol.achieved, compute_M(sol.profiles, basis))
+    assert np.linalg.norm(sol.achieved - T) / np.linalg.norm(T) < 1e-6
 
 
 def test_control_zero_target(basis50, kset2, profile50):

@@ -6,8 +6,7 @@ from obrealize.grid import make_grid
 from obrealize.reduction import (FourierProfileSet, ReducedSystem,
                                  asymptotic_basis, asymptotic_profiles,
                                  compute_K, compute_M, compute_f,
-                                 eta_for_f, numeric_basis,
-                                 paper_resonant_factor, zeta_profiles)
+                                 eta_for_f, numeric_basis, zeta_profiles)
 from obrealize.spectral import ModeBasis
 
 
@@ -152,11 +151,6 @@ def test_K_quadrature_convergence(params50, kset2):
         vals.append(K)
     denom = np.max(np.abs(vals[1]))
     assert np.max(np.abs(vals[0] - vals[1])) < 1e-8 * denom
-
-
-def test_paper_resonant_factor_values():
-    assert paper_resonant_factor(1, 7) == pytest.approx(-68.0 / 4096.0)
-    assert paper_resonant_factor(7, 1) == pytest.approx(4.0 / 4096.0, rel=1e-12)
 
 
 def test_bracket_parts_identity(basis50):
