@@ -104,8 +104,9 @@ def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
 
 
-def _svg_polyline(series, width=640, height=400, labels=None) -> str:
-    """Minimal deterministic SVG: one polyline per (x, y) series."""
+def _svg_polyline(series, labels=None) -> str:
+    """Minimal deterministic 640 x 400 SVG: one polyline per (x, y) series."""
+    width, height = 640, 400
     allx = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ally = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     x0, x1 = float(allx.min()), float(allx.max())
@@ -139,16 +140,16 @@ def _svg_polyline(series, width=640, height=400, labels=None) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-def _build_design(cfg: dict, b: float | None = None):
+def _build_design(cfg: dict, p: int, b: float):
+    """The p-kernel wavenumber set and the profile designed for it at b."""
     s = cfg["scales"]
-    params = derive_scales(b or s["b"], s["s0"], s["s2"], gamma=s["gamma"])
-    kset = extended_set(cfg["wavenumbers"]["p"])
-    profile = designed_profile(params, kset.base)
-    return params, kset, profile
+    kset = extended_set(p)
+    params = derive_scales(b, s["s0"], s["s2"], gamma=s["gamma"])
+    return kset, designed_profile(params, kset.base)
 
 
 def cmd_spectrum(cfg: dict, outdir: Path, plot: bool) -> int:
-    params, kset, profile = _build_design(cfg)
+    kset, profile = _build_design(cfg, cfg["wavenumbers"]["p"], cfg["scales"]["b"])
     params = profile.params
     n = cfg["spectrum"]["grid_n"] or None
     grid = default_grid(profile, n=n)
@@ -177,12 +178,8 @@ def cmd_spectrum(cfg: dict, outdir: Path, plot: bool) -> int:
     return 0 if rep.passed else 3
 
 
-def _reduced_system(cfg: dict, p_override: int | None = None):
-    b = cfg["reduce"]["b"]
-    if p_override is not None:
-        cfg = json.loads(json.dumps(cfg))
-        cfg["wavenumbers"]["p"] = p_override
-    params, kset, profile = _build_design(cfg, b=b)
+def _reduced_system(cfg: dict, p: int):
+    kset, profile = _build_design(cfg, p, cfg["reduce"]["b"])
     params = profile.params
     grid = default_grid(profile)
     basis = asymptotic_basis(kset.full, params, grid)
@@ -195,7 +192,7 @@ def _reduced_system(cfg: dict, p_override: int | None = None):
 
 
 def cmd_reduce(cfg: dict, outdir: Path, plot: bool) -> int:
-    sysd, info, basis, kset, _ = _reduced_system(cfg)
+    sysd, info, basis, kset, _ = _reduced_system(cfg, cfg["wavenumbers"]["p"])
     _write(outdir, "reduced_system.json", sysd.to_json())
     _write(outdir, "reduction_info.json", json.dumps(info, sort_keys=True))
     print(f"reduce: N={sysd.N} max_resonant={info['max_resonant']:.4e} "
@@ -205,7 +202,7 @@ def cmd_reduce(cfg: dict, outdir: Path, plot: bool) -> int:
 
 
 def cmd_control(cfg: dict, outdir: Path, plot: bool) -> int:
-    sysd, info, basis, kset, profile = _reduced_system(cfg)
+    sysd, info, basis, kset, profile = _reduced_system(cfg, cfg["wavenumbers"]["p"])
     rng = np.random.default_rng(int(cfg["seed"]))
     N = kset.N
     if cfg["control"]["target"] == "random":
@@ -249,7 +246,7 @@ def cmd_realize(cfg: dict, outdir: Path, plot: bool) -> int:
                              R=np.asarray(rcfg["R"], dtype=float),
                              f=np.asarray(rcfg["f"], dtype=float),
                              ball_radius=rcfg["ball_radius"])
-    sysd, info, basis, kset, _ = _reduced_system(cfg, p_override=target.p)
+    sysd, info, basis, kset, _ = _reduced_system(cfg, target.p)
     report = realize_target(target, sysd.K, kset, xi=rcfg["xi"],
                             horizon=rcfg["horizon"], seed=int(cfg["seed"]),
                             with_lyapunov=bool(rcfg["lyapunov"]))

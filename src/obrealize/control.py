@@ -131,7 +131,7 @@ def extended_set(p: int) -> WavenumberSet:
 
 
 def verify_decomposition(K: np.ndarray, kset: WavenumberSet,
-                         rhs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+                         rhs: np.ndarray) -> np.ndarray:
     """Solve sum_i K_{i j l} chi_i = b_{jl} over the fast indices.
 
     The Sidon structure makes the system block-diagonal: each unordered
@@ -163,7 +163,7 @@ def verify_decomposition(K: np.ndarray, kset: WavenumberSet,
             raise ControlError(f"vanishing resonant coefficient at pair ({j},{l})")
     chi = np.linalg.solve(A, b)
     resid = np.max(np.abs(A @ chi - b))
-    if resid > tol * max(1.0, np.max(np.abs(b))):
+    if resid > 1e-8 * max(1.0, np.max(np.abs(b))):
         raise ControlError(f"decomposition residual {resid:.2e} exceeds tolerance")
     return chi
 
@@ -309,13 +309,13 @@ def g1_from_u1(u1: FourierProfileSet, grid: Grid, profile: TemperatureProfile,
 
 
 def control_solve(T: np.ndarray, basis: ModeBasis, kset: WavenumberSet,
-                  profile: TemperatureProfile, u0: float | None = None,
-                  gamma: float | None = None) -> ControlSolution:
+                  profile: TemperatureProfile) -> ControlSolution:
     """Least-norm u1 achieving M(u1) = T over the basis.
 
     One row per entry M_ij, one column per bump-Legendre member of each
     slot that some entry reads.  kset is not read: the wavenumbers are the
-    basis's.
+    basis's.  The g1 inversion data come from the profile: u0 = 2 sup|U| + 1
+    and gamma = params.gamma.
     """
     T = np.asarray(T, dtype=float)
     N = basis.size
@@ -334,11 +334,8 @@ def control_solve(T: np.ndarray, basis: ModeBasis, kset: WavenumberSet,
     profiles = FourierProfileSet(
         {n: eval_profile(c[col[n]:col[n] + _SLOT_BASIS], g.h, g.nodes)
          for n in slots})
-    if u0 is None:
-        u0 = 2.0 * profile.sup_abs_u() + 1.0
-    if gamma is None:
-        gamma = profile.params.gamma
-    return ControlSolution(target=T, profiles=profiles, u0=float(u0),
-                           gamma=float(gamma),
+    return ControlSolution(target=T, profiles=profiles,
+                           u0=float(2.0 * profile.sup_abs_u() + 1.0),
+                           gamma=float(profile.params.gamma),
                            achieved=compute_M(profiles, basis),
                            condition_number=cond)

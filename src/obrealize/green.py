@@ -42,8 +42,7 @@ def green_closed(kbar, beta: float, y, y0):
     return val
 
 
-def _integrate_scaled(kbar: complex, h: float, beta_left: complex, nodes: np.ndarray,
-                      rtol: float = 1e-12, atol: float = 1e-14):
+def _integrate_scaled(kbar: complex, h: float, beta_left: complex, nodes: np.ndarray):
     """Integrate u'' = kbar^2 u with u'(0) = beta_left u(0), scaled by e^{-kbar y}.
 
     Writing u = e^{kbar y} v keeps v bounded; returns v and v' at the nodes.
@@ -57,7 +56,7 @@ def _integrate_scaled(kbar: complex, h: float, beta_left: complex, nodes: np.nda
     v0 = 1.0 + 0.0j
     vp0 = (beta_left - kbar) * v0       # u'(0) = beta u(0)
     sol = solve_ivp(rhs, (0.0, h), [v0.real, v0.imag, vp0.real, vp0.imag],
-                    t_eval=nodes, rtol=rtol, atol=atol, method="DOP853")
+                    t_eval=nodes, rtol=1e-12, atol=1e-14, method="DOP853")
     if not sol.success:
         raise GreenError("homogeneous solve failed: " + sol.message)
     v = sol.y[0] + 1j * sol.y[1]

@@ -233,9 +233,7 @@ def _kernel_response(k: float, wavenumbers, d, beta: float):
     return _curvature(k, [qn * _r_per_q(n) for n, qn in enumerate(q)], beta)
 
 
-def calibrate_offsets(wavenumbers, params: ScaleParams,
-                      tol: float = 1e-13, max_iter: int = 200,
-                      lambda_tol: float = 1e-6):
+def calibrate_offsets(wavenumbers, params: ScaleParams):
     """Solve the kernel conditions for the offsets d.
 
     The calibrated polynomial must make the designed eigenvalue
@@ -243,10 +241,11 @@ def calibrate_offsets(wavenumbers, params: ScaleParams,
     in lambda units, k^2 mu times the response) are driven to zero by damped
     Gauss-Newton with complex-step Jacobian; the squared-product structure
     leaves the highest wavenumber's equation with a small positive floor,
-    so convergence is declared either at tol or at a stationary point of
-    the least-squares objective.  The result must leave every kernel
-    eigenvalue of the design equation below lambda_tol (in lambda units),
-    and every |d_j| below 1/10; otherwise the calibration fails loudly.
+    so convergence is declared either at 1e-13 or at a stationary point of
+    the least-squares objective (at most 200 iterations).  The result must
+    leave every kernel eigenvalue of the design equation below 1e-6 (in
+    lambda units), and every |d_j| below 1/10; otherwise the calibration
+    fails loudly.
     """
     ks = [int(k) for k in wavenumbers]
     if len(set(ks)) != len(ks) or any(k < 1 for k in ks):
@@ -273,8 +272,8 @@ def calibrate_offsets(wavenumbers, params: ScaleParams,
     f = residual(d)
     lm = 0.0
     box = 0.095                        # keep iterates inside the |d| < 1/10 regime
-    for _ in range(max_iter):
-        if np.max(np.abs(f)) < tol:
+    for _ in range(200):
+        if np.max(np.abs(f)) < 1e-13:
             break
         J = jacobian(d)
         g = J.T @ f
@@ -308,7 +307,7 @@ def calibrate_offsets(wavenumbers, params: ScaleParams,
         y = 2.0 * params.mu * perturbation_response(kj, poly, beta)
         z = np.sqrt(max(4.0 + y, 0.0)) - 1.0
         worst = max(worst, abs(kj * kj * (z * z - 1.0)))
-    if worst > lambda_tol:
+    if worst > 1e-6:
         raise ProfileError(
             f"offset calibration left a kernel eigenvalue at {worst:.3e}")
     if np.max(np.abs(d)) >= 0.1:
@@ -345,8 +344,8 @@ class TemperatureProfile:
         rh = self.u_y(p.h) - p.beta1 * self.u(p.h)
         return float(r0), float(rh)
 
-    def sup_abs_u(self, n: int = 4001) -> float:
-        y = np.linspace(0.0, self.params.h, n)
+    def sup_abs_u(self) -> float:
+        y = np.linspace(0.0, self.params.h, 4001)
         return float(np.max(np.abs(self.u(y))))
 
     def to_json(self) -> str:
@@ -373,12 +372,11 @@ class TemperatureProfile:
         return "\n".join(lines) + "\n"
 
 
-def compute_beta1(params: ScaleParams, poly: DesignPolynomial,
-                  tol: float = 1e-200) -> float:
+def compute_beta1(params: ScaleParams, poly: DesignPolynomial) -> float:
     """beta1 = U_y(h)/U(h) so the upper Robin identity holds exactly."""
     probe = TemperatureProfile(params=params, poly=poly)
     uh = float(probe.u(params.h))
-    if abs(uh) < tol:
+    if abs(uh) < 1e-200:
         raise ProfileError("degenerate profile: U(h) ~ 0")
     return float(probe.u_y(params.h)) / uh
 

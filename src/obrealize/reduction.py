@@ -100,8 +100,7 @@ def _asym_derivatives(k: int, params: ScaleParams, grid: Grid):
     return dpsi, dthetastar
 
 
-def asymptotic_basis(wavenumbers, params: ScaleParams, grid: Grid,
-                     orthonormalize: bool = True) -> ModeBasis:
+def asymptotic_basis(wavenumbers, params: ScaleParams, grid: Grid) -> ModeBasis:
     """Closed-form mode basis over the wavenumber set, biorthogonalized."""
     ks = tuple(int(k) for k in wavenumbers)
     psi, dpsi, theta, thetastar, dthetastar = [], [], [], [], []
@@ -113,11 +112,9 @@ def asymptotic_basis(wavenumbers, params: ScaleParams, grid: Grid,
         theta.append(Th)
         thetastar.append(Ts)
         dthetastar.append(dTs)
-    basis = ModeBasis(wavenumbers=ks, grid=grid, psi=psi, dpsi=dpsi,
-                      theta=theta, thetastar=thetastar, dthetastar=dthetastar)
-    if orthonormalize:
-        basis = biorthogonalize(basis)
-    return basis
+    return biorthogonalize(ModeBasis(wavenumbers=ks, grid=grid, psi=psi,
+                                     dpsi=dpsi, theta=theta, thetastar=thetastar,
+                                     dthetastar=dthetastar))
 
 
 def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid,
@@ -128,8 +125,8 @@ def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid,
     Dy = grid.diff
     for k in ks:
         pen = assemble_pencil(k, profile, grid)
-        mode = solve_modes(k, pen, halfplane=np.inf, nev=1, refine=False)[0]
-        conj = solve_conjugate_modes(k, profile, grid, nev=4)
+        mode = solve_modes(pen, halfplane=np.inf, nev=1, refine=False)[0]
+        conj = solve_conjugate_modes(pen, nev=4)
         cm = min(conj, key=lambda c: abs(c.lam - mode.lam))
         if abs(cm.lam - mode.lam) > 1e-6 * max(1.0, abs(mode.lam)):
             raise SpectralError("adjoint eigenvalue does not match the direct one")

@@ -268,8 +268,7 @@ class TransferHierarchy:
 # root finding
 # ---------------------------------------------------------------------------
 
-def find_root_z(k: int, params: ScaleParams, poly: DesignPolynomial,
-                tol: float = 1e-12) -> complex:
+def find_root_z(k: int, params: ScaleParams, poly: DesignPolynomial) -> complex:
     """Root of the design equation near z = 1.
 
     (z+1)^2 = 4 + Y_k has the closed-form root z = sqrt(4 + Y) - 1; with
@@ -289,6 +288,6 @@ def find_root_z(k: int, params: ScaleParams, poly: DesignPolynomial,
     for _ in range(4):
         f = (z + 1.0) ** 2 - 4.0 - y
         z -= f / (2.0 * (z + 1.0))
-    if abs((z + 1.0) ** 2 - 4.0 - y) > tol:
+    if abs((z + 1.0) ** 2 - 4.0 - y) > 1e-12:
         raise ScalarError("design root did not converge")
     return complex(z)

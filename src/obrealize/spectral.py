@@ -11,11 +11,13 @@ stream-function form of the linearized equations; see the decisions notes
 for the discrepancy with one printed variant.
 
 Solvers: assemble_pencil builds the generalized (A, B) pair with boundary
-rows; solve_modes works on the Schur complement in w (the nu^{-1} block is
-~1e-15 of the rest, so psi is slaved through the clamped biharmonic
+rows, and the operator of wavenumber k once: every solver below takes that
+Pencil.  solve_modes works on the Schur complement in w (the nu^{-1} block
+is ~1e-15 of the rest, so psi is slaved through the clamped biharmonic
 solve), which avoids the spurious modes of the singular pencil, and every
-accepted eigenpair is verified against (A, B) directly.  The adjoint
-problem shares the machinery through the transposed operator.
+accepted eigenpair is verified against (A, B) directly.  The conjugate
+(adjoint) modes reuse the direct pencil's Schur operator and Robin
+elimination: they are the transposed operator's eigenvectors, weighted.
 """
 from __future__ import annotations
 
@@ -50,29 +52,27 @@ class SpectralError(RuntimeError):
     pass
 
 
-def default_grid(profile: TemperatureProfile, n: int | None = None,
-                 alpha: float = 5.0) -> Grid:
+def default_grid(profile: TemperatureProfile, n: int | None = None) -> Grid:
     p = profile.params
     if n is None:
         n = max(260, int(5.0 * p.b))
         n = min(n, 560)
-    return make_grid(p.h, n, alpha)
+    return make_grid(p.h, n, 5.0)
 
 
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------
 
-def _clamped_biharmonic(grid: Grid, k: int):
-    """LU-factorized solver psi = G f for (D^2-k^2)^2 psi = f, clamped ends.
+def _clamped_biharmonic(grid: Grid, L: np.ndarray) -> np.ndarray:
+    """G with psi = G f solving (D^2-k^2)^2 psi = f, clamped ends; L = D^2-k^2.
 
     The fourth-order solve is split through phi = L_k psi into two
     second-order blocks, which keeps the conditioning at the level of D^2.
     """
-    y, Dy = grid.nodes, grid.diff
-    m = len(y)
+    Dy = grid.diff
+    m = len(grid.nodes)
     I = np.eye(m)
-    L = Dy @ Dy - (k * k) * I
     i0, ih = grid.i0, grid.ih
     A = np.block([[L, -I], [np.zeros((m, m)), L]])
     A[i0, :] = 0.0
@@ -83,20 +83,10 @@ def _clamped_biharmonic(grid: Grid, k: int):
     A[m + i0, :m] = Dy[i0]
     A[m + ih, :] = 0.0
     A[m + ih, :m] = Dy[ih]
-    piv = lu_factor(A)
-    mask = np.ones(m, dtype=bool)
-
-    def apply(F: np.ndarray) -> np.ndarray:
-        F2 = np.atleast_2d(F.T).T
-        rhs = np.zeros((2 * m, F2.shape[1]), dtype=F2.dtype)
-        rhs[m:, :] = F2
-        rhs[i0, :] = rhs[ih, :] = rhs[m + i0, :] = rhs[m + ih, :] = 0.0
-        sol = lu_solve(piv, rhs)
-        out = sol[:m]
-        return out[:, 0] if F.ndim == 1 else out
-
-    G = apply(np.eye(m))
-    return G, L, apply
+    rhs = np.zeros((2 * m, m))
+    rhs[m:, :] = I
+    rhs[[i0, ih, m + i0, m + ih], :] = 0.0
+    return lu_solve(lu_factor(A), rhs)[:m]
 
 
 @dataclass
@@ -111,10 +101,6 @@ class Pencil:
     uy: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)
     G: np.ndarray = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return 2 * len(self.grid.nodes)
 
     def residual(self, lam: complex, v: np.ndarray) -> float:
         """Componentwise backward error of the eigenpair.
@@ -145,7 +131,7 @@ def assemble_pencil(k: int, profile: TemperatureProfile, grid: Grid) -> Pencil:
     I = np.eye(m)
     L = Dy @ Dy - (k * k) * I
     uy = profile.u_y(y)
-    G, _, _ = _clamped_biharmonic(grid, k)
+    G = _clamped_biharmonic(grid, L)
     A = np.block([[L @ L, (k * k) * I], [np.diag(uy), L]])
     B = np.block([[L / p.nu, np.zeros((m, m))], [np.zeros((m, m)), I]])
     i0, ih = grid.i0, grid.ih
@@ -182,8 +168,8 @@ def _schur_operator(pencil: Pencil):
     k = pencil.k
     m = len(grid.nodes)
     Dy = grid.diff
-    I = np.eye(m)
-    Aop = pencil.L - (k * k) * np.diag(pencil.uy) @ pencil.G
+    # k^2 scales uy first, then G: the product order sets Aop's rounding
+    Aop = pencil.L - ((k * k) * pencil.uy)[:, None] * pencil.G
     i0, ih = grid.i0, grid.ih
     rows = np.array([i0, ih])
     interior = np.array([i for i in range(m) if i != i0 and i != ih])
@@ -249,15 +235,15 @@ def _boundary_residual(mode_psi, mode_w, grid: Grid, params) -> float:
     return float(max(res))
 
 
-def solve_modes(k: int, pencil: Pencil, halfplane: float = 0.5,
-                nev: int = 6, refine: bool = True,
-                refine_tol: float = 1e-4) -> list[EigenMode]:
+def solve_modes(pencil: Pencil, halfplane: float = 0.5, nev: int = 6,
+                refine: bool = True) -> list[EigenMode]:
     """Eigenpairs with Re lambda > -halfplane, rho2-normalized.
 
-    Eigenvalues are accepted only if they move by less than refine_tol
+    Eigenvalues are accepted only if they move by less than 1e-4
     (relative) under a 1.5x finer grid; each accepted pair is then checked
     against the assembled (A, B) pencil.
     """
+    k = pencil.k
     grid = pencil.grid
     p = pencil.profile.params
     Ared, interior, rows, T = _schur_operator(pencil)
@@ -282,7 +268,7 @@ def solve_modes(k: int, pencil: Pencil, halfplane: float = 0.5,
         lj = lam[j]
         if ref_vals is not None:
             dist = np.min(np.abs(ref_vals - lj))
-            if dist > refine_tol * max(1.0, abs(lj)):
+            if dist > 1e-4 * max(1.0, abs(lj)):
                 raise SpectralError(
                     f"eigenvalue {lj:.6g} at k={k} failed the refinement filter "
                     f"(moved by {dist:.2e})")
@@ -305,40 +291,28 @@ def solve_modes(k: int, pencil: Pencil, halfplane: float = 0.5,
     return out
 
 
-def solve_conjugate_modes(k: int, profile: TemperatureProfile, grid: Grid,
-                          nev: int = 3) -> list[ConjugateMode]:
+def solve_conjugate_modes(pencil: Pencil, nev: int = 3) -> list[ConjugateMode]:
     """Leading adjoint eigenpairs (phi, wtilde) at the matching eigenvalues.
 
     The adjoint of the Schur operator with respect to the quadrature inner
-    product is W^{-1} A^T W; its eigenfunctions are the conjugate
-    temperature profiles, and the conjugate stream part follows from
-    phi = (lambda wtilde - L_k wtilde)/nu.
+    product is W^{-1} A^T W, whose eigenvectors are W^{-1} u for the
+    eigenvectors u of A^T; they are the conjugate temperature profiles.
+    Their boundary values satisfy the same Robin rows (the adjoint BCs
+    coincide for this Robin pair), so they lift through the direct
+    elimination T.
     """
-    p = profile.params
-    pencil = assemble_pencil(k, profile, grid)
+    k = pencil.k
+    grid = pencil.grid
+    p = pencil.profile.params
     Ared, interior, rows, T = _schur_operator(pencil)
-    wq = grid.weights[interior]
-    Astar = np.diag(1.0 / wq) @ Ared.T @ np.diag(wq)
-    lam, V = np.linalg.eig(Astar)
+    lam, U = np.linalg.eig(Ared.T)
     order = np.argsort(-lam.real)
-    lam, V = lam[order], V[:, order]
+    lam, V = lam[order], U[:, order] / grid.weights[interior][:, None]
     m = len(grid.nodes)
-    Dy = grid.diff
+    i0 = grid.i0
     out = []
     for j in range(min(nev, len(lam))):
-        vec = V[:, j]
-        wt = np.zeros(m, dtype=vec.dtype)
-        wt[interior] = vec
-        # boundary values of the adjoint temperature satisfy the same Robin
-        # rows (the adjoint BCs coincide for this Robin pair)
-        Bc = np.zeros((2, m))
-        Bc[0] = Dy[grid.i0]
-        Bc[0, grid.i0] -= p.beta
-        Bc[1] = Dy[grid.ih]
-        Bc[1, grid.ih] -= p.beta1
-        wt[[grid.i0, grid.ih]] = -np.linalg.solve(
-            Bc[:, [grid.i0, grid.ih]], Bc[:, interior] @ vec)
-        i0 = grid.i0
+        wt = _lift(V[:, j], m, interior, rows, T)
         if abs(wt[i0]) > 1e-10 * np.max(np.abs(wt)):
             wt = wt / wt[i0]
         # conjugate stream part through the clamped solve (the residual
@@ -392,7 +366,7 @@ class ModeBasis:
         return float(np.real(val))
 
 
-def biorthogonalize(basis: ModeBasis, tol: float = 1e-12) -> ModeBasis:
+def biorthogonalize(basis: ModeBasis) -> ModeBasis:
     """Rescale the conjugate family so the Gram matrix is the identity.
 
     Distinct wavenumbers are orthogonal through the x-integral; the
@@ -402,9 +376,8 @@ def biorthogonalize(basis: ModeBasis, tol: float = 1e-12) -> ModeBasis:
     N = basis.size
     raw = np.array([[basis.pairing(j, i) for i in range(N)] for j in range(N)])
     diag = np.diag(raw)
-    scale = np.max(np.abs(raw)) or 1.0
-    if np.min(np.abs(diag)) < tol * scale or np.linalg.matrix_rank(
-            raw, tol=tol * scale) < N:
+    tol = 1e-12 * (np.max(np.abs(raw)) or 1.0)
+    if np.min(np.abs(diag)) < tol or np.linalg.matrix_rank(raw, tol=tol) < N:
         raise SpectralError("singular Gram matrix: defective or duplicated modes")
     for i in range(N):
         basis.thetastar[i] = basis.thetastar[i] / diag[i]
@@ -469,23 +442,20 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
         grid = default_grid(profile)
     bound = kbar_bound(params)
     records: list[SpectrumRecord] = []
-
-    def pencil_leading(k: int) -> complex:
-        try:
-            pen = assemble_pencil(k, profile, grid)
-            Ared, _, _, _ = _schur_operator(pen)
-            ev = np.linalg.eigvals(Ared)
-            return ev[np.argmax(ev.real)]
-        except Exception as exc:
-            raise SpectralError(f"pencil solve failed at k={k}: {exc}") from exc
-
     for k in range(1, kmax + 1):
         if k > bound:
             records.append(SpectrumRecord(k=k, lam_design=None, lam_finite=None,
                                           lam_pencil=None, in_kernel=k in kernel,
                                           method="apriori-gapped"))
             continue
-        lam_p = pencil_leading(k) if k <= pencil_kmax else None
+        lam_p = None
+        if k <= pencil_kmax:
+            try:
+                Ared, _, _, _ = _schur_operator(assemble_pencil(k, profile, grid))
+                ev = np.linalg.eigvals(Ared)
+            except (SpectralError, np.linalg.LinAlgError) as exc:
+                raise SpectralError(f"pencil solve failed at k={k}: {exc}") from exc
+            lam_p = ev[np.argmax(ev.real)]
         z = find_root_z(k, params, poly)
         lam_d = lambda_from_z(z, k)
         lam_f = None
@@ -509,10 +479,8 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
 # semigroup decay
 # ---------------------------------------------------------------------------
 
-def semigroup_decay(k: int, profile: TemperatureProfile, grid: Grid,
-                    horizon: float = 14.0, dt: float = 1e-3,
-                    x0: np.ndarray | None = None, fit_fraction: float = 0.25,
-                    seed: int = 0):
+def semigroup_decay(pencil: Pencil, horizon: float = 14.0, dt: float = 1e-3,
+                    x0: np.ndarray | None = None, fit_fraction: float = 0.25):
     """Integrate the per-k linear evolution and fit the tail decay rate.
 
     TR-BDF2 time stepping: the collocation operator carries grid-scale
@@ -521,11 +489,11 @@ def semigroup_decay(k: int, profile: TemperatureProfile, grid: Grid,
     log-norm slope over the trailing fit_fraction of the horizon is the
     decay rate, which should match the leading pencil eigenvalue.  Raises
     if the tail fit is not clean (horizon too short for modal separation).
+    Without x0 the start is a seeded random interior w.
     """
-    pen = assemble_pencil(k, profile, grid)
-    Ared, interior, rows, T = _schur_operator(pen)
+    Ared, interior, rows, T = _schur_operator(pencil)
     m = Ared.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     w = x0[interior].astype(float) if x0 is not None else rng.standard_normal(m)
     w = w / np.linalg.norm(w)
     steps = int(horizon / dt)
@@ -537,7 +505,7 @@ def semigroup_decay(k: int, profile: TemperatureProfile, grid: Grid,
     c_star = 1.0 / (g * (2.0 - g))
     c_old = (1.0 - g) ** 2 / (g * (2.0 - g))
     log_norms = np.empty(steps)
-    wq = pen.grid.weights[interior]
+    wq = pencil.grid.weights[interior]
     acc = 0.0
     for i in range(steps):
         wstar = lu_solve(lhs1, rhs1 @ w)

@@ -47,7 +47,7 @@ def test_hierarchy_matches_pencil_layer_profile(params30):
     grid = default_grid(prof)
     for k in (1, 7):
         pen = assemble_pencil(k, prof, grid)
-        lam_p = solve_modes(k, pen, halfplane=np.inf, nev=1, refine=False)[0].lam
+        lam_p = solve_modes(pen, halfplane=np.inf, nev=1, refine=False)[0].lam
         th = TransferHierarchy(k, prof.params)
         lam_h = th.leading_lambda()
         assert abs(lam_p.real - lam_h) <= 1e-2 * max(1.0, abs(lam_p.real))

@@ -51,7 +51,7 @@ def test_decoupled_heat_block(params30):
 
 def test_boundary_rows_enforced(profile30, grid30):
     pen = assemble_pencil(2, profile30, grid30)
-    modes = solve_modes(2, pen, halfplane=np.inf, nev=1, refine=False)
+    modes = solve_modes(pen, halfplane=np.inf, nev=1, refine=False)
     m = modes[0]
     assert m.boundary_residual < 1e-8
     assert m.pencil_residual < 1e-6
@@ -63,23 +63,36 @@ def test_boundary_rows_enforced(profile30, grid30):
 
 def test_refinement_filter_accepts_physical_mode(profile30, grid30):
     pen = assemble_pencil(1, profile30, grid30)
-    modes = solve_modes(1, pen, halfplane=2.0, nev=1, refine=True)
+    modes = solve_modes(pen, halfplane=2.0, nev=1, refine=True)
     assert len(modes) == 1
 
 
 def test_conjugate_spectrum_matches_direct(profile30, grid30):
     k = 2
     pen = assemble_pencil(k, profile30, grid30)
-    direct = solve_modes(k, pen, halfplane=np.inf, nev=3, refine=False)
-    conj = solve_conjugate_modes(k, profile30, grid30, nev=3)
+    direct = solve_modes(pen, halfplane=np.inf, nev=3, refine=False)
+    conj = solve_conjugate_modes(pen, nev=3)
     for dm in direct[:2]:
         best = min(abs(cm.lam - dm.lam) for cm in conj)
         assert best < 1e-8 * max(1.0, abs(dm.lam))
 
 
+def test_conjugate_is_weighted_adjoint_eigenvector(profile30, grid30):
+    """W wtilde solves Ared^T u = lambda u on the interior nodes, i.e. wtilde
+    is an eigenvector of the quadrature adjoint W^{-1} Ared^T W."""
+    for k in (1, 7, 14):
+        pen = assemble_pencil(k, profile30, grid30)
+        Ared, interior, _, _ = _schur_operator(pen)
+        scale = np.linalg.norm(Ared, 2)
+        for cm in solve_conjugate_modes(pen, nev=3):
+            u = grid30.weights[interior] * cm.wtilde[interior]
+            r = Ared.T @ u - cm.lam * u
+            assert np.linalg.norm(r) < 1e-12 * scale * np.linalg.norm(u)
+
+
 def test_conjugate_stream_small(profile30, grid30):
     # || phi || / || wtilde || = O(1/nu)
-    cm = solve_conjugate_modes(3, profile30, grid30, nev=1)[0]
+    cm = solve_conjugate_modes(assemble_pencil(3, profile30, grid30), nev=1)[0]
     ratio = np.max(np.abs(cm.phi)) / np.max(np.abs(cm.wtilde))
     assert ratio < 1e3 / profile30.params.nu
 
@@ -151,17 +164,30 @@ def test_spectrum_report_hierarchy_fault_propagates(profile30, monkeypatch):
         _report_with_leading_lambda(profile30, monkeypatch, RuntimeError("fault"))
 
 
+def test_spectrum_report_pencil_fault_propagates(profile30, monkeypatch):
+    import obrealize.spectral as spectral
+
+    def assemble_pencil(k, profile, grid):
+        raise RuntimeError("fault")
+
+    monkeypatch.setattr(spectral, "assemble_pencil", assemble_pencil)
+    with pytest.raises(RuntimeError, match="fault") as excinfo:
+        spectrum_report([1, 7], 2, profile30.params, profile30.poly, profile30,
+                        finite_ks=())
+    assert excinfo.type is RuntimeError     # not rewrapped as a SpectralError
+
+
 def test_semigroup_rate_matches_pencil(profile30, grid30):
     pen = assemble_pencil(2, profile30, grid30)
     A, _, _, _ = _schur_operator(pen)
     lead = np.max(np.linalg.eigvals(A).real)
-    rate, diag = semigroup_decay(2, profile30, grid30, horizon=10.0)
+    rate, diag = semigroup_decay(pen, horizon=10.0)
     assert abs(rate - lead) <= 0.02 * abs(lead)
 
 
 def test_mode_csv_export(profile30, grid30):
     pen = assemble_pencil(1, profile30, grid30)
-    mode = solve_modes(1, pen, halfplane=np.inf, nev=1, refine=False)[0]
+    mode = solve_modes(pen, halfplane=np.inf, nev=1, refine=False)[0]
     csv = mode.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "y,Re_psi,Im_psi,Re_w,Im_w"
@@ -174,7 +200,7 @@ def test_mode_csv_export(profile30, grid30):
                    strict=True)
 def test_conjugate_temperature_matches_asymptotic_shape(profile50):
     g = default_grid(profile50)
-    cm = solve_conjugate_modes(1, profile50, g, nev=1)[0]
+    cm = solve_conjugate_modes(assemble_pencil(1, profile50, g), nev=1)[0]
     y = g.nodes
     wt = np.real(cm.wtilde)
     wt = wt / np.max(np.abs(wt))
@@ -192,8 +218,8 @@ def test_conjugate_temperature_matches_asymptotic_shape(profile50):
                           "see the decisions notes", strict=True)
 def test_kernel_mode_neutral_under_evolution(profile30, grid30):
     pen = assemble_pencil(1, profile30, grid30)
-    mode = solve_modes(1, pen, halfplane=np.inf, nev=1, refine=False)[0]
+    mode = solve_modes(pen, halfplane=np.inf, nev=1, refine=False)[0]
     w0 = np.real(mode.w)
-    rate, _ = semigroup_decay(1, profile30, grid30, horizon=1.0, dt=5e-4,
-                              x0=w0, fit_fraction=0.9)
+    rate, _ = semigroup_decay(pen, horizon=1.0, dt=5e-4, x0=w0,
+                              fit_fraction=0.9)
     assert abs(np.expm1(rate * 1.0)) < 1e-4
