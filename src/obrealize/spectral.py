@@ -14,8 +14,12 @@ Solvers: assemble_pencil builds the generalized (A, B) pair with boundary
 rows, and the operator of wavenumber k once: every solver below takes that
 Pencil.  solve_modes works on the Schur complement in w (the nu^{-1} block
 is ~1e-15 of the rest, so psi is slaved through the clamped biharmonic
-solve), which avoids the spurious modes of the singular pencil, and every
-accepted eigenpair is verified against (A, B) directly.  The conjugate
+solve), which avoids the spurious modes of the singular pencil.  Each
+returned eigenpair records its backward error against (A, B) and its
+boundary-row residual (EigenMode.pencil_residual, boundary_residual);
+nothing here compares them with a bound.  The one enforced check is the
+grid-refinement filter, which numeric_basis skips (refine=False).  The
+conjugate
 (adjoint) modes reuse the direct pencil's Schur operator and Robin
 elimination: they are the transposed operator's eigenvectors, weighted.
 """
@@ -239,9 +243,10 @@ def solve_modes(pencil: Pencil, halfplane: float = 0.5, nev: int = 6,
                 refine: bool = True) -> list[EigenMode]:
     """Eigenpairs with Re lambda > -halfplane, rho2-normalized.
 
-    Eigenvalues are accepted only if they move by less than 1e-4
-    (relative) under a 1.5x finer grid; each accepted pair is then checked
-    against the assembled (A, B) pencil.
+    With refine, eigenvalues are accepted only if they move by less than
+    1e-4 (relative) under a 1.5x finer grid.  Each returned pair records
+    its backward error against the assembled (A, B) pencil and its
+    boundary-row residual; neither is compared with a bound.
     """
     k = pencil.k
     grid = pencil.grid

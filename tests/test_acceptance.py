@@ -263,7 +263,7 @@ def test_criterion_9_fast_slow(lorenz_setup, lorenz_run):
 
 def test_criterion_10_chaos_transfer(lorenz_run):
     lle_raw = lyapunov(lorenz_field(), np.array([1.0, 1.0, 20.0]),
-                       horizon=600.0, dt=2e-3, transient=30.0, seed=0)[0]
+                       horizon=600.0, dt=2e-3, transient=30.0, seed=0)[0][0]
     raw_ok = abs(lle_raw - 0.9056) < 0.05 * 0.9056
     lle_t = lorenz_run.lyap_target[0]
     lle_r = lorenz_run.lyap_realized[0]

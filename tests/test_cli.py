@@ -34,6 +34,9 @@ def test_invalid_scales_rejected(tmp_path):
         load_config(str(path), None)
     with pytest.raises(SystemExit, match="threads"):
         load_config(None, ["threads=2"])
+    for bad in ("0", "-5", "NaN", "Infinity", "true", "long"):
+        with pytest.raises(SystemExit, match="lyap_horizon"):
+            load_config(None, [f"realize.lyap_horizon={bad}"])
 
 
 def test_spectrum_stage_writes_artifacts(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from obrealize.control import extended_set
 from obrealize.realize import (QuadraticSystem, RealizeError, TargetField,
-                               build_fast_slow, contraction_field,
+                               _etdrk2_coeffs, _etdrk2_step, build_fast_slow, contraction_field,
                                empirical_field_error, integrate, lorenz_field,
                                lyapunov, manifold_residual, realize_target,
                                reduced_field, rescale_into_ball)
@@ -136,8 +136,8 @@ def test_manifold_local_invariance(K9, kset3):
 
 def test_lyapunov_linear_contraction():
     field = contraction_field(3, rate=1.0)
-    exps = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=50.0,
-                    dt=1e-2, transient=1.0)
+    exps, _ = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=50.0,
+                       dt=1e-2, transient=1.0)
     assert np.allclose(exps, -1.0, atol=1e-3)
 
 
@@ -147,29 +147,98 @@ def test_lyapunov_transient_aligns_frame(seed):
     # if the transient has already turned the random frame onto the axes
     field = TargetField(p=3, D=np.zeros((3, 3, 3)), R=np.diag([-1.0, -2.0, -3.0]),
                         f=np.zeros(3))
-    exps = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=10.0,
-                    dt=1e-2, transient=20.0, seed=seed)
+    exps, _ = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=10.0,
+                       dt=1e-2, transient=20.0, seed=seed)
     assert np.allclose(exps, [-1.0, -2.0, -3.0], rtol=0.0, atol=1e-3)
 
 
 def test_lyapunov_stiff_linear_system():
     # fast rate -1/xi at dt/xi = 20: an explicit step blows the fast
-    # coordinates up; the step exact on the fast diagonal does not
+    # coordinates up; the step exact on the fast diagonal does not.  Only
+    # the p slow exponents are computed.
     xi = 1e-3
     M = np.diag([-1.0, -2.0] + [-1.0 / xi] * 3)
     sysd = QuadraticSystem(N=5, p=2, K=np.zeros((5, 5, 5)), M=M, f=np.zeros(5),
                            xi=xi, T=np.zeros((2, 3)), R=M[:2, :2])
     x0 = np.array([0.1, 0.05, 0.02, -0.01, 0.03])
-    exps = lyapunov(sysd, x0, horizon=10.0, dt=0.02, transient=20.0,
-                    renorm_every=1)
+    exps, _ = lyapunov(sysd, x0, horizon=10.0, dt=0.02, transient=20.0)
     assert np.allclose(exps[:2], [-1.0, -2.0], rtol=0.0, atol=1e-3)
-    assert np.allclose(exps[2:], -1.0 / xi, rtol=1e-12, atol=0.0)
+
+
+def _full_frame_spectrum(system, x0, horizon, dt, transient, seed):
+    """Oracle: all N tangent columns, QR on every step, leading p kept."""
+    coeffs = _etdrk2_coeffs(system.fast_diag, dt)
+    x = np.array(x0, dtype=float)
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((system.N, system.N)))[0]
+    nburn, nsteps = int(transient / dt), int(horizon / dt)
+    sums = np.zeros(system.N)
+    for i in range(nburn + nsteps):
+        x, Q = _etdrk2_step(system, x, *coeffs, Q=Q)
+        Q, Rm = np.linalg.qr(Q)
+        if i >= nburn:
+            sums += np.log(np.abs(np.diag(Rm)))
+    return np.sort(sums / (nsteps * dt))[::-1][:system.p]
+
+
+def test_lyapunov_slow_columns_match_full_frame():
+    # stiff (dt/xi = 20), with a quadratic part that moves the Jacobian
+    # along the orbit and a forcing that keeps the fixed point off 0
+    xi, p, N = 1e-3, 2, 5
+    rng = np.random.default_rng(3)
+    K = 0.3 * rng.standard_normal((N, N, N))
+    K = 0.5 * (K + np.swapaxes(K, 1, 2))
+    M = np.diag([-1.0, -2.0] + [-1.0 / xi] * 3)
+    M[0, 1], M[1, 0] = 0.7, -0.4
+    M[:p, p:] = 0.5 * rng.standard_normal((p, N - p)) / xi
+    f = np.array([0.05, -0.03, 0.0, 0.0, 0.0])
+    sysd = QuadraticSystem(N=N, p=p, K=K, M=M, f=f, xi=xi,
+                           T=xi * M[:p, p:], R=M[:p, :p])
+    x0 = np.array([0.1, 0.05, 0.02, -0.01, 0.03])
+    args = dict(horizon=10.0, dt=0.02, transient=20.0, seed=4)
+    exps, _ = lyapunov(sysd, x0, **args)
+    assert len(exps) == p
+    assert np.allclose(exps, _full_frame_spectrum(sysd, x0, **args),
+                       rtol=1e-9, atol=0.0)
+
+
+def test_lyapunov_target_exponents_pinned():
+    # the RK4 + trapezoidal run on the blended Lorenz target, bit for bit
+    # as the per-step QR and per-step Jacobian pair gave it
+    tgt = rescale_into_ball(lorenz_field(), seed=1)
+    exps, stderr = lyapunov(tgt, np.array([0.05, 0.02, 0.1]), horizon=50.0,
+                            dt=0.02)
+    assert exps == pytest.approx([0.008789796083788047, 0.0021816097530520245,
+                                  -0.20174561832852755], rel=1e-15, abs=0.0)
+    assert np.all(np.isfinite(stderr)) and np.all(stderr > 0.0)
+
+
+def test_lyapunov_rejects_blowup_and_short_horizon(kset3):
+    # dX0/dt = X0^2 from X0 = 5 leaves every bound before t = 0.2; the
+    # state is checked at each renormalization, not at each step
+    blowup = TargetField(p=1, D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
+                         f=np.zeros(1), ball_radius=np.inf)
+    N = kset3.N
+    K = np.zeros((N, N, N))
+    K[0, 0, 0] = 1.0
+    sysu = QuadraticSystem(N=N, p=3, K=K, M=np.zeros((N, N)), f=np.zeros(N),
+                           xi=1.0, T=np.zeros((3, N - 3)), R=np.zeros((3, 3)))
+    x0 = np.zeros(N)
+    x0[0] = 5.0
+    with np.errstate(all="ignore"):
+        for flow, x in ((blowup, np.array([5.0])), (sysu, x0)):
+            with pytest.raises(RealizeError, match="unbounded"):
+                lyapunov(flow, x, horizon=10.0, dt=0.01, transient=0.0)
+    # fewer measured renormalizations than batches for the error bar
+    with pytest.raises(RealizeError, match="horizon"):
+        lyapunov(contraction_field(2), np.array([0.1, 0.0]), horizon=0.5,
+                 dt=0.01, transient=0.0)
 
 
 def test_lyapunov_lorenz_and_trace():
     lor = lorenz_field()
-    exps = lyapunov(lor, np.array([1.0, 1.0, 20.0]), horizon=500.0, dt=2e-3,
-                    transient=20.0, seed=0)
+    exps, _ = lyapunov(lor, np.array([1.0, 1.0, 20.0]), horizon=500.0,
+                       dt=2e-3, transient=20.0, seed=0)
     # classic largest exponent ~ 0.9056
     assert exps[0] == pytest.approx(0.9056, rel=0.05)
     # trace identity: sum of exponents ~ average divergence -(sigma+1+beta)
