@@ -31,7 +31,7 @@ DEFAULTS = {
     "reduce": {"b": 50.0, "R0": 1.0},
     "control": {"target": "random", "seed_scale": 1.0},
     "realize": {"preset": "lorenz", "xi": 1e-3, "horizon": 50.0,
-                "ball_radius": 1.0, "lyapunov": True, "lyap_horizon": 12000.0},
+                "ball_radius": 1.0, "lyapunov": True},
     "seed": 1234,
 }
 
@@ -97,11 +97,6 @@ def _validate(cfg: dict) -> None:
         raise SystemExit("invalid scales: need b > 1 and s0, s2 in (0,1)")
     if cfg["realize"]["preset"] not in ("lorenz", "contraction", "explicit"):
         raise SystemExit(f"unknown preset {cfg['realize']['preset']!r}")
-    h = cfg["realize"]["lyap_horizon"]
-    if (isinstance(h, bool) or not isinstance(h, (int, float))
-            or not (np.isfinite(h) and h > 0)):
-        raise SystemExit(f"invalid realize.lyap_horizon {h!r}: need a finite "
-                         "positive number")
 
 
 def _write(outdir: Path, name: str, text: str) -> None:
@@ -254,7 +249,6 @@ def cmd_realize(cfg: dict, outdir: Path, plot: bool) -> int:
     sysd, info, basis, kset, _ = _reduced_system(cfg, target.p)
     report = realize_target(target, sysd.K, kset, xi=rcfg["xi"],
                             horizon=rcfg["horizon"], seed=int(cfg["seed"]),
-                            lyap_horizon=float(rcfg["lyap_horizon"]),
                             with_lyapunov=bool(rcfg["lyapunov"]))
     _write(outdir, "realization_report.json", report.to_json())
     if plot:

@@ -161,12 +161,17 @@ def test_lyapunov_stiff_linear_system():
     sysd = QuadraticSystem(N=5, p=2, K=np.zeros((5, 5, 5)), M=M, f=np.zeros(5),
                            xi=xi, T=np.zeros((2, 3)), R=M[:2, :2])
     x0 = np.array([0.1, 0.05, 0.02, -0.01, 0.03])
-    exps, _ = lyapunov(sysd, x0, horizon=10.0, dt=0.02, transient=20.0)
+    args = dict(horizon=10.0, dt=0.02, transient=20.0, seed=0)
+    exps, _ = lyapunov(sysd, x0, **args)
     assert np.allclose(exps[:2], [-1.0, -2.0], rtol=0.0, atol=1e-3)
+    # the fast block of the tangent frame is carried exactly: the N - p
+    # exponents the oracle also computes are -1/xi to rounding
+    full = _full_frame_spectrum(sysd, x0, **args)
+    assert np.allclose(full[2:], -1.0 / xi, rtol=1e-12, atol=0.0)
 
 
 def _full_frame_spectrum(system, x0, horizon, dt, transient, seed):
-    """Oracle: all N tangent columns, QR on every step, leading p kept."""
+    """Oracle: all N tangent columns, QR on every step, all N exponents."""
     coeffs = _etdrk2_coeffs(system.fast_diag, dt)
     x = np.array(x0, dtype=float)
     rng = np.random.default_rng(seed)
@@ -178,7 +183,7 @@ def _full_frame_spectrum(system, x0, horizon, dt, transient, seed):
         Q, Rm = np.linalg.qr(Q)
         if i >= nburn:
             sums += np.log(np.abs(np.diag(Rm)))
-    return np.sort(sums / (nsteps * dt))[::-1][:system.p]
+    return np.sort(sums / (nsteps * dt))[::-1]
 
 
 def test_lyapunov_slow_columns_match_full_frame():
@@ -198,7 +203,7 @@ def test_lyapunov_slow_columns_match_full_frame():
     args = dict(horizon=10.0, dt=0.02, transient=20.0, seed=4)
     exps, _ = lyapunov(sysd, x0, **args)
     assert len(exps) == p
-    assert np.allclose(exps, _full_frame_spectrum(sysd, x0, **args),
+    assert np.allclose(exps, _full_frame_spectrum(sysd, x0, **args)[:p],
                        rtol=1e-9, atol=0.0)
 
 
