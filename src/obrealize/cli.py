@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,9 +18,9 @@ import numpy as np
 from . import __version__
 from .control import extended_set, control_solve, g1_from_u1
 from .profile import derive_scales, designed_profile
-from .realize import (RealizeError, build_fast_slow, contraction_field,
-                      integrate, lorenz_field, realize_target,
-                      rescale_into_ball, TargetField)
+from .realize import (build_fast_slow, contraction_field, integrate,
+                      lorenz_field, realize_target, rescale_into_ball,
+                      TargetField)
 from .reduction import ReducedSystem, asymptotic_basis, compute_K
 from .spectral import default_grid, spectrum_report
 
@@ -91,12 +92,47 @@ def load_config(path: str | None, overrides) -> dict:
     return cfg
 
 
+def _all_finite(doc) -> bool:
+    """No number anywhere in doc, inside lists included, is NaN or infinite."""
+    if isinstance(doc, dict):
+        return all(_all_finite(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(_all_finite(v) for v in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _validate(cfg: dict) -> None:
+    if not _all_finite(cfg):
+        raise SystemExit("invalid config: every number must be finite")
     s = cfg["scales"]
-    if not (0 < s["s0"] < 1 and 0 < s["s2"] < 1 and s["b"] > 1):
+    if not (all(_is_number(s[key]) for key in ("b", "s0", "s2"))
+            and 0 < s["s0"] < 1 and 0 < s["s2"] < 1 and s["b"] > 1):
         raise SystemExit("invalid scales: need b > 1 and s0, s2 in (0,1)")
-    if cfg["realize"]["preset"] not in ("lorenz", "contraction", "explicit"):
-        raise SystemExit(f"unknown preset {cfg['realize']['preset']!r}")
+    for section, key, low in (("reduce", "b", 1), ("realize", "xi", 0),
+                              ("realize", "horizon", 0), ("realize", "ball_radius", 0)):
+        if not (_is_number(cfg[section][key]) and cfg[section][key] > low):
+            raise SystemExit(f"invalid {section}.{key}: need a number above {low}")
+    p = cfg["wavenumbers"]["p"]
+    if not (isinstance(p, int) and not isinstance(p, bool) and p >= 1):
+        raise SystemExit("invalid wavenumbers.p: need a positive integer")
+    r = cfg["realize"]
+    if r["preset"] not in ("lorenz", "contraction", "explicit"):
+        raise SystemExit(f"unknown preset {r['preset']!r}")
+    if r["preset"] == "explicit" and not {"D", "R", "f"} <= r.keys():
+        raise SystemExit("the explicit preset needs realize.D, realize.R and realize.f")
+    target = cfg["control"]["target"]
+    if target != "random":
+        N = extended_set(p).N
+        try:
+            shape = np.asarray(target, dtype=float).shape
+        except (TypeError, ValueError):
+            shape = None
+        if shape != (N, N):
+            raise SystemExit(f"explicit control target must be {N} x {N}")
 
 
 def _write(outdir: Path, name: str, text: str) -> None:
@@ -209,8 +245,6 @@ def cmd_control(cfg: dict, outdir: Path, plot: bool) -> int:
         T = cfg["control"]["seed_scale"] * rng.standard_normal((N, N))
     else:
         T = np.asarray(cfg["control"]["target"], dtype=float)
-        if T.shape != (N, N):
-            raise SystemExit("explicit control target must be N x N")
     sol = control_solve(T, basis, kset, profile)
     err = np.linalg.norm(sol.achieved - T) / max(np.linalg.norm(T), 1e-300)
     _write(outdir, "control_solution.json", sol.to_json(basis.grid))
@@ -287,7 +321,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, SystemExit) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
@@ -304,7 +338,7 @@ def main(argv=None) -> int:
                     return code
             return 0
         return stages[args.stage](cfg, outdir, args.plot)
-    except (RealizeError, Exception) as exc:  # noqa: BLE001 - stage tag on any failure
+    except Exception as exc:  # noqa: BLE001 - stage tag on any failure
         print(f"stage {args.stage} failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1

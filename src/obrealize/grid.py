@@ -75,9 +75,6 @@ class Grid:
     def integrate(self, f: np.ndarray) -> float | complex:
         return (self.weights * f).sum(axis=-1)
 
-    def refined(self, factor: float = 1.5) -> "Grid":
-        return make_grid(self.h, int(self.n * factor), self.alpha)
-
 
 def make_grid(h: float, n: int = 280, alpha: float = 5.0) -> Grid:
     """Build the graded grid: y = h (e^{alpha s} - 1)/(e^alpha - 1), s in [0,1].

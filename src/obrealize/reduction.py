@@ -29,8 +29,8 @@ import numpy as np
 
 from .grid import Grid
 from .profile import ScaleParams, TemperatureProfile
-from .spectral import (ModeBasis, SpectralError, biorthogonalize,
-                       solve_conjugate_modes, solve_modes, assemble_pencil)
+from .spectral import (ModeBasis, biorthogonalize, solve_conjugate_modes,
+                       solve_modes, assemble_pencil)
 
 __all__ = [
     "FourierProfileSet",
@@ -117,31 +117,28 @@ def asymptotic_basis(wavenumbers, params: ScaleParams, grid: Grid) -> ModeBasis:
                                      dthetastar=dthetastar))
 
 
-def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid,
-                  orthonormalize: bool = True) -> ModeBasis:
-    """Basis from the leading pencil modes and their adjoints."""
+def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid) -> ModeBasis:
+    """Biorthogonalized basis from the leading pencil modes and their adjoints.
+
+    One pencil and one eigendecomposition per wavenumber give the direct
+    mode and its adjoint at the same eigenvalue.
+    """
     ks = tuple(int(k) for k in wavenumbers)
     psi, dpsi, theta, thetastar, dthetastar, phi = [], [], [], [], [], []
     Dy = grid.diff
     for k in ks:
         pen = assemble_pencil(k, profile, grid)
-        mode = solve_modes(pen, halfplane=np.inf, nev=1, refine=False)[0]
-        conj = solve_conjugate_modes(pen, nev=4)
-        cm = min(conj, key=lambda c: abs(c.lam - mode.lam))
-        if abs(cm.lam - mode.lam) > 1e-6 * max(1.0, abs(mode.lam)):
-            raise SpectralError("adjoint eigenvalue does not match the direct one")
+        mode = solve_modes(pen)
+        cm = solve_conjugate_modes(pen)
         psi.append(np.real(mode.psi))
         dpsi.append(np.real(Dy @ mode.psi))
         theta.append(np.real(mode.w))
         thetastar.append(np.real(cm.wtilde))
         dthetastar.append(np.real(Dy @ cm.wtilde))
         phi.append(np.real(cm.phi))
-    basis = ModeBasis(wavenumbers=ks, grid=grid, psi=psi, dpsi=dpsi,
-                      theta=theta, thetastar=thetastar,
-                      dthetastar=dthetastar, phi=phi)
-    if orthonormalize:
-        basis = biorthogonalize(basis)
-    return basis
+    return biorthogonalize(ModeBasis(wavenumbers=ks, grid=grid, psi=psi,
+                                     dpsi=dpsi, theta=theta, thetastar=thetastar,
+                                     dthetastar=dthetastar, phi=phi))
 
 
 # ---------------------------------------------------------------------------

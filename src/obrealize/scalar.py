@@ -25,6 +25,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .profile import (DesignPolynomial, ScaleParams, perturbation_response)
 
@@ -223,10 +224,12 @@ class TransferHierarchy:
         (-k^2, 0) -- in one residual call, staying clear of the removable
         singularity of the transfer kernels at lambda = 0.  The truncated
         hierarchy has isolated internal resonances (poles) that also flip
-        the residual's sign, so sign changes are bisected one lambda at a
-        time with a pole guard and verified to be genuine zeros; the
-        largest verified root is returned.  Raises ScalarError when no
-        root is found.
+        the residual's sign, so each sign change is polished by Brent's
+        method (scipy.optimize.brentq) one lambda at a time, a bracket that
+        it cannot close (a NaN inside it) is skipped, and a root counts
+        only if the residual there is below 1e-6 (poles blow up); the
+        largest such root is returned.  Raises ScalarError when no root is
+        found.
         """
         k = self.k
         kbars = np.linspace(5e-3, 0.999 * k, 400)
@@ -239,22 +242,11 @@ class TransferHierarchy:
                 continue
             if np.sign(fa) == np.sign(fb):
                 continue
-            a, b = lams[i], lams[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = self.residual(mid)
-                if not np.isfinite(fm):
-                    mid = a + 0.61803398875 * (b - a)
-                    fm = self.residual(mid)
-                    if not np.isfinite(fm):
-                        break
-                if np.sign(fm) == np.sign(fa):
-                    a, fa = mid, fm
-                else:
-                    b, fb = mid, fm
-                if b - a < 1e-14 * max(1.0, abs(a)):
-                    break
-            cand = 0.5 * (a + b)
+            try:
+                cand = brentq(self.residual, lams[i], lams[i + 1], xtol=1e-14,
+                              rtol=4 * np.finfo(float).eps)
+            except (ValueError, RuntimeError):      # NaN or no convergence
+                continue
             fc = self.residual(cand)
             # genuine zero: residual small and locally bounded (poles blow up)
             if np.isfinite(fc) and abs(fc) < 1e-6:

@@ -11,24 +11,24 @@ stream-function form of the linearized equations; see the decisions notes
 for the discrepancy with one printed variant.
 
 Solvers: assemble_pencil builds the generalized (A, B) pair with boundary
-rows, and the operator of wavenumber k once: every solver below takes that
-Pencil.  solve_modes works on the Schur complement in w (the nu^{-1} block
-is ~1e-15 of the rest, so psi is slaved through the clamped biharmonic
-solve), which avoids the spurious modes of the singular pencil.  Each
-returned eigenpair records its backward error against (A, B) and its
-boundary-row residual (EigenMode.pencil_residual, boundary_residual);
-nothing here compares them with a bound.  The one enforced check is the
-grid-refinement filter, which numeric_basis skips (refine=False).  The
-conjugate
-(adjoint) modes reuse the direct pencil's Schur operator and Robin
-elimination: they are the transposed operator's eigenvectors, weighted.
+rows and, from it, the Schur complement in w (the nu^{-1} block is ~1e-15
+of the rest, so psi is slaved through the clamped biharmonic solve), which
+avoids the spurious modes of the singular pencil.  Every solver below takes
+that Pencil.  One left-and-right eigendecomposition of the Schur operator
+per wavenumber gives both the leading direct mode (solve_modes) and its
+conjugate (adjoint) mode (solve_conjugate_modes), which therefore share
+one eigenvalue.  Each mode records its residuals and is rejected with a
+SpectralError above their bounds: the direct mode's componentwise backward
+error against (A, B) above PENCIL_RESIDUAL_TOL, and either mode's
+boundary-row residual above BOUNDARY_RESIDUAL_TOL.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import eig, lu_factor, lu_solve
 
 from .grid import Grid, make_grid
 from .profile import TemperatureProfile
@@ -50,6 +50,13 @@ __all__ = [
     "default_grid",
     "SpectralError",
 ]
+
+# Bounds on the recorded residuals of an accepted mode.  The largest values
+# measured on the p = 2, 3 and 4 wavenumber sets at b = 30, 50, 80 and 112
+# are 1.3e-11 (backward error) and 5.3e-8 (boundary rows, direct; 4.0e-10
+# adjoint), so each bound sits over 10x above them
+PENCIL_RESIDUAL_TOL = 1e-9
+BOUNDARY_RESIDUAL_TOL = 1e-6
 
 
 class SpectralError(RuntimeError):
@@ -95,7 +102,13 @@ def _clamped_biharmonic(grid: Grid, L: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Pencil:
-    """Generalized eigenpair data lambda B v = A v over stacked (psi, w)."""
+    """Generalized eigenpair data lambda B v = A v over stacked (psi, w).
+
+    Ared is the reduced standard eigenproblem in the interior w unknowns:
+    psi is slaved through the clamped biharmonic G (the nu^{-1} mass block
+    is negligible at nu = b^10), and the two Robin rows eliminate the
+    boundary values w[rows] = T @ w[interior].
+    """
 
     k: int
     A: np.ndarray = field(repr=False)
@@ -103,8 +116,11 @@ class Pencil:
     grid: Grid = field(repr=False)
     profile: TemperatureProfile = field(repr=False)
     uy: np.ndarray = field(repr=False)
-    L: np.ndarray = field(repr=False)
     G: np.ndarray = field(repr=False)
+    Ared: np.ndarray = field(repr=False)
+    interior: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    T: np.ndarray = field(repr=False)
 
     def residual(self, lam: complex, v: np.ndarray) -> float:
         """Componentwise backward error of the eigenpair.
@@ -120,9 +136,25 @@ class Pencil:
         denom = np.maximum(denom, 1e-10 * np.max(denom))
         return float(np.max(np.abs(r) / denom))
 
+    @cached_property
+    def leading(self):
+        """(lambda, right, left) eigentriple of Ared with the largest Re
+        lambda, from one eigendecomposition; u^H Ared = lambda u^H for left."""
+        lam, vl, vr = eig(self.Ared, left=True, right=True)
+        j = np.argsort(-lam.real)[0]
+        return lam[j], vr[:, j], vl[:, j]
+
+    def lift(self, vec: np.ndarray) -> np.ndarray:
+        """Full w profile from its interior values through the Robin rows."""
+        w = np.zeros(len(self.grid.nodes), dtype=vec.dtype)
+        w[self.interior] = vec
+        w[self.rows] = self.T @ vec
+        return w
+
 
 def assemble_pencil(k: int, profile: TemperatureProfile, grid: Grid) -> Pencil:
-    """Collocation matrices with boundary rows for the clamped/Robin pair."""
+    """Collocation matrices with boundary rows for the clamped/Robin pair,
+    and the Schur operator they reduce to."""
     if k < 1:
         raise SpectralError("wavenumber must be a positive integer")
     p = profile.params
@@ -157,41 +189,16 @@ def assemble_pencil(k: int, profile: TemperatureProfile, grid: Grid) -> Pencil:
     A[m + ih, :] = 0.0
     A[m + ih, m:] = Dy[ih] - p.beta1 * I[ih]
     B[m + ih, :] = 0.0
-    return Pencil(k=k, A=A, B=B, grid=grid, profile=profile, uy=uy, L=L, G=G)
-
-
-def _schur_operator(pencil: Pencil):
-    """Reduced standard eigenproblem in the interior w unknowns.
-
-    psi is slaved through the clamped biharmonic (the nu^{-1} mass block is
-    negligible at nu = b^10); the two Robin rows eliminate the boundary
-    values of w.
-    """
-    grid = pencil.grid
-    p = pencil.profile.params
-    k = pencil.k
-    m = len(grid.nodes)
-    Dy = grid.diff
-    # k^2 scales uy first, then G: the product order sets Aop's rounding
-    Aop = pencil.L - ((k * k) * pencil.uy)[:, None] * pencil.G
-    i0, ih = grid.i0, grid.ih
+    # Schur operator: k^2 scales uy first, then G (the product order sets
+    # Ared's rounding)
+    Aop = L - ((k * k) * uy)[:, None] * G
     rows = np.array([i0, ih])
     interior = np.array([i for i in range(m) if i != i0 and i != ih])
-    Bc = np.zeros((2, m))
-    Bc[0] = Dy[i0]
-    Bc[0, i0] -= p.beta
-    Bc[1] = Dy[ih]
-    Bc[1, ih] -= p.beta1
+    Bc = A[m + rows, m:]                  # the Robin rows
     T = -np.linalg.solve(Bc[:, rows], Bc[:, interior])
     Ared = Aop[np.ix_(interior, interior)] + Aop[np.ix_(interior, rows)] @ T
-    return Ared, interior, rows, T
-
-
-def _lift(vec: np.ndarray, m: int, interior, rows, T) -> np.ndarray:
-    w = np.zeros(m, dtype=vec.dtype)
-    w[interior] = vec
-    w[rows] = T @ vec
-    return w
+    return Pencil(k=k, A=A, B=B, grid=grid, profile=profile, uy=uy, G=G,
+                  Ared=Ared, interior=interior, rows=rows, T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +212,8 @@ class EigenMode:
     psi: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     rho2: complex = 1.0
-    grid: Grid | None = field(default=None, repr=False)
     boundary_residual: float = 0.0
     pencil_residual: float = 0.0
-
-    def to_csv(self) -> str:
-        lines = ["y,Re_psi,Im_psi,Re_w,Im_w"]
-        for y, ps, wv in zip(self.grid.nodes, self.psi, self.w):
-            lines.append(f"{y:.12g},{np.real(ps):.12g},{np.imag(ps):.12g},"
-                         f"{np.real(wv):.12g},{np.imag(wv):.12g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -223,7 +222,6 @@ class ConjugateMode:
     lam: complex
     phi: np.ndarray = field(repr=False)
     wtilde: np.ndarray = field(repr=False)
-    grid: Grid | None = field(default=None, repr=False)
     boundary_residual: float = 0.0
 
 
@@ -239,95 +237,72 @@ def _boundary_residual(mode_psi, mode_w, grid: Grid, params) -> float:
     return float(max(res))
 
 
-def solve_modes(pencil: Pencil, halfplane: float = 0.5, nev: int = 6,
-                refine: bool = True) -> list[EigenMode]:
-    """Eigenpairs with Re lambda > -halfplane, rho2-normalized.
+def solve_modes(pencil: Pencil) -> EigenMode:
+    """Leading eigenpair, rho2-normalized (psi''(0) = 2 where it is nonzero).
 
-    With refine, eigenvalues are accepted only if they move by less than
-    1e-4 (relative) under a 1.5x finer grid.  Each returned pair records
-    its backward error against the assembled (A, B) pencil and its
-    boundary-row residual; neither is compared with a bound.
+    Raises SpectralError when its backward error against the assembled
+    (A, B) pencil exceeds PENCIL_RESIDUAL_TOL or its boundary-row residual
+    exceeds BOUNDARY_RESIDUAL_TOL.
     """
     k = pencil.k
     grid = pencil.grid
-    p = pencil.profile.params
-    Ared, interior, rows, T = _schur_operator(pencil)
-    lam, V = np.linalg.eig(Ared)
-    order = np.argsort(-lam.real)
-    lam, V = lam[order], V[:, order]
-    sel = np.where(lam.real > -abs(halfplane))[0]
-    if len(sel) == 0:
-        sel = np.array([0])   # always report the leading mode
-    sel = sel[:nev]
-
-    ref_vals = None
-    if refine:
-        fine = assemble_pencil(k, pencil.profile, grid.refined(1.5))
-        Af, _, _, _ = _schur_operator(fine)
-        ref_vals = np.linalg.eigvals(Af)
-
-    m = len(grid.nodes)
     Dy = grid.diff
-    out = []
-    for j in sel:
-        lj = lam[j]
-        if ref_vals is not None:
-            dist = np.min(np.abs(ref_vals - lj))
-            if dist > 1e-4 * max(1.0, abs(lj)):
-                raise SpectralError(
-                    f"eigenvalue {lj:.6g} at k={k} failed the refinement filter "
-                    f"(moved by {dist:.2e})")
-        w = _lift(V[:, j], m, interior, rows, T)
-        psi = -(k * k) * (pencil.G @ w)
-        d2psi0 = (Dy @ (Dy @ psi))[grid.i0]
-        if abs(d2psi0) > 1e-8 * np.max(np.abs(psi)):
-            scalef = 2.0 / d2psi0
-            rho2 = 1.0
-        else:
-            scalef = 1.0 / np.max(np.abs(w))
-            rho2 = d2psi0 / 2.0
-        psi = psi * scalef
-        w = w * scalef
-        v = np.concatenate([psi, w])
-        mode = EigenMode(k=k, lam=lj, psi=psi, w=w, rho2=rho2, grid=grid,
-                         boundary_residual=_boundary_residual(psi, w, grid, p),
-                         pencil_residual=pencil.residual(lj, v))
-        out.append(mode)
-    return out
+    lam, right, _ = pencil.leading
+    w = pencil.lift(right)
+    psi = -(k * k) * (pencil.G @ w)
+    d2psi0 = (Dy @ (Dy @ psi))[grid.i0]
+    if abs(d2psi0) > 1e-8 * np.max(np.abs(psi)):
+        scalef = 2.0 / d2psi0
+        rho2 = 1.0
+    else:
+        scalef = 1.0 / np.max(np.abs(w))
+        rho2 = d2psi0 / 2.0
+    psi = psi * scalef
+    w = w * scalef
+    mode = EigenMode(k=k, lam=lam, psi=psi, w=w, rho2=rho2,
+                     boundary_residual=_boundary_residual(
+                         psi, w, grid, pencil.profile.params),
+                     pencil_residual=pencil.residual(
+                         lam, np.concatenate([psi, w])))
+    if (mode.pencil_residual > PENCIL_RESIDUAL_TOL
+            or mode.boundary_residual > BOUNDARY_RESIDUAL_TOL):
+        raise SpectralError(
+            f"mode at k={k}, lambda={lam:.6g} fails its residual bounds: "
+            f"backward error {mode.pencil_residual:.2e}, "
+            f"boundary residual {mode.boundary_residual:.2e}")
+    return mode
 
 
-def solve_conjugate_modes(pencil: Pencil, nev: int = 3) -> list[ConjugateMode]:
-    """Leading adjoint eigenpairs (phi, wtilde) at the matching eigenvalues.
+def solve_conjugate_modes(pencil: Pencil) -> ConjugateMode:
+    """Adjoint mode (phi, wtilde) at the leading eigenvalue.
 
     The adjoint of the Schur operator with respect to the quadrature inner
     product is W^{-1} A^T W, whose eigenvectors are W^{-1} u for the
-    eigenvectors u of A^T; they are the conjugate temperature profiles.
-    Their boundary values satisfy the same Robin rows (the adjoint BCs
-    coincide for this Robin pair), so they lift through the direct
-    elimination T.
+    eigenvectors u of A^T, i.e. the conjugated left eigenvectors of A; they
+    are the conjugate temperature profiles.  Their boundary values satisfy
+    the same Robin rows (the adjoint BCs coincide for this Robin pair), so
+    they lift through the direct elimination T.  Raises SpectralError when
+    the boundary-row residual exceeds BOUNDARY_RESIDUAL_TOL.
     """
     k = pencil.k
     grid = pencil.grid
     p = pencil.profile.params
-    Ared, interior, rows, T = _schur_operator(pencil)
-    lam, U = np.linalg.eig(Ared.T)
-    order = np.argsort(-lam.real)
-    lam, V = lam[order], U[:, order] / grid.weights[interior][:, None]
-    m = len(grid.nodes)
+    lam, _, left = pencil.leading
+    wt = pencil.lift(np.conj(left) / grid.weights[pencil.interior])
     i0 = grid.i0
-    out = []
-    for j in range(min(nev, len(lam))):
-        wt = _lift(V[:, j], m, interior, rows, T)
-        if abs(wt[i0]) > 1e-10 * np.max(np.abs(wt)):
-            wt = wt / wt[i0]
-        # conjugate stream part through the clamped solve (the residual
-        # division (lam - L_k) wt / nu is cancellation-limited):
-        # nu phi = k^2 phihat with L_k^2 phihat = -U_y wtilde
-        phi = -(k * k / p.nu) * (pencil.G @ (pencil.uy * wt))
-        out.append(ConjugateMode(
-            k=k, lam=lam[j], phi=phi, wtilde=wt, grid=grid,
-            boundary_residual=_boundary_residual(phi, wt, grid, p)))
-    return out
+    if abs(wt[i0]) > 1e-10 * np.max(np.abs(wt)):
+        wt = wt / wt[i0]
+    # conjugate stream part through the clamped solve (the residual
+    # division (lam - L_k) wt / nu is cancellation-limited):
+    # nu phi = k^2 phihat with L_k^2 phihat = -U_y wtilde
+    phi = -(k * k / p.nu) * (pencil.G @ (pencil.uy * wt))
+    mode = ConjugateMode(k=k, lam=lam, phi=phi, wtilde=wt,
+                         boundary_residual=_boundary_residual(phi, wt, grid, p))
+    if mode.boundary_residual > BOUNDARY_RESIDUAL_TOL:
+        raise SpectralError(
+            f"adjoint mode at k={k}, lambda={lam:.6g} fails its boundary "
+            f"bound: residual {mode.boundary_residual:.2e}")
+    return mode
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +431,7 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
         lam_p = None
         if k <= pencil_kmax:
             try:
-                Ared, _, _, _ = _schur_operator(assemble_pencil(k, profile, grid))
-                ev = np.linalg.eigvals(Ared)
+                ev = np.linalg.eigvals(assemble_pencil(k, profile, grid).Ared)
             except (SpectralError, np.linalg.LinAlgError) as exc:
                 raise SpectralError(f"pencil solve failed at k={k}: {exc}") from exc
             lam_p = ev[np.argmax(ev.real)]
@@ -496,7 +470,7 @@ def semigroup_decay(pencil: Pencil, horizon: float = 14.0, dt: float = 1e-3,
     if the tail fit is not clean (horizon too short for modal separation).
     Without x0 the start is a seeded random interior w.
     """
-    Ared, interior, rows, T = _schur_operator(pencil)
+    Ared, interior = pencil.Ared, pencil.interior
     m = Ared.shape[0]
     rng = np.random.default_rng(0)
     w = x0[interior].astype(float) if x0 is not None else rng.standard_normal(m)

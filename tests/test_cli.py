@@ -106,6 +106,26 @@ def test_unknown_preset_rejected():
         load_config(None, ["realize.preset=banana"])
 
 
+@pytest.mark.parametrize("overrides", [
+    ["scales.bb=3"],                            # unknown key
+    ["reduce.R0=NaN"],
+    ["scales.gamma=Infinity"],
+    ["realize.f=[0.0, NaN]"],                   # inside a list
+    ["control.target=[[1, 0], [0, -Infinity]]"],
+    ["realize.xi=0"],
+    ["realize.horizon=-1"],
+    ["realize.ball_radius=0"],
+    ["reduce.b=1"],
+    ["wavenumbers.p=0"],
+    ["wavenumbers.p=2.5"],
+    ["realize.preset=explicit", "realize.D=[[-1.0]]"],     # no R, no f
+    ["control.target=[[1, 2], [3, 4]]"],                   # not N x N
+])
+def test_config_error_exits_2(tmp_path, overrides):
+    args = [a for ov in overrides for a in ("--set", ov)]
+    assert main(["all", "--out", str(tmp_path)] + args) == 2
+
+
 def test_console_entrypoint():
     res = subprocess.run([sys.executable, "-m", "obrealize.cli", "--version"],
                          capture_output=True, text=True)

@@ -212,9 +212,11 @@ def test_reduced_system_json_roundtrip(basis50, kset2):
 
 
 def test_numeric_basis_assembles_once(profile30, grid30, monkeypatch):
-    """One pencil per wavenumber: the conjugate modes reuse the direct one."""
+    """One pencil (and so one Schur reduction) and one eigendecomposition
+    per wavenumber: the conjugate mode reuses the direct one's."""
     from obrealize import reduction, spectral
     calls = []
+    solves = []
 
     def counted(assemble):
         def wrapper(k, profile, grid):
@@ -222,10 +224,21 @@ def test_numeric_basis_assembles_once(profile30, grid30, monkeypatch):
             return assemble(k, profile, grid)
         return wrapper
 
+    def counted_solve(name, solve):
+        def wrapper(*args, **kwargs):
+            solves.append(name)
+            return solve(*args, **kwargs)
+        return wrapper
+
     for module in (reduction, spectral):
         monkeypatch.setattr(module, "assemble_pencil", counted(module.assemble_pencil))
+    monkeypatch.setattr(spectral, "eig", counted_solve("eig", spectral.eig))
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted_solve(f"np.linalg.{name}", getattr(np.linalg, name)))
     numeric_basis((1, 2), profile30, grid30)
     assert sorted(calls) == [1, 2]
+    assert solves == ["eig", "eig"]
 
 
 @pytest.mark.xfail(reason="at desk-scale b the leading collocation mode sits "
@@ -235,7 +248,7 @@ def test_numeric_basis_assembles_once(profile30, grid30, monkeypatch):
 def test_numeric_mode_matches_asymptotic_shape(profile50):
     from obrealize.spectral import default_grid
     g = default_grid(profile50)
-    basis = numeric_basis((1,), profile50, g, orthonormalize=False)
+    basis = numeric_basis((1,), profile50, g)
     y = g.nodes
     psi = basis.psi[0] / np.max(np.abs(basis.psi[0]))
     ref = y**2 * np.exp(-y)

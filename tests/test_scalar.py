@@ -47,7 +47,7 @@ def test_hierarchy_matches_pencil_layer_profile(params30):
     grid = default_grid(prof)
     for k in (1, 7):
         pen = assemble_pencil(k, prof, grid)
-        lam_p = solve_modes(pen, halfplane=np.inf, nev=1, refine=False)[0].lam
+        lam_p = solve_modes(pen).lam
         th = TransferHierarchy(k, prof.params)
         lam_h = th.leading_lambda()
         assert abs(lam_p.real - lam_h) <= 1e-2 * max(1.0, abs(lam_p.real))
@@ -73,6 +73,24 @@ def test_hierarchy_internal_consistency(params30):
 def test_hierarchy_leading_lambda_pinned(params30, k, lam):
     # roots of the per-point hierarchy that rebuilt its layer maps per lambda
     assert TransferHierarchy(k, params30).leading_lambda() == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, lam", [(1, -0.836480602089437),
+                                    (7, -48.62223271388277),
+                                    (21, -440.5027213241427)])
+def test_hierarchy_brent_matches_bisection(params30, k, lam):
+    # roots of the batched scan polished by an 80-step bisection
+    assert TransferHierarchy(k, params30).leading_lambda() == pytest.approx(lam, rel=1e-13)
+
+
+def test_hierarchy_skips_bracket_it_cannot_close(params30, monkeypatch):
+    # a NaN at every one-lambda point: each bracket is skipped, none is a root
+    th = TransferHierarchy(7, params30)
+    batched = th.residual
+    monkeypatch.setattr(th, "residual",
+                        lambda lam: batched(lam) if np.ndim(lam) else np.nan)
+    with pytest.raises(ScalarError, match="no separated root"):
+        th.leading_lambda()
 
 
 @pytest.mark.parametrize("k", [2, 14])
