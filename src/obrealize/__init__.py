@@ -31,5 +31,4 @@ from .control import (ControlSolution, WavenumberSet, control_solve,
                       verify_decomposition)
 from .realize import (QuadraticSystem, TargetField, Trajectory, build_fast_slow,
                       contraction_field, integrate, lorenz_field, lyapunov,
-                      manifold_residual, realize_target, reduced_field,
-                      rescale_into_ball)
+                      manifold_residual, realize_target, rescale_into_ball)

@@ -105,6 +105,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _validate(cfg: dict) -> None:
     if not _all_finite(cfg):
         raise SystemExit("invalid config: every number must be finite")
@@ -116,9 +120,22 @@ def _validate(cfg: dict) -> None:
                               ("realize", "horizon", 0), ("realize", "ball_radius", 0)):
         if not (_is_number(cfg[section][key]) and cfg[section][key] > low):
             raise SystemExit(f"invalid {section}.{key}: need a number above {low}")
+    for section, key in (("scales", "gamma"), ("reduce", "R0"), ("control", "seed_scale")):
+        if not _is_number(cfg[section][key]):
+            raise SystemExit(f"invalid {section}.{key}: need a number")
+    for section, key, low in (("wavenumbers", "p", 1), ("spectrum", "kmax", 1),
+                              ("spectrum", "pencil_kmax", 0)):
+        if not (_is_int(cfg[section][key]) and cfg[section][key] >= low):
+            raise SystemExit(f"invalid {section}.{key}: need an integer >= {low}")
+    n = cfg["spectrum"]["grid_n"]
+    if not (_is_int(n) and (n == 0 or n >= 2)):
+        raise SystemExit("invalid spectrum.grid_n: need 0 (the default grid) "
+                         "or an integer >= 2")
+    if not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
+        raise SystemExit("invalid seed: need an integer >= 0")
+    if not isinstance(cfg["realize"]["lyapunov"], bool):
+        raise SystemExit("invalid realize.lyapunov: need true or false")
     p = cfg["wavenumbers"]["p"]
-    if not (isinstance(p, int) and not isinstance(p, bool) and p >= 1):
-        raise SystemExit("invalid wavenumbers.p: need a positive integer")
     r = cfg["realize"]
     if r["preset"] not in ("lorenz", "contraction", "explicit"):
         raise SystemExit(f"unknown preset {r['preset']!r}")
@@ -255,7 +272,7 @@ def cmd_control(cfg: dict, outdir: Path, plot: bool) -> int:
     if plot:
         g1 = g1_from_u1(sol.profiles, basis.grid, profile, sol.u0, sol.gamma)
         xs = np.linspace(0.0, np.pi, 33)
-        u1v = g1.u1_at(xs)
+        u1v = sol.profiles.at(xs, len(basis.grid.nodes))
         g1v = np.atleast_2d(g1(xs))
         for name, fldv in (("u1_grid.csv", u1v), ("g1_grid.csv", g1v)):
             lines = ["x,y,value"]
@@ -283,7 +300,7 @@ def cmd_realize(cfg: dict, outdir: Path, plot: bool) -> int:
     sysd, info, basis, kset, _ = _reduced_system(cfg, target.p)
     report = realize_target(target, sysd.K, kset, xi=rcfg["xi"],
                             horizon=rcfg["horizon"], seed=int(cfg["seed"]),
-                            with_lyapunov=bool(rcfg["lyapunov"]))
+                            with_lyapunov=rcfg["lyapunov"])
     _write(outdir, "realization_report.json", report.to_json())
     if plot:
         system = build_fast_slow(target, sysd.K, kset, rcfg["xi"])
@@ -319,13 +336,14 @@ def main(argv=None) -> int:
     ap.add_argument("--set", dest="overrides", action="append", metavar="KEY=VAL")
     ap.add_argument("--version", action="version", version=__version__)
     args = ap.parse_args(argv)
+    # --seed is the last override, so it is validated like the others
+    overrides = (args.overrides or []) + (
+        [] if args.seed is None else [f"seed={args.seed}"])
     try:
-        cfg = load_config(args.config, args.overrides)
+        cfg = load_config(args.config, overrides)
     except (OSError, json.JSONDecodeError, SystemExit) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     outdir = Path(args.out)
     stages = {"spectrum": cmd_spectrum, "reduce": cmd_reduce,
               "control": cmd_control, "realize": cmd_realize}

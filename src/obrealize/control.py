@@ -261,11 +261,10 @@ class ControlSolution:
     def sup_abs_u1(self) -> float:
         """max |u1(x, y)| over the grid nodes, x sampled 8 times per period
         of the highest slot."""
-        nmax = max(self.profiles.entries, default=0)
-        x = np.linspace(0.0, np.pi, 4 * nmax + 2)
-        u1 = sum(np.cos(n * x)[:, None] * v[None, :]
-                 for n, v in self.profiles.entries.items())
-        return float(np.max(np.abs(u1), initial=0.0))
+        entries = self.profiles.entries
+        x = np.linspace(0.0, np.pi, 4 * max(entries, default=0) + 2)
+        size = len(next(iter(entries.values()), ()))
+        return float(np.max(np.abs(self.profiles.at(x, size)), initial=0.0))
 
     def to_json(self, grid: Grid) -> str:
         prof = {str(n): [[float(y), float(v)] for y, v in
@@ -288,23 +287,14 @@ def g1_from_u1(u1: FourierProfileSet, grid: Grid, profile: TemperatureProfile,
     if u0 <= sup_u:
         raise ControlError("need u0 > sup |U|")
     uy = profile.u(grid.nodes)
-    m = len(grid.nodes)
-
-    def u1_at(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros((len(x), m))
-        for n, prof in u1.entries.items():
-            out += np.cos(n * x)[:, None] * prof[None, :]
-        return out
 
     def g1(x):
-        u1v = u1_at(x)
+        u1v = u1.at(x, len(grid.nodes))
         den = (uy - u0)[None, :] + gamma * u1v
         if np.min(np.abs(den)) < 1e-8 * (abs(u0) + sup_u):
             raise ControlError("g1 denominator within tolerance of zero; enlarge u0")
         return np.squeeze(-u1v / den)
 
-    g1.u1_at = u1_at
     return g1
 
 

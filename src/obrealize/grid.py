@@ -59,7 +59,6 @@ class Grid:
 
     h: float
     n: int
-    alpha: float
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     diff: np.ndarray = field(repr=False)
@@ -101,4 +100,4 @@ def make_grid(h: float, n: int = 280, alpha: float = 5.0) -> Grid:
     Dy = Dy[np.ix_(order, order)]
     y[0] = 0.0
     y[-1] = h
-    return Grid(h=h, n=n, alpha=alpha, nodes=y, weights=wy, diff=Dy)
+    return Grid(h=h, n=n, nodes=y, weights=wy, diff=Dy)

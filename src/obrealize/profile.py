@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import factorial
-import json
 
 import numpy as np
 
@@ -32,10 +31,10 @@ __all__ = [
     "build_profile",
     "compute_beta1",
     "design_polynomial",
+    "designed_profile",
     "calibrate_offsets",
     "kernel_target_coeffs",
     "perturbation_response",
-    "tilde_coefficient",
 ]
 
 
@@ -48,8 +47,6 @@ class ScaleParams:
     """All b-derived scalars governing the profile and spectral regime."""
 
     b: float
-    s0: float
-    s2: float
     r: float
     beta: float
     beta1: float
@@ -59,33 +56,14 @@ class ScaleParams:
     C_U: float
     Cbar_U: float
     gamma: float
-    kappa: float
-
-    def validate(self) -> None:
-        if not (self.b > 1.0):
-            raise ProfileError("b must exceed 1")
-        if not (0.0 < self.s0 < 1.0 and 0.0 < self.s2 < 1.0):
-            raise ProfileError("s0 and s2 must lie in (0, 1)")
-        if self.h <= 0 or self.nu < self.b**10 * (1 - 1e-12):
-            raise ProfileError("need h > 0 and nu >= b^10")
-        if abs(self.beta - self.r * self.b) > 1e-12 * abs(self.beta):
-            raise ProfileError("beta = r b violated")
-        lhs = 3.0 * self.C_U
-        rhs = -8.0 * (1.0 - 1.0 / self.nu) / (1.0 + self.r)
-        if abs(lhs - rhs) > 1e-12 * abs(rhs):
-            raise ProfileError("amplitude relation 3 C_U = -8(1-1/nu)/(1+r) violated")
-        cbar = self.C_U * self.r * self.b**4 / self.beta
-        if abs(self.Cbar_U - cbar) > 1e-12 * abs(cbar):
-            raise ProfileError("offset relation Cbar_U = C_U r b^4 / beta violated")
 
 
 def derive_scales(b: float, s0: float = 0.95, s2: float = 0.05,
-                  nu: float | None = None, gamma: float = 1e-3) -> ScaleParams:
+                  gamma: float = 1e-3) -> ScaleParams:
     """Derive every profile scale from (b, s0, s2).
 
-    nu defaults to exactly b^10; kappa is tied to nu.  beta1 here is the
-    pure-exponential-profile value; compute_beta1 refreshes it once a
-    polynomial is attached.
+    nu is exactly b^10.  beta1 here is the pure-exponential-profile value;
+    compute_beta1 refreshes it once a polynomial is attached.
     """
     if b <= 1.0:
         raise ProfileError("b must exceed 1")
@@ -97,14 +75,11 @@ def derive_scales(b: float, s0: float = 0.95, s2: float = 0.05,
     beta = r * b
     mu = b ** (-s2)
     h = 10.0 * np.log(b)
-    if nu is None:
-        nu = b ** 10.0
+    nu = b ** 10.0
     C_U = -8.0 * (1.0 - 1.0 / nu) / (3.0 * (1.0 + r))
     Cbar_U = C_U * r * b**4 / beta        # = C_U b^3
-    p = ScaleParams(b=b, s0=s0, s2=s2, r=r, beta=beta, beta1=0.0, mu=mu,
-                    h=h, nu=nu, C_U=C_U, Cbar_U=Cbar_U, gamma=gamma, kappa=nu)
-    p.validate()
-    return p
+    return ScaleParams(b=b, r=r, beta=beta, beta1=0.0, mu=mu, h=h, nu=nu,
+                       C_U=C_U, Cbar_U=Cbar_U, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -122,33 +97,16 @@ def _r_per_q(n: int) -> float:
     return float(Fraction(2 ** (n + 6)) / _denominator(n))
 
 
-def tilde_coefficient(n: int) -> Fraction:
-    """a_n = 3 (3(n+4)/2 + (n+4)(n+5)/4)^(-1); a_0 = 3/11, a_1 = 1/5, ..."""
-    return Fraction(3, 1) / (Fraction(3 * (n + 4), 2) + Fraction((n + 4) * (n + 5), 4))
-
-
 @dataclass(frozen=True)
 class DesignPolynomial:
-    """P(y) = sum r_n y^n together with the target coefficients it encodes.
+    """P(y) = sum r_n y^n; offsets are the kernel calibration shifts d_j."""
 
-    targetQ holds q_0..q_degree, the coefficients of the target polynomial
-    in powers of 1/k; offsets are the kernel calibration shifts d_j.
-    """
-
-    degree: int
     coeffs: tuple[float, ...]
     offsets: tuple[float, ...] = ()
-    targetQ: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise ProfileError("coeffs length must be degree + 1")
         if any(abs(d) >= 0.1 for d in self.offsets):
             raise ProfileError("calibration offsets must satisfy |d_j| < 1/10")
-
-    @classmethod
-    def zero(cls) -> "DesignPolynomial":
-        return cls(degree=0, coeffs=(0.0,))
 
     def __call__(self, y):
         out = np.zeros_like(np.asarray(y, dtype=float))
@@ -164,7 +122,7 @@ class DesignPolynomial:
         return out
 
 
-def design_polynomial(targetQ, params: ScaleParams) -> DesignPolynomial:
+def design_polynomial(targetQ) -> DesignPolynomial:
     """Map target coefficients q_n to polynomial coefficients r_n.
 
     Solves  sum_n r_n (2k)^{-n-6} (3(n+4)!/2 + (n+5)!/4) = k^{-6} sum q_l k^{-l}
@@ -174,9 +132,7 @@ def design_polynomial(targetQ, params: ScaleParams) -> DesignPolynomial:
     q = [float(v) for v in targetQ]
     if not all(np.isfinite(q)):
         raise ProfileError("target coefficients must be finite")
-    coeffs = [qn * _r_per_q(n) for n, qn in enumerate(q)]
-    return DesignPolynomial(degree=len(q) - 1, coeffs=tuple(coeffs),
-                            targetQ=tuple(q))
+    return DesignPolynomial(coeffs=tuple(qn * _r_per_q(n) for n, qn in enumerate(q)))
 
 
 def kernel_target_coeffs(wavenumbers, offsets):
@@ -301,7 +257,7 @@ def calibrate_offsets(wavenumbers, params: ScaleParams):
         else:
             lm *= 30.0
     # the binding contract: kernel eigenvalues of the design equation
-    poly = design_polynomial(kernel_target_coeffs(ks, d), params)
+    poly = design_polynomial(kernel_target_coeffs(ks, d))
     worst = 0.0
     for kj in ks:
         y = 2.0 * params.mu * perturbation_response(kj, poly, beta)
@@ -338,38 +294,9 @@ class TemperatureProfile:
         y = np.asarray(y, dtype=float)
         return p.C_U * p.r * p.b**4 * np.exp(-p.b * y) + p.mu * y * self.poly(y)
 
-    def robin_residuals(self):
-        p = self.params
-        r0 = self.u_y(0.0) - p.beta * self.u(0.0)
-        rh = self.u_y(p.h) - p.beta1 * self.u(p.h)
-        return float(r0), float(rh)
-
     def sup_abs_u(self) -> float:
         y = np.linspace(0.0, self.params.h, 4001)
         return float(np.max(np.abs(self.u(y))))
-
-    def to_json(self) -> str:
-        p = self.params
-        doc = {"b": p.b, "s0": p.s0, "s2": p.s2, "nu": p.nu, "h": p.h,
-               "C_U": p.C_U, "coeffs": list(self.poly.coeffs),
-               "offsets": list(self.poly.offsets)}
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TemperatureProfile":
-        doc = json.loads(text)
-        params = derive_scales(doc["b"], doc["s0"], doc["s2"], nu=doc["nu"])
-        poly = DesignPolynomial(degree=len(doc["coeffs"]) - 1,
-                                coeffs=tuple(doc["coeffs"]),
-                                offsets=tuple(doc.get("offsets", ())))
-        return build_profile(params, poly)
-
-    def sample_csv(self, n: int = 400) -> str:
-        y = np.linspace(0.0, self.params.h, n)
-        u = self.u(y)
-        lines = ["y,U"]
-        lines += [f"{yi:.12g},{ui:.12g}" for yi, ui in zip(y, u)]
-        return "\n".join(lines) + "\n"
 
 
 def compute_beta1(params: ScaleParams, poly: DesignPolynomial) -> float:
@@ -393,6 +320,6 @@ def designed_profile(params: ScaleParams, wavenumbers) -> TemperatureProfile:
     """Full design: calibrate offsets, build the polynomial, build U."""
     d = calibrate_offsets(wavenumbers, params)
     q = kernel_target_coeffs(wavenumbers, d)
-    poly = design_polynomial(q, params)
+    poly = design_polynomial(q)
     poly = replace(poly, offsets=tuple(float(x) for x in d))
     return build_profile(params, poly)

@@ -27,7 +27,7 @@ orbit use the adaptive Dormand-Prince pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -42,7 +42,7 @@ __all__ = [
     "build_fast_slow",
     "integrate",
     "manifold_residual",
-    "reduced_field",
+    "empirical_field_error",
     "lyapunov",
     "rescale_into_ball",
     "realize_target",
@@ -115,9 +115,10 @@ class TargetField:
             cols.append((self(Y + e) - self(Y - e)) / (2 * eps))
         return np.array(cols).T
 
-    def inward_on_boundary(self, n_samples: int = 10000) -> bool:
+    def inward_on_boundary(self) -> bool:
+        """W(q) . q < 0 at 10000 seeded points q of the boundary sphere."""
         rng = np.random.default_rng(0)
-        q = rng.standard_normal((n_samples, self.p))
+        q = rng.standard_normal((10000, self.p))
         q *= self.ball_radius / np.linalg.norm(q, axis=1)[:, None]
         return all(float(np.dot(self(qi), qi)) < 0.0 for qi in q)
 
@@ -146,9 +147,10 @@ def _smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def lorenz_field(sigma: float = 10.0, rho: float = 28.0,
-                 beta: float = 8.0 / 3.0) -> TargetField:
-    """The classic three-dimensional quadratic field, unrescaled."""
+def lorenz_field() -> TargetField:
+    """The classic three-dimensional quadratic field, unrescaled, at
+    sigma = 10, rho = 28, beta = 8/3."""
+    sigma, rho, beta = 10.0, 28.0, 8.0 / 3.0
     D = np.zeros((3, 3, 3))
     D[1, 0, 2] = D[1, 2, 0] = -0.5
     D[2, 0, 1] = D[2, 1, 0] = 0.5
@@ -204,15 +206,6 @@ class QuadraticSystem:
         """Fast-block quadratic form restricted to slow arguments."""
         Kt = self.K[self.p:, :self.p, :self.p]
         return np.einsum("ijl,j,l->i", Kt, Y, Y)
-
-    def check_blocks(self) -> dict:
-        p, N, xi = self.p, self.N, self.xi
-        Pt = self.M[p:, p:]
-        Rt = self.M[p:, :p]
-        ok_pt = np.allclose(Pt, -np.eye(N - p) / xi, rtol=0, atol=1e-12 / xi)
-        ok_rt = np.allclose(Rt, 0.0, atol=1e-14)
-        ok_ft = np.allclose(self.f[p:], 0.0, atol=1e-14)
-        return {"fast_diag": ok_pt, "fast_slow_zero": ok_rt, "fast_f_zero": ok_ft}
 
 
 def build_fast_slow(target: TargetField, K: np.ndarray, kset: WavenumberSet,
@@ -436,16 +429,6 @@ def manifold_residual(traj: Trajectory, system: QuadraticSystem,
             "n_samples": int(mask.sum())}
 
 
-def reduced_field(Y: np.ndarray, system: QuadraticSystem,
-                  target: TargetField) -> tuple[np.ndarray, float]:
-    """Leading slow field at Y and its discrepancy from the target."""
-    p = system.p
-    K1 = system.K[:p, :p, :p]
-    lead = (np.einsum("ijl,j,l->i", K1, Y, Y) + system.R @ Y
-            + system.T @ system.kt1(Y) + system.f[:p])
-    return lead, float(np.linalg.norm(lead - target.bare(Y)))
-
-
 def empirical_field_error(traj: Trajectory, system: QuadraticSystem,
                           target: TargetField) -> float:
     """Sup over the trajectory tail (past the first quarter) of
@@ -611,7 +594,7 @@ class RealizationReport:
     xi: float
     p: int
     N: int
-    extras: dict = field(default_factory=dict)
+    trajectory_steps: int
 
     def to_json(self) -> str:
         def listed(a):
@@ -623,8 +606,8 @@ class RealizationReport:
                "lyapunovRealized": listed(self.lyap_realized),
                "lyapunovTargetStderr": listed(self.lyap_target_stderr),
                "lyapunovRealizedStderr": listed(self.lyap_realized_stderr),
-               "xi": self.xi, "p": self.p, "N": self.N}
-        doc.update(self.extras)
+               "xi": self.xi, "p": self.p, "N": self.N,
+               "trajectory_steps": self.trajectory_steps}
         return json.dumps(doc, sort_keys=True)
 
 
@@ -672,4 +655,4 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
                              field_c0_error=c0, lyap_target=lyap_t,
                              lyap_realized=lyap_r, lyap_target_stderr=err_t,
                              lyap_realized_stderr=err_r, xi=xi, p=p, N=kset.N,
-                             extras={"trajectory_steps": traj.steps})
+                             trajectory_steps=traj.steps)

@@ -56,19 +56,18 @@ class FourierProfileSet:
     def get(self, n: int, size: int) -> np.ndarray:
         return self.entries.get(n, np.zeros(size))
 
+    def at(self, x, size: int) -> np.ndarray:
+        """sum_n cos(n x) u_n(y): one row of size profile samples per x."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros((len(x), size))
+        for n, prof in self.entries.items():
+            out += np.cos(n * x)[:, None] * prof[None, :]
+        return out
+
     def __setitem__(self, n: int, prof: np.ndarray):
         if not np.all(np.isfinite(prof)):
             raise ValueError("profile must be finite")
         self.entries[int(n)] = prof
-
-    def scaled(self, c: float) -> "FourierProfileSet":
-        return FourierProfileSet({n: c * v for n, v in self.entries.items()})
-
-    def plus(self, other: "FourierProfileSet") -> "FourierProfileSet":
-        out = dict(self.entries)
-        for n, v in other.entries.items():
-            out[n] = out.get(n, 0.0) + v
-        return FourierProfileSet(out)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def asymptotic_profiles(k: int, params: ScaleParams, grid: Grid):
     return psi, theta, thetastar
 
 
-def _asym_derivatives(k: int, params: ScaleParams, grid: Grid):
+def _asym_derivatives(k: int, grid: Grid):
     y = grid.nodes
     dpsi = (2.0 * y - k * y**2) * np.exp(-k * y)
     # d/dy (k y^2 + y) e^{-ky} = (1 + 2ky - k(k y^2 + y)) e^{-ky}
@@ -106,7 +105,7 @@ def asymptotic_basis(wavenumbers, params: ScaleParams, grid: Grid) -> ModeBasis:
     psi, dpsi, theta, thetastar, dthetastar = [], [], [], [], []
     for k in ks:
         P, Th, Ts = asymptotic_profiles(k, params, grid)
-        dP, dTs = _asym_derivatives(k, params, grid)
+        dP, dTs = _asym_derivatives(k, grid)
         psi.append(P)
         dpsi.append(dP)
         theta.append(Th)
@@ -255,12 +254,3 @@ class ReducedSystem:
                "K": self.K.tolist(), "M": self.M.tolist(),
                "f": self.f.tolist(), "R0": self.R0}
         return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReducedSystem":
-        doc = json.loads(text)
-        sys = cls(N=int(doc["N"]), K=np.array(doc["K"]), M=np.array(doc["M"]),
-                  f=np.array(doc["f"]), kset=tuple(doc["kset"]),
-                  R0=float(doc["R0"]))
-        sys.validate()
-        return sys

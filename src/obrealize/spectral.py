@@ -211,7 +211,6 @@ class EigenMode:
     lam: complex
     psi: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
-    rho2: complex = 1.0
     boundary_residual: float = 0.0
     pencil_residual: float = 0.0
 
@@ -238,7 +237,8 @@ def _boundary_residual(mode_psi, mode_w, grid: Grid, params) -> float:
 
 
 def solve_modes(pencil: Pencil) -> EigenMode:
-    """Leading eigenpair, rho2-normalized (psi''(0) = 2 where it is nonzero).
+    """Leading eigenpair, scaled to psi''(0) = 2 (max |w| = 1 where psi''(0)
+    vanishes).
 
     Raises SpectralError when its backward error against the assembled
     (A, B) pencil exceeds PENCIL_RESIDUAL_TOL or its boundary-row residual
@@ -253,13 +253,11 @@ def solve_modes(pencil: Pencil) -> EigenMode:
     d2psi0 = (Dy @ (Dy @ psi))[grid.i0]
     if abs(d2psi0) > 1e-8 * np.max(np.abs(psi)):
         scalef = 2.0 / d2psi0
-        rho2 = 1.0
     else:
         scalef = 1.0 / np.max(np.abs(w))
-        rho2 = d2psi0 / 2.0
     psi = psi * scalef
     w = w * scalef
-    mode = EigenMode(k=k, lam=lam, psi=psi, w=w, rho2=rho2,
+    mode = EigenMode(k=k, lam=lam, psi=psi, w=w,
                      boundary_residual=_boundary_residual(
                          psi, w, grid, pencil.profile.params),
                      pencil_residual=pencil.residual(
@@ -380,7 +378,6 @@ class SpectrumRecord:
     lam_finite: complex | None
     lam_pencil: complex | None
     in_kernel: bool
-    method: str
 
 
 @dataclass
@@ -388,7 +385,6 @@ class SpectrumReport:
     records: list[SpectrumRecord]
     kernel_residual: float
     gap: float
-    kernel: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
@@ -414,8 +410,8 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
 
     The design values carry the engineered-kernel statement; pencil and
     finite-b hierarchy values cross-validate each other where affordable.
-    Wavenumbers beyond the a-priori bound h r b are marked gapped without
-    solving.  threads is not read; the benchmark still passes it.
+    Wavenumbers beyond the a-priori bound h r b are gapped without solving:
+    their records carry no eigenvalue.  threads is not read; the benchmark still passes it.
     """
     kernel = tuple(int(k) for k in kernel)
     if grid is None:
@@ -425,8 +421,7 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     for k in range(1, kmax + 1):
         if k > bound:
             records.append(SpectrumRecord(k=k, lam_design=None, lam_finite=None,
-                                          lam_pencil=None, in_kernel=k in kernel,
-                                          method="apriori-gapped"))
+                                          lam_pencil=None, in_kernel=k in kernel))
             continue
         lam_p = None
         if k <= pencil_kmax:
@@ -444,14 +439,13 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
             except ScalarError:     # no separated root at this k
                 lam_f = None
         records.append(SpectrumRecord(k=k, lam_design=lam_d, lam_finite=lam_f,
-                                      lam_pencil=lam_p,
-                                      in_kernel=k in kernel, method="scalar+pencil"))
+                                      lam_pencil=lam_p, in_kernel=k in kernel))
     kr = max(abs(r.lam_design) for r in records
              if r.in_kernel and r.lam_design is not None)
     gap = min(-np.real(r.lam_design) for r in records
               if not r.in_kernel and r.lam_design is not None)
     return SpectrumReport(records=records, kernel_residual=float(kr),
-                          gap=float(gap), kernel=kernel)
+                          gap=float(gap))
 
 
 # ---------------------------------------------------------------------------

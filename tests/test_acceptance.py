@@ -70,7 +70,7 @@ def test_criterion_2_green():
 
 def _cross_method_max_diff(b):
     p = derive_scales(b)
-    prof = build_profile(p, DesignPolynomial.zero())
+    prof = build_profile(p, DesignPolynomial(coeffs=(0.0,)))
     grid = default_grid(prof)
     mx = 0.0
     for k in (1, 2, 7, 8, 14):

@@ -120,10 +120,39 @@ def test_unknown_preset_rejected():
     ["wavenumbers.p=2.5"],
     ["realize.preset=explicit", "realize.D=[[-1.0]]"],     # no R, no f
     ["control.target=[[1, 2], [3, 4]]"],                   # not N x N
+    ["spectrum.kmax=0"],
+    ["spectrum.kmax=2.5"],
+    ["spectrum.grid_n=1"],
+    ["spectrum.grid_n=-300"],
+    ["spectrum.grid_n=\"auto\""],
+    ["spectrum.pencil_kmax=-1"],
+    ["spectrum.pencil_kmax=true"],
+    ["realize.lyapunov=no"],                    # a string, not a boolean
+    ["realize.lyapunov=1"],
+    ["control.seed_scale=big"],
+    ["reduce.R0=[1.0]"],
+    ["scales.gamma=true"],
+    ["seed=1.5"],
+    ["seed=-1"],
 ])
 def test_config_error_exits_2(tmp_path, overrides):
     args = [a for ov in overrides for a in ("--set", ov)]
     assert main(["all", "--out", str(tmp_path)] + args) == 2
+
+
+def test_negative_seed_flag_exits_2(tmp_path):
+    assert main(["all", "--out", str(tmp_path), "--seed", "-1"]) == 2
+
+
+def test_all_runs_every_stage(tmp_path):
+    args = ["--set", "spectrum.kmax=6", "--set", "spectrum.pencil_kmax=2",
+            "--set", "realize.preset=contraction", "--set", "realize.xi=0.01",
+            "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
+    assert main(["all", "--out", str(tmp_path)] + args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "calibration.json", "control_report.json", "control_solution.json",
+        "realization_report.json", "reduced_system.json", "reduction_info.json",
+        "spectrum.csv"]
 
 
 def test_console_entrypoint():

@@ -145,7 +145,7 @@ def test_g1_round_trip_random(profile50, seed):
     g1 = g1_from_u1(u1, g, profile50, u0, gamma)
     x = np.linspace(0.0, np.pi, 5)
     g1v = np.atleast_2d(g1(x))
-    u1v = g1.u1_at(x)
+    u1v = u1.at(x, len(g.nodes))
     back = -g1v * (profile50.u(g.nodes)[None, :] - u0) / (1.0 + gamma * g1v)
     assert np.max(np.abs(back - u1v)) < 1e-12 * max(1.0, np.max(np.abs(u1v)))
 

@@ -6,9 +6,20 @@ from math import factorial
 from obrealize.profile import (DesignPolynomial, ProfileError, build_profile,
                                calibrate_offsets, compute_beta1, derive_scales,
                                design_polynomial, designed_profile,
-                               kernel_target_coeffs,
-                               perturbation_response, tilde_coefficient,
-                               TemperatureProfile)
+                               kernel_target_coeffs, perturbation_response)
+
+
+def tilde_coefficient(n: int) -> Fraction:
+    """a_n = 3 (3(n+4)/2 + (n+4)(n+5)/4)^(-1); a_0 = 3/11, a_1 = 1/5, ..."""
+    return Fraction(3, 1) / (Fraction(3 * (n + 4), 2) + Fraction((n + 4) * (n + 5), 4))
+
+
+def assert_scale_relations(p):
+    """The relations the derived scales hold by construction."""
+    assert p.beta == pytest.approx(p.r * p.b, rel=1e-12)
+    assert 3.0 * p.C_U == pytest.approx(-8.0 * (1.0 - 1.0 / p.nu) / (1.0 + p.r),
+                                        rel=1e-12)
+    assert p.Cbar_U == pytest.approx(p.C_U * p.r * p.b**4 / p.beta, rel=1e-12)
 
 
 def test_derived_scale_values():
@@ -18,14 +29,19 @@ def test_derived_scale_values():
     assert p.mu == pytest.approx(10 ** (-0.05), rel=1e-12)
     assert p.h == pytest.approx(10 * np.log(10.0))
     assert p.nu == pytest.approx(10.0**10)
-    assert p.kappa == p.nu
+
+
+@pytest.mark.parametrize("b, s0, s2", [(1.5, 0.5, 0.5), (10.0, 0.9, 0.05),
+                                       (30.0, 0.95, 0.05), (1e3, 0.99, 0.2)])
+def test_scale_relations(b, s0, s2):
+    assert_scale_relations(derive_scales(b, s0, s2))
 
 
 def test_amplitude_limit_large_b():
     # with nu -> inf and r -> 0 the amplitude relation gives C_U -> -8/3
     p = derive_scales(1e6, s0=0.999)
     assert p.C_U == pytest.approx(-8.0 / 3.0, rel=1e-2)
-    p.validate()
+    assert_scale_relations(p)
 
 
 def test_rejects_bad_inputs():
@@ -40,7 +56,7 @@ def test_rejects_bad_inputs():
 def test_profile_wall_values():
     # zero polynomial: U(0) = Cbar_U and U_y(0) = C_U r b^4 = beta Cbar_U
     p = derive_scales(12.0)
-    prof = build_profile(p, DesignPolynomial.zero())
+    prof = build_profile(p, DesignPolynomial(coeffs=(0.0,)))
     assert float(prof.u(0.0)) == pytest.approx(p.Cbar_U, rel=1e-14)
     uy0 = p.C_U * p.r * p.b**4
     assert float(prof.u_y(0.0)) == pytest.approx(uy0, rel=1e-14)
@@ -52,7 +68,7 @@ def test_profile_wall_values():
 
 def test_profile_derivative_vs_finite_differences():
     p = derive_scales(30.0, s0=0.95)
-    poly = DesignPolynomial(degree=1, coeffs=(1.0, 0.0))
+    poly = DesignPolynomial(coeffs=(1.0, 0.0))
     prof = build_profile(p, poly)
     y0 = 1.0
     expected = p.C_U * p.r * p.b**4 * np.exp(-30.0) + p.mu * 1.0
@@ -67,14 +83,15 @@ def test_profile_derivative_vs_finite_differences():
 
 def test_robin_identities(profile30):
     p = profile30.params
-    r0, rh = profile30.robin_residuals()
+    r0 = profile30.u_y(0.0) - p.beta * profile30.u(0.0)
+    rh = profile30.u_y(p.h) - p.beta1 * profile30.u(p.h)
     assert abs(r0) <= 1e-12 * abs(p.beta * profile30.u(0.0))
     assert abs(rh) <= 1e-12 * max(abs(p.beta1 * profile30.u(p.h)), 1.0)
 
 
 def test_beta1_zero_poly_formula():
     p = derive_scales(8.0)
-    b1 = compute_beta1(p, DesignPolynomial.zero())
+    b1 = compute_beta1(p, DesignPolynomial(coeffs=(0.0,)))
     num = p.C_U * p.r * p.b**4 * np.exp(-p.b * p.h)
     den = p.Cbar_U + p.C_U * p.r * p.b**3 * (1 - np.exp(-p.b * p.h))
     assert b1 == pytest.approx(num / den, abs=1e-300)
@@ -84,7 +101,7 @@ def test_beta1_small_and_below_beta(profile30):
     p = profile30.params
     assert abs(p.beta1) < p.beta
     # pure-exponential profile: e^{-bh} = b^{-10b} underflows, so beta1 ~ 0
-    b1 = compute_beta1(derive_scales(30.0), DesignPolynomial.zero())
+    b1 = compute_beta1(derive_scales(30.0), DesignPolynomial(coeffs=(0.0,)))
     assert abs(b1) < 30.0 ** (-10) * derive_scales(30.0).beta
 
 
@@ -99,8 +116,7 @@ def test_design_polynomial_exact_reexpansion():
     # k^{-6} Z(1/k) to 1e-12 relative at k = 1..20
     from math import factorial
     q = [0.3, -1.2, 0.7, 0.05]
-    p = derive_scales(20.0)
-    poly = design_polynomial(q, p)
+    poly = design_polynomial(q)
     for k in range(1, 21):
         lhs = k**-6.0 * sum(qq * k**-n for n, qq in enumerate(q))
         rhs = sum(rn * (2.0 * k) ** (-(n + 6))
@@ -132,7 +148,7 @@ def test_reference_formula_against_bvp_oracle():
     the design is perturbation_response, checked in the scalar tests)."""
     from scipy.linalg import solve
     from obrealize.grid import make_grid
-    poly = DesignPolynomial(degree=0, coeffs=(1.0,))
+    poly = DesignPolynomial(coeffs=(1.0,))
     val = paper_second_derivative_formula(1.0, poly, beta=1e12)
     assert val == pytest.approx(66.0 / 64.0, rel=1e-10)
 
@@ -207,17 +223,3 @@ def test_offset_ladder_decreases():
         d = calibrate_offsets([1, 7], p)
         vals.append(np.max(np.abs(d)))
     assert vals[0] > vals[1] > vals[2]
-
-
-def test_json_roundtrip(profile30):
-    text = profile30.to_json()
-    prof2 = TemperatureProfile.from_json(text)
-    y = np.linspace(0, profile30.params.h, 50)
-    assert np.allclose(prof2.u(y), profile30.u(y), rtol=1e-13)
-
-
-def test_csv_sample(profile30):
-    csv = profile30.sample_csv(n=10)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "y,U"
-    assert len(lines) == 11

@@ -35,7 +35,7 @@ def test_design_gap_ladder():
 
 
 def test_apriori_bound_guard(params30):
-    poly = DesignPolynomial.zero()
+    poly = DesignPolynomial(coeffs=(0.0,))
     kbig = int(kbar_bound(params30)) + 5
     with pytest.raises(ScalarError):
         find_root_z(kbig, params30, poly)
@@ -43,7 +43,7 @@ def test_apriori_bound_guard(params30):
 
 def test_hierarchy_matches_pencil_layer_profile(params30):
     from obrealize.spectral import assemble_pencil, default_grid, solve_modes
-    prof = build_profile(params30, DesignPolynomial.zero())
+    prof = build_profile(params30, DesignPolynomial(coeffs=(0.0,)))
     grid = default_grid(prof)
     for k in (1, 7):
         pen = assemble_pencil(k, prof, grid)
