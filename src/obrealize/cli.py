@@ -22,7 +22,7 @@ from .realize import (build_fast_slow, contraction_field, integrate,
                       lorenz_field, realize_target, rescale_into_ball,
                       TargetField)
 from .reduction import ReducedSystem, asymptotic_basis, compute_K
-from .spectral import default_grid, spectrum_report
+from .spectral import default_grid, resolves_layer, scale_grid, spectrum_report
 
 
 DEFAULTS = {
@@ -131,6 +131,10 @@ def _validate(cfg: dict) -> None:
     if not (_is_int(n) and (n == 0 or n >= 2)):
         raise SystemExit("invalid spectrum.grid_n: need 0 (the default grid) "
                          "or an integer >= 2")
+    params = derive_scales(s["b"], s["s0"], s["s2"], gamma=s["gamma"])
+    if n and not resolves_layer(scale_grid(params, n), s["b"]):
+        raise SystemExit(f"invalid spectrum.grid_n: {n} intervals do not resolve "
+                         f"the 1/(4b) boundary layer at scales.b = {s['b']}")
     if not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
         raise SystemExit("invalid seed: need an integer >= 0")
     if not isinstance(cfg["realize"]["lyapunov"], bool):
@@ -139,8 +143,17 @@ def _validate(cfg: dict) -> None:
     r = cfg["realize"]
     if r["preset"] not in ("lorenz", "contraction", "explicit"):
         raise SystemExit(f"unknown preset {r['preset']!r}")
-    if r["preset"] == "explicit" and not {"D", "R", "f"} <= r.keys():
-        raise SystemExit("the explicit preset needs realize.D, realize.R and realize.f")
+    if r["preset"] == "explicit":
+        if not {"D", "R", "f"} <= r.keys():
+            raise SystemExit("the explicit preset needs realize.D, realize.R and realize.f")
+        try:
+            shapes = [np.asarray(r[key], dtype=float).shape for key in ("D", "R", "f")]
+        except (TypeError, ValueError):         # ragged or not numbers
+            shapes = [()]
+        q = (shapes[0] or (0,))[0]
+        if q < 1 or shapes != [(q, q, q), (q, q), (q,)]:
+            raise SystemExit("the explicit preset needs realize.D p x p x p, "
+                             "realize.R p x p and realize.f of length p")
     target = cfg["control"]["target"]
     if target != "random":
         N = extended_set(p).N

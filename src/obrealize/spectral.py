@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import eig, lu_factor, lu_solve
 
 from .grid import Grid, make_grid
-from .profile import TemperatureProfile
+from .profile import ScaleParams, TemperatureProfile
 from .scalar import (ScalarError, TransferHierarchy, find_root_z, kbar_bound,
                      lambda_from_z)
 
@@ -48,6 +48,8 @@ __all__ = [
     "spectrum_report",
     "semigroup_decay",
     "default_grid",
+    "scale_grid",
+    "resolves_layer",
     "SpectralError",
 ]
 
@@ -64,11 +66,21 @@ class SpectralError(RuntimeError):
 
 
 def default_grid(profile: TemperatureProfile, n: int | None = None) -> Grid:
-    p = profile.params
+    return scale_grid(profile.params, n)
+
+
+def scale_grid(params: ScaleParams, n: int | None = None) -> Grid:
+    """The graded grid on [0, h] at these scales, with n = 5b clipped to
+    [260, 560] intervals unless n is given."""
     if n is None:
-        n = max(260, int(5.0 * p.b))
+        n = max(260, int(5.0 * params.b))
         n = min(n, 560)
-    return make_grid(p.h, n, 5.0)
+    return make_grid(params.h, n, 5.0)
+
+
+def resolves_layer(grid: Grid, b: float) -> bool:
+    """Whether the node spacing near y = 0 resolves the 1/(4b) layer."""
+    return bool(np.min(np.diff(grid.nodes[:8])) <= 0.25 / b)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +171,7 @@ def assemble_pencil(k: int, profile: TemperatureProfile, grid: Grid) -> Pencil:
         raise SpectralError("wavenumber must be a positive integer")
     p = profile.params
     y, Dy = grid.nodes, grid.diff
-    dy_min = np.min(np.diff(y[:8]))
-    if dy_min > 0.25 / p.b:
+    if not resolves_layer(grid, p.b):
         raise SpectralError("grid too coarse for the boundary layer; "
                             "node spacing near y=0 must resolve 1/(4b)")
     m = len(y)

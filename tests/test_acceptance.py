@@ -259,9 +259,19 @@ def test_criterion_9_fast_slow(lorenz_setup, lorenz_run):
                   + "/".join(f"{v:.3f}" for v in cs))
 
 
+def test_lorenz_run_exponent_sums(lorenz_setup, lorenz_run):
+    # the conjugated Lorenz field has the constant divergence
+    # -tau (sigma + 1 + beta), so each Benettin spectrum sums to it; the
+    # realized one reads the system's p slow exponents
+    target = lorenz_setup[2]
+    div = -target.affine["tau"] * (10.0 + 1.0 + 8.0 / 3.0)
+    for exps in (lorenz_run.lyap_target, lorenz_run.lyap_realized):
+        assert np.sum(exps) == pytest.approx(div, rel=1e-4, abs=0.0)
+
+
 def test_criterion_10_chaos_transfer(lorenz_run):
     lle_raw = lyapunov(lorenz_field(), np.array([1.0, 1.0, 20.0]),
-                       horizon=600.0, dt=2e-3, transient=30.0, seed=0)[0][0]
+                       horizon=600.0, dt=1e-2, transient=30.0, seed=0)[0][0]
     raw_ok = abs(lle_raw - 0.9056) < 0.05 * 0.9056
     lle_t = lorenz_run.lyap_target[0]
     lle_r = lorenz_run.lyap_realized[0]

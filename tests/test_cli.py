@@ -134,6 +134,9 @@ def test_unknown_preset_rejected():
     ["scales.gamma=true"],
     ["seed=1.5"],
     ["seed=-1"],
+    ["realize.preset=explicit", "realize.D=[[-1.0]]",      # D not p x p x p
+     "realize.R=[[1]]", "realize.f=[0]"],
+    ["spectrum.grid_n=10"],                     # too coarse for 1/(4b) at b = 30
 ])
 def test_config_error_exits_2(tmp_path, overrides):
     args = [a for ov in overrides for a in ("--set", ov)]

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from obrealize.control import extended_set
 from obrealize.realize import (QuadraticSystem, RealizeError, TargetField,
-                               _etdrk2_coeffs, _etdrk2_step, build_fast_slow, contraction_field,
+                               _etdrk4_coeffs, _etdrk4_step, _phi_functions,
+                               build_fast_slow, contraction_field,
                                empirical_field_error, integrate, lorenz_field,
                                lyapunov, manifold_residual, realize_target,
                                rescale_into_ball)
@@ -175,8 +179,8 @@ def test_lyapunov_transient_aligns_frame(seed):
 
 def test_lyapunov_stiff_linear_system():
     # fast rate -1/xi at dt/xi = 20: an explicit step blows the fast
-    # coordinates up; the step exact on the fast diagonal does not.  Only
-    # the p slow exponents are computed.
+    # coordinates up; the step exact in M does not.  Only the p slow
+    # exponents are computed.
     xi = 1e-3
     M = np.diag([-1.0, -2.0] + [-1.0 / xi] * 3)
     sysd = QuadraticSystem(N=5, p=2, K=np.zeros((5, 5, 5)), M=M, f=np.zeros(5),
@@ -193,18 +197,53 @@ def test_lyapunov_stiff_linear_system():
 
 def _full_frame_spectrum(system, x0, horizon, dt, transient, seed):
     """Oracle: all N tangent columns, QR on every step, all N exponents."""
-    coeffs = _etdrk2_coeffs(system.fast_diag, dt)
+    coeffs = _etdrk4_coeffs(system.M, dt)
     x = np.array(x0, dtype=float)
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.standard_normal((system.N, system.N)))[0]
     nburn, nsteps = int(transient / dt), int(horizon / dt)
     sums = np.zeros(system.N)
     for i in range(nburn + nsteps):
-        x, Q = _etdrk2_step(system, x, *coeffs, Q=Q)
+        x, Q = _etdrk4_step(system, x, coeffs, Q)
         Q, Rm = np.linalg.qr(Q)
         if i >= nburn:
             sums += np.log(np.abs(np.diag(Rm)))
     return np.sort(sums / (nsteps * dt))[::-1]
+
+
+def _phi_closed(k, z):
+    """phi_k(z) = sum_m z^m / (m + k)!: its series near 0, else its closed form."""
+    if abs(z) < 1e-2:
+        return sum(z ** m / math.factorial(m + k) for m in range(12))
+    e = np.exp(z)
+    return [e, (e - 1) / z, (e - 1 - z) / z ** 2, (e - 1 - z - z * z / 2) / z ** 3][k]
+
+
+def test_phi_functions_match_closed_forms():
+    z = np.array([1e-9, -1e-5, 3e-3, -2.0, -500.0])
+    for k, block in enumerate(_phi_functions(np.diag(z))):
+        assert np.count_nonzero(block - np.diag(np.diag(block))) == 0
+        assert np.diag(block) == pytest.approx([_phi_closed(k, v) for v in z],
+                                               rel=1e-12, abs=0.0)
+
+
+def test_etdrk4_error_falls_16x_per_halving():
+    # a non-stiff system with a full M, a full K and a forcing, against an
+    # independent tight-tolerance reference
+    rng = np.random.default_rng(7)
+    N, p = 4, 2
+    M = rng.standard_normal((N, N)) - 2.0 * np.eye(N)
+    sysd = QuadraticSystem(N=N, p=p, K=0.5 * rng.standard_normal((N, N, N)), M=M,
+                           f=0.3 * rng.standard_normal(N), xi=1.0,
+                           T=np.zeros((p, N - p)), R=M[:p, :p])
+    x0 = 0.5 * rng.standard_normal(N)
+    ref = solve_ivp(lambda t, x: sysd.rhs(x), (0.0, 2.0), x0, method="DOP853",
+                    rtol=1e-13, atol=1e-15).y[:, -1]
+    errs = [np.linalg.norm(integrate(sysd, x0, (0.0, 2.0), method="imex",
+                                     dt=dt).X[-1] - ref)
+            for dt in (1 / 8, 1 / 16, 1 / 32)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 < coarse / fine < 18.0
 
 
 def test_lyapunov_slow_columns_match_full_frame():
@@ -229,13 +268,13 @@ def test_lyapunov_slow_columns_match_full_frame():
 
 
 def test_lyapunov_target_exponents_pinned():
-    # the RK4 + trapezoidal run on the blended Lorenz target, bit for bit
-    # as the per-step QR and per-step Jacobian pair gave it
+    # the RK4 state step and its derivative on the frame, on the blended
+    # Lorenz target, bit for bit as the per-step QR and stage Jacobians gave it
     tgt = rescale_into_ball(lorenz_field(), seed=1)
     exps, stderr = lyapunov(tgt, np.array([0.05, 0.02, 0.1]), horizon=50.0,
                             dt=0.02)
-    assert exps == pytest.approx([0.008789796083788047, 0.0021816097530520245,
-                                  -0.20174561832852755], rel=1e-15, abs=0.0)
+    assert exps == pytest.approx([0.00878984173406925, 0.0021815507472736067,
+                                  -0.2017452463981126], rel=1e-15, abs=0.0)
     assert np.all(np.isfinite(stderr)) and np.all(stderr > 0.0)
 
 
@@ -264,7 +303,7 @@ def test_lyapunov_rejects_blowup_and_short_horizon(kset3):
 def test_lyapunov_lorenz_and_trace():
     lor = lorenz_field()
     exps, _ = lyapunov(lor, np.array([1.0, 1.0, 20.0]), horizon=500.0,
-                       dt=2e-3, transient=20.0, seed=0)
+                       dt=1e-2, transient=20.0, seed=0)
     # classic largest exponent ~ 0.9056
     assert exps[0] == pytest.approx(0.9056, rel=0.05)
     # trace identity: sum of exponents ~ average divergence -(sigma+1+beta)
@@ -287,6 +326,31 @@ def test_rescale_into_ball_properties():
     lhs = tgt.bare(y)
     rhs = (tau / s) * lor.bare(c + s * y)
     assert np.allclose(lhs, rhs, rtol=1e-10)
+
+
+def _inward_by_loop(field):
+    """inward_on_boundary's verdict point by point, on its seeded points."""
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal((10000, field.p))
+    q *= field.ball_radius / np.linalg.norm(q, axis=1)[:, None]
+    return all(float(np.dot(field(qi), qi)) < 0.0 for qi in q), q
+
+
+def test_inward_on_boundary_matches_point_loop():
+    blended = rescale_into_ball(lorenz_field(), ball_radius=1.0, seed=1)
+    assert blended.cutoff_on is not None
+    bare = TargetField(p=3, D=blended.D, R=blended.R, f=blended.f,
+                       ball_radius=blended.ball_radius)
+    # -q + f with f along the first sample point, just long enough to turn
+    # the field outward there and nowhere else among the samples
+    _, q = _inward_by_loop(contraction_field(3))
+    c = np.max(q[1:] @ q[0])
+    one_bad = contraction_field(3)
+    one_bad.f = 0.5 * (1.0 + 1.0 / c) * q[0]
+    assert np.count_nonzero(np.einsum("ni,ni->n", one_bad(q), q) >= 0.0) == 1
+    for field, verdict in ((bare, False), (blended, True), (one_bad, False)):
+        assert field.inward_on_boundary() is verdict
+        assert _inward_by_loop(field)[0] is verdict
 
 
 def test_realize_contraction_end_to_end(K9, kset3):
