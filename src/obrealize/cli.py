@@ -17,77 +17,79 @@ import numpy as np
 
 from . import __version__
 from .control import extended_set, control_solve, g1_from_u1
-from .profile import derive_scales, designed_profile
+from .profile import ProfileError, derive_scales, designed_profile
 from .realize import (build_fast_slow, contraction_field, integrate,
                       lorenz_field, realize_target, rescale_into_ball,
-                      TargetField)
+                      RealizeError, TargetField)
 from .reduction import ReducedSystem, asymptotic_basis, compute_K
 from .spectral import default_grid, resolves_layer, scale_grid, spectrum_report
 
 
-DEFAULTS = {
-    "scales": {"b": 30.0, "s0": 0.95, "s2": 0.05, "gamma": 1e-3},
-    "wavenumbers": {"p": 2},
-    "spectrum": {"kmax": 21, "grid_n": 0, "pencil_kmax": 64},
-    "reduce": {"b": 50.0, "R0": 1.0},
-    "control": {"target": "random", "seed_scale": 1.0},
-    "realize": {"preset": "lorenz", "xi": 1e-3, "horizon": 50.0,
-                "ball_radius": 1.0, "lyapunov": True},
-    "seed": 1234,
+# Every config key with its default and the bound on its value: a test and
+# the words that name it.  A key's kind comes from its default: a float
+# takes any number, an int an integer, a bool true or false, and a bool is
+# never a number.  realize.D, R and f have no default: only the explicit
+# preset reads them.  The rules that read more than one key, or that a
+# package constructor enforces, are checked in _validate.
+_PRESET = (lambda v: v in ("lorenz", "contraction", "explicit"),
+           "one of lorenz, contraction, explicit")
+_ABOVE_0 = (lambda v: v > 0, "above 0")
+CONFIG_KEYS = {
+    "scales.b": (30.0, None),
+    "scales.s0": (0.95, None),
+    "scales.s2": (0.05, None),
+    "scales.gamma": (1e-3, None),
+    "wavenumbers.p": (2, (lambda v: v >= 1, ">= 1")),
+    "spectrum.kmax": (21, (lambda v: v >= 1, ">= 1")),
+    "spectrum.grid_n": (0, (lambda v: v == 0 or v >= 2,
+                            "0 (the default grid) or >= 2")),
+    "spectrum.pencil_kmax": (64, (lambda v: v >= 0, ">= 0")),
+    "reduce.b": (50.0, None),
+    "reduce.R0": (1.0, None),
+    "control.target": ("random", None),
+    "control.seed_scale": (1.0, None),
+    "realize.preset": ("lorenz", _PRESET),
+    "realize.xi": (1e-3, _ABOVE_0),
+    "realize.horizon": (50.0, _ABOVE_0),
+    "realize.ball_radius": (1.0, _ABOVE_0),
+    "realize.lyapunov": (True, None),
+    "realize.D": (None, None),
+    "realize.R": (None, None),
+    "realize.f": (None, None),
+    "seed": (1234, (lambda v: v >= 0, ">= 0")),
 }
+_KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+          bool: ((bool,), "true or false")}
 
 
-def _leaf_keys(doc: dict, prefix: str = ""):
+def _leaves(doc: dict, prefix: str = ""):
     for k, v in doc.items():
         if isinstance(v, dict):
-            yield from _leaf_keys(v, f"{prefix}{k}.")
+            yield from _leaves(v, f"{prefix}{k}.")
         else:
-            yield f"{prefix}{k}"
-
-
-# the explicit preset reads realize.D, R and f, which have no default
-_KNOWN_KEYS = frozenset(_leaf_keys(DEFAULTS)) | {"realize.D", "realize.R", "realize.f"}
-
-
-def _check_key(key: str) -> None:
-    if key not in _KNOWN_KEYS:
-        raise SystemExit(f"unknown config key {key!r}")
-
-
-def _deep_update(base: dict, other: dict) -> dict:
-    for k, v in other.items():
-        if isinstance(v, dict) and isinstance(base.get(k), dict):
-            _deep_update(base[k], v)
-        else:
-            base[k] = v
-    return base
-
-
-def _apply_override(cfg: dict, key: str, value: str) -> None:
-    *sections, leaf = key.split(".")
-    d = cfg
-    for p in sections:
-        d = d[p]
-    try:
-        d[leaf] = json.loads(value)
-    except json.JSONDecodeError:
-        d[leaf] = value
+            yield f"{prefix}{k}", v
 
 
 def load_config(path: str | None, overrides) -> dict:
-    cfg = json.loads(json.dumps(DEFAULTS))
+    flat = {key: default for key, (default, _) in CONFIG_KEYS.items()
+            if default is not None}
     if path:
         with open(path) as fh:
-            doc = json.load(fh)
-        for key in _leaf_keys(doc):
-            _check_key(key)
-        _deep_update(cfg, doc)
+            flat.update(_leaves(json.load(fh)))
     for ov in overrides or []:
-        if "=" not in ov:
+        key, eq, value = ov.partition("=")
+        if not eq:
             raise SystemExit(f"bad override {ov!r}; expected key.path=value")
-        k, v = ov.split("=", 1)
-        _check_key(k)
-        _apply_override(cfg, k, v)
+        try:
+            flat[key] = json.loads(value)
+        except json.JSONDecodeError:
+            flat[key] = value
+    for key, value in flat.items():
+        _check(key, value)
+    cfg: dict = {}
+    for key, value in flat.items():
+        section, _, leaf = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[leaf] = value
     _validate(cfg)
     return cfg
 
@@ -101,68 +103,60 @@ def _all_finite(doc) -> bool:
     return not isinstance(doc, float) or math.isfinite(doc)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _check(key: str, value) -> None:
+    """The key is known, and its value has its default's kind and bound."""
+    if key not in CONFIG_KEYS:
+        raise SystemExit(f"unknown config key {key!r}")
+    if not _all_finite(value):
+        raise SystemExit(f"invalid {key}: every number must be finite")
+    default, bound = CONFIG_KEYS[key]
+    types, kind = _KINDS.get(type(default), (None, ""))
+    test, words = bound or (None, "")
+    if (types and type(value) not in types) or (test and not test(value)):
+        need = " ".join(w for w in (kind, words) if w)
+        raise SystemExit(f"invalid {key}: need {need}")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _scales(cfg: dict, b: float):
+    s = cfg["scales"]
+    return derive_scales(b, s["s0"], s["s2"], gamma=s["gamma"])
 
 
 def _validate(cfg: dict) -> None:
-    if not _all_finite(cfg):
-        raise SystemExit("invalid config: every number must be finite")
-    s = cfg["scales"]
-    if not (all(_is_number(s[key]) for key in ("b", "s0", "s2"))
-            and 0 < s["s0"] < 1 and 0 < s["s2"] < 1 and s["b"] > 1):
-        raise SystemExit("invalid scales: need b > 1 and s0, s2 in (0,1)")
-    for section, key, low in (("reduce", "b", 1), ("realize", "xi", 0),
-                              ("realize", "horizon", 0), ("realize", "ball_radius", 0)):
-        if not (_is_number(cfg[section][key]) and cfg[section][key] > low):
-            raise SystemExit(f"invalid {section}.{key}: need a number above {low}")
-    for section, key in (("scales", "gamma"), ("reduce", "R0"), ("control", "seed_scale")):
-        if not _is_number(cfg[section][key]):
-            raise SystemExit(f"invalid {section}.{key}: need a number")
-    for section, key, low in (("wavenumbers", "p", 1), ("spectrum", "kmax", 1),
-                              ("spectrum", "pencil_kmax", 0)):
-        if not (_is_int(cfg[section][key]) and cfg[section][key] >= low):
-            raise SystemExit(f"invalid {section}.{key}: need an integer >= {low}")
-    n = cfg["spectrum"]["grid_n"]
-    if not (_is_int(n) and (n == 0 or n >= 2)):
-        raise SystemExit("invalid spectrum.grid_n: need 0 (the default grid) "
-                         "or an integer >= 2")
-    params = derive_scales(s["b"], s["s0"], s["s2"], gamma=s["gamma"])
-    if n and not resolves_layer(scale_grid(params, n), s["b"]):
+    """The rules that read more than one key, or that a constructor enforces."""
+    for key, b in (("scales.b", cfg["scales"]["b"]), ("reduce.b", cfg["reduce"]["b"])):
+        try:
+            _scales(cfg, b)
+        except ProfileError as exc:
+            raise SystemExit(f"invalid scales for {key} = {b}: {exc}") from None
+    b, n = cfg["scales"]["b"], cfg["spectrum"]["grid_n"]
+    if n and not resolves_layer(scale_grid(_scales(cfg, b), n), b):
         raise SystemExit(f"invalid spectrum.grid_n: {n} intervals do not resolve "
-                         f"the 1/(4b) boundary layer at scales.b = {s['b']}")
-    if not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
-        raise SystemExit("invalid seed: need an integer >= 0")
-    if not isinstance(cfg["realize"]["lyapunov"], bool):
-        raise SystemExit("invalid realize.lyapunov: need true or false")
-    p = cfg["wavenumbers"]["p"]
+                         f"the 1/(4b) boundary layer at scales.b = {b}")
     r = cfg["realize"]
-    if r["preset"] not in ("lorenz", "contraction", "explicit"):
-        raise SystemExit(f"unknown preset {r['preset']!r}")
     if r["preset"] == "explicit":
         if not {"D", "R", "f"} <= r.keys():
             raise SystemExit("the explicit preset needs realize.D, realize.R and realize.f")
         try:
-            shapes = [np.asarray(r[key], dtype=float).shape for key in ("D", "R", "f")]
-        except (TypeError, ValueError):         # ragged or not numbers
-            shapes = [()]
-        q = (shapes[0] or (0,))[0]
-        if q < 1 or shapes != [(q, q, q), (q, q), (q,)]:
+            _explicit_target(r)
+        except (TypeError, ValueError, IndexError, RealizeError):
             raise SystemExit("the explicit preset needs realize.D p x p x p, "
-                             "realize.R p x p and realize.f of length p")
+                             "realize.R p x p and realize.f of length p") from None
     target = cfg["control"]["target"]
     if target != "random":
-        N = extended_set(p).N
+        N = extended_set(cfg["wavenumbers"]["p"]).N
         try:
             shape = np.asarray(target, dtype=float).shape
         except (TypeError, ValueError):
             shape = None
         if shape != (N, N):
             raise SystemExit(f"explicit control target must be {N} x {N}")
+
+
+def _explicit_target(r: dict) -> TargetField:
+    D = np.asarray(r["D"], dtype=float)
+    return TargetField(p=D.shape[0], D=D, R=r["R"], f=r["f"],
+                       ball_radius=r["ball_radius"])
 
 
 def _write(outdir: Path, name: str, text: str) -> None:
@@ -206,16 +200,9 @@ def _svg_polyline(series, labels=None) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-def _build_design(cfg: dict, p: int, b: float):
-    """The p-kernel wavenumber set and the profile designed for it at b."""
-    s = cfg["scales"]
-    kset = extended_set(p)
-    params = derive_scales(b, s["s0"], s["s2"], gamma=s["gamma"])
-    return kset, designed_profile(params, kset.base)
-
-
 def cmd_spectrum(cfg: dict, outdir: Path, plot: bool) -> int:
-    kset, profile = _build_design(cfg, cfg["wavenumbers"]["p"], cfg["scales"]["b"])
+    kset = extended_set(cfg["wavenumbers"]["p"])
+    profile = designed_profile(_scales(cfg, cfg["scales"]["b"]), kset.base)
     params = profile.params
     n = cfg["spectrum"]["grid_n"] or None
     grid = default_grid(profile, n=n)
@@ -244,21 +231,19 @@ def cmd_spectrum(cfg: dict, outdir: Path, plot: bool) -> int:
     return 0 if rep.passed else 3
 
 
-def _reduced_system(cfg: dict, p: int):
-    kset, profile = _build_design(cfg, p, cfg["reduce"]["b"])
-    params = profile.params
-    grid = default_grid(profile)
-    basis = asymptotic_basis(kset.full, params, grid)
-    K, info = compute_K(basis, params.nu)
-    M = np.zeros((kset.N, kset.N))
-    f = np.zeros(kset.N)
-    sysd = ReducedSystem(N=kset.N, K=K, M=M, f=f, kset=kset.full,
-                         R0=cfg["reduce"]["R0"])
-    return sysd, info, basis, kset, profile
+def _reduce_basis(cfg: dict, p: int):
+    """The p-kernel wavenumber set, the scales at reduce.b and the
+    asymptotic basis on their grid: no designed profile is needed."""
+    kset = extended_set(p)
+    params = _scales(cfg, cfg["reduce"]["b"])
+    return kset, params, asymptotic_basis(kset.full, params, scale_grid(params))
 
 
 def cmd_reduce(cfg: dict, outdir: Path, plot: bool) -> int:
-    sysd, info, basis, kset, _ = _reduced_system(cfg, cfg["wavenumbers"]["p"])
+    kset, params, basis = _reduce_basis(cfg, cfg["wavenumbers"]["p"])
+    K, info = compute_K(basis, params.nu)
+    sysd = ReducedSystem(N=kset.N, K=K, M=np.zeros((kset.N, kset.N)),
+                         f=np.zeros(kset.N), kset=kset.full, R0=cfg["reduce"]["R0"])
     _write(outdir, "reduced_system.json", sysd.to_json())
     _write(outdir, "reduction_info.json", json.dumps(info, sort_keys=True))
     print(f"reduce: N={sysd.N} max_resonant={info['max_resonant']:.4e} "
@@ -268,8 +253,9 @@ def cmd_reduce(cfg: dict, outdir: Path, plot: bool) -> int:
 
 
 def cmd_control(cfg: dict, outdir: Path, plot: bool) -> int:
-    sysd, info, basis, kset, profile = _reduced_system(cfg, cfg["wavenumbers"]["p"])
-    rng = np.random.default_rng(int(cfg["seed"]))
+    kset, params, basis = _reduce_basis(cfg, cfg["wavenumbers"]["p"])
+    profile = designed_profile(params, kset.base)     # u0 = 2 sup|U| + 1 reads it
+    rng = np.random.default_rng(cfg["seed"])
     N = kset.N
     if cfg["control"]["target"] == "random":
         T = cfg["control"]["seed_scale"] * rng.standard_normal((N, N))
@@ -301,22 +287,19 @@ def cmd_realize(cfg: dict, outdir: Path, plot: bool) -> int:
     rcfg = cfg["realize"]
     if rcfg["preset"] == "lorenz":
         target = rescale_into_ball(lorenz_field(), rcfg["ball_radius"],
-                                   seed=int(cfg["seed"]))
+                                   seed=cfg["seed"])
     elif rcfg["preset"] == "contraction":
         target = contraction_field(cfg["wavenumbers"]["p"])
     else:
-        D = np.asarray(rcfg["D"], dtype=float)
-        target = TargetField(p=D.shape[0], D=D,
-                             R=np.asarray(rcfg["R"], dtype=float),
-                             f=np.asarray(rcfg["f"], dtype=float),
-                             ball_radius=rcfg["ball_radius"])
-    sysd, info, basis, kset, _ = _reduced_system(cfg, target.p)
-    report = realize_target(target, sysd.K, kset, xi=rcfg["xi"],
-                            horizon=rcfg["horizon"], seed=int(cfg["seed"]),
+        target = _explicit_target(rcfg)
+    kset, params, basis = _reduce_basis(cfg, target.p)
+    K, _ = compute_K(basis, params.nu)
+    report = realize_target(target, K, kset, xi=rcfg["xi"],
+                            horizon=rcfg["horizon"], seed=cfg["seed"],
                             with_lyapunov=rcfg["lyapunov"])
     _write(outdir, "realization_report.json", report.to_json())
     if plot:
-        system = build_fast_slow(target, sysd.K, kset, rcfg["xi"])
+        system = build_fast_slow(target, K, kset, rcfg["xi"])
         y0 = np.zeros(kset.N)
         y0[0] = 0.1
         y0[kset.p:] = rcfg["xi"] * system.kt1(y0[:kset.p])

@@ -85,6 +85,10 @@ class TargetField:
         self.f = np.asarray(self.f, dtype=float)
         if self.D.shape != (self.p, self.p, self.p):
             raise RealizeError("D must be p x p x p")
+        if self.R.shape != (self.p, self.p):
+            raise RealizeError("R must be p x p")
+        if self.f.shape != (self.p,):
+            raise RealizeError("f must have length p")
         self.D = 0.5 * (self.D + np.swapaxes(self.D, 1, 2))
 
     def quad(self, Y: np.ndarray) -> np.ndarray:
@@ -186,7 +190,7 @@ class QuadraticSystem:
     R: np.ndarray
 
     def rhs(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("ijl,j,l->i", self.K, X, X) + self.M @ X + self.f
+        return self.quad_matrix(X).dot(X) + self.M.dot(X) + self.f
 
     def quad_matrix(self, X: np.ndarray) -> np.ndarray:
         """K(X) = sum_l K_ijl X_l: K(X, X) = K(X) X, and for K symmetric in

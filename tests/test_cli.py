@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from obrealize.cli import load_config, main
+from obrealize.profile import designed_profile
 
 
 def run_cli(args):
@@ -136,11 +137,35 @@ def test_unknown_preset_rejected():
     ["seed=-1"],
     ["realize.preset=explicit", "realize.D=[[-1.0]]",      # D not p x p x p
      "realize.R=[[1]]", "realize.f=[0]"],
+    ["realize.preset=explicit", "realize.D=[[[-1.0]]]",    # R not p x p
+     "realize.R=[[1, 0], [0, 1]]", "realize.f=[0]"],
+    ["realize.preset=explicit", "realize.D=[[[-1.0]]]",    # f not of length p
+     "realize.R=[[1]]", "realize.f=[0, 0]"],
     ["spectrum.grid_n=10"],                     # too coarse for 1/(4b) at b = 30
 ])
 def test_config_error_exits_2(tmp_path, overrides):
     args = [a for ov in overrides for a in ("--set", ov)]
     assert main(["all", "--out", str(tmp_path)] + args) == 2
+
+
+@pytest.mark.parametrize("stage, calls", [
+    ("spectrum", 1), ("reduce", 0), ("control", 1), ("realize", 0)])
+def test_stage_designs_profile_only_where_read(tmp_path, monkeypatch, stage, calls):
+    # reduce and realize read only K, which the asymptotic basis gives
+    # without the designed polynomial; control reads sup|U| for u0
+    import obrealize.cli as cli
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return designed_profile(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "designed_profile", counting)
+    args = ["--set", "spectrum.kmax=6", "--set", "spectrum.pencil_kmax=2",
+            "--set", "realize.preset=contraction", "--set", "realize.xi=0.01",
+            "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
+    assert main([stage, "--out", str(tmp_path)] + args) == 0
+    assert len(seen) == calls
 
 
 def test_negative_seed_flag_exits_2(tmp_path):

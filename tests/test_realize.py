@@ -117,6 +117,15 @@ def test_fast_block_entry_time(K9, kset3):
     assert entry < 10.0 * xi * np.log(1.0 / xi)
 
 
+@pytest.mark.parametrize("R, f, match", [
+    (np.eye(3), np.zeros(2), "R must be p x p"),
+    (np.eye(2), np.zeros(3), "f must have length p"),
+])
+def test_target_field_rejects_mismatched_R_and_f(R, f, match):
+    with pytest.raises(RealizeError, match=match):
+        TargetField(p=2, D=np.zeros((2, 2, 2)), R=R, f=f)
+
+
 def test_blowup_detection(kset3):
     N = kset3.N
     K = np.zeros((N, N, N))
