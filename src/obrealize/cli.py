@@ -18,9 +18,8 @@ import numpy as np
 from . import __version__
 from .control import extended_set, control_solve, g1_from_u1
 from .profile import ProfileError, derive_scales, designed_profile
-from .realize import (build_fast_slow, contraction_field, integrate,
-                      lorenz_field, realize_target, rescale_into_ball,
-                      RealizeError, TargetField)
+from .realize import (contraction_field, lorenz_field, realize_target,
+                      rescale_into_ball, RealizeError, TargetField)
 from .reduction import ReducedSystem, asymptotic_basis, compute_K
 from .spectral import default_grid, resolves_layer, scale_grid, spectrum_report
 
@@ -164,7 +163,7 @@ def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
 
 
-def _svg_polyline(series, labels=None) -> str:
+def _svg_polyline(series, labels) -> str:
     """Minimal deterministic 640 x 400 SVG: one polyline per (x, y) series."""
     width, height = 640, 400
     allx = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
@@ -188,10 +187,9 @@ def _svg_polyline(series, labels=None) -> str:
             pts.append(f"{px:.2f},{py:.2f}")
         parts.append(f'<polyline fill="none" stroke="{colors[i % 4]}" '
                      f'stroke-width="1" points="{" ".join(pts)}"/>')
-    if labels:
-        for i, lab in enumerate(labels):
-            parts.append(f'<text x="{pad}" y="{15 + 14 * i}" font-size="12" '
-                         f'fill="{colors[i % 4]}">{lab}</text>')
+    for i, lab in enumerate(labels):
+        parts.append(f'<text x="{pad}" y="{15 + 14 * i}" font-size="12" '
+                     f'fill="{colors[i % 4]}">{lab}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -200,7 +198,7 @@ def _svg_polyline(series, labels=None) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(cfg: dict, outdir: Path, plot: bool) -> int:
+def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     kset = extended_set(cfg["wavenumbers"]["p"])
     profile = designed_profile(_scales(cfg, cfg["scales"]["b"]), kset.base)
     params = profile.params
@@ -216,16 +214,15 @@ def cmd_spectrum(cfg: dict, outdir: Path, plot: bool) -> int:
              "kernel_residual": rep.kernel_residual,
              "gap": rep.gap, "passed": rep.passed}
     _write(outdir, "calibration.json", json.dumps(calib, sort_keys=True))
-    if plot:
-        ks = [r.k for r in rep.records if r.lam_design is not None]
-        ld = [float(np.real(r.lam_design)) for r in rep.records
-              if r.lam_design is not None]
-        kp = [r.k for r in rep.records if r.lam_pencil is not None]
-        lp = [float(np.real(r.lam_pencil)) for r in rep.records
-              if r.lam_pencil is not None]
-        _write(outdir, "spectrum.svg",
-               _svg_polyline([(ks, ld), (kp, lp)],
-                             labels=["design Re lambda", "pencil Re lambda"]))
+    ks = [r.k for r in rep.records if r.lam_design is not None]
+    ld = [float(np.real(r.lam_design)) for r in rep.records
+          if r.lam_design is not None]
+    kp = [r.k for r in rep.records if r.lam_pencil is not None]
+    lp = [float(np.real(r.lam_pencil)) for r in rep.records
+          if r.lam_pencil is not None]
+    _write(outdir, "spectrum.svg",
+           _svg_polyline([(ks, ld), (kp, lp)],
+                         ["design Re lambda", "pencil Re lambda"]))
     print(f"spectrum: kernel_residual={rep.kernel_residual:.3e} "
           f"gap={rep.gap:.3e} passed={rep.passed}")
     return 0 if rep.passed else 3
@@ -239,7 +236,7 @@ def _reduce_basis(cfg: dict, p: int):
     return kset, params, asymptotic_basis(kset.full, params, scale_grid(params))
 
 
-def cmd_reduce(cfg: dict, outdir: Path, plot: bool) -> int:
+def cmd_reduce(cfg: dict, outdir: Path) -> int:
     kset, params, basis = _reduce_basis(cfg, cfg["wavenumbers"]["p"])
     K, info = compute_K(basis, params.nu)
     sysd = ReducedSystem(N=kset.N, K=K, M=np.zeros((kset.N, kset.N)),
@@ -252,7 +249,7 @@ def cmd_reduce(cfg: dict, outdir: Path, plot: bool) -> int:
     return 0
 
 
-def cmd_control(cfg: dict, outdir: Path, plot: bool) -> int:
+def cmd_control(cfg: dict, outdir: Path) -> int:
     kset, params, basis = _reduce_basis(cfg, cfg["wavenumbers"]["p"])
     profile = designed_profile(params, kset.base)     # u0 = 2 sup|U| + 1 reads it
     rng = np.random.default_rng(cfg["seed"])
@@ -268,22 +265,21 @@ def cmd_control(cfg: dict, outdir: Path, plot: bool) -> int:
            json.dumps({"rel_frobenius_error": float(err),
                        "condition_number": sol.condition_number,
                        "sup_abs_u1": sol.sup_abs_u1}, sort_keys=True))
-    if plot:
-        g1 = g1_from_u1(sol.profiles, basis.grid, profile, sol.u0, sol.gamma)
-        xs = np.linspace(0.0, np.pi, 33)
-        u1v = sol.profiles.at(xs, len(basis.grid.nodes))
-        g1v = np.atleast_2d(g1(xs))
-        for name, fldv in (("u1_grid.csv", u1v), ("g1_grid.csv", g1v)):
-            lines = ["x,y,value"]
-            for i, xv in enumerate(xs):
-                for yv, vv in zip(basis.grid.nodes, fldv[i]):
-                    lines.append(f"{xv:.10g},{yv:.10g},{vv:.10g}")
-            _write(outdir, name, "\n".join(lines) + "\n")
+    g1 = g1_from_u1(sol.profiles, basis.grid, profile, sol.u0, sol.gamma)
+    xs = np.linspace(0.0, np.pi, 33)
+    u1v = sol.profiles.at(xs, len(basis.grid.nodes))
+    g1v = np.atleast_2d(g1(xs))
+    for name, fldv in (("u1_grid.csv", u1v), ("g1_grid.csv", g1v)):
+        lines = ["x,y,value"]
+        for i, xv in enumerate(xs):
+            for yv, vv in zip(basis.grid.nodes, fldv[i]):
+                lines.append(f"{xv:.10g},{yv:.10g},{vv:.10g}")
+        _write(outdir, name, "\n".join(lines) + "\n")
     print(f"control: rel_frobenius_error={err:.3e}")
     return 0 if err < 0.05 else 3
 
 
-def cmd_realize(cfg: dict, outdir: Path, plot: bool) -> int:
+def cmd_realize(cfg: dict, outdir: Path) -> int:
     rcfg = cfg["realize"]
     if rcfg["preset"] == "lorenz":
         target = rescale_into_ball(lorenz_field(), rcfg["ball_radius"],
@@ -298,17 +294,11 @@ def cmd_realize(cfg: dict, outdir: Path, plot: bool) -> int:
                             horizon=rcfg["horizon"], seed=cfg["seed"],
                             with_lyapunov=rcfg["lyapunov"])
     _write(outdir, "realization_report.json", report.to_json())
-    if plot:
-        system = build_fast_slow(target, K, kset, rcfg["xi"])
-        y0 = np.zeros(kset.N)
-        y0[0] = 0.1
-        y0[kset.p:] = rcfg["xi"] * system.kt1(y0[:kset.p])
-        traj = integrate(system, y0, (0.0, rcfg["horizon"]), method="auto",
-                         dt=5e-3)
-        _write(outdir, "phase_portrait.svg",
-               _svg_polyline([(traj.X[:, 0], traj.X[:, 1])],
-                             labels=["(Y1, Y2) projection"]))
-        _write(outdir, "trajectory.csv", traj.to_csv())
+    # the orbit the report's gates were measured on
+    traj = report.trajectory
+    _write(outdir, "phase_portrait.svg",
+           _svg_polyline([(traj.X[:, 0], traj.X[:, 1])], ["(Y1, Y2) projection"]))
+    _write(outdir, "trajectory.csv", traj.to_csv())
     lle = "LLE off"
     if report.lyap_target is not None:
         lle = (f"LLE target={report.lyap_target[0]:.5f}"
@@ -328,7 +318,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", type=str, default=None)
     ap.add_argument("--out", type=str, default="out")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--plot", action="store_true")
     ap.add_argument("--set", dest="overrides", action="append", metavar="KEY=VAL")
     ap.add_argument("--version", action="version", version=__version__)
     args = ap.parse_args(argv)
@@ -346,12 +335,12 @@ def main(argv=None) -> int:
     try:
         if args.stage == "all":
             for name in ("spectrum", "reduce", "control", "realize"):
-                code = stages[name](cfg, outdir, args.plot)
+                code = stages[name](cfg, outdir)
                 if code:
                     print(f"stage {name} failed with code {code}", file=sys.stderr)
                     return code
             return 0
-        return stages[args.stage](cfg, outdir, args.plot)
+        return stages[args.stage](cfg, outdir)
     except Exception as exc:  # noqa: BLE001 - stage tag on any failure
         print(f"stage {args.stage} failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)

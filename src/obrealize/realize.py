@@ -30,7 +30,7 @@ adaptive Dormand-Prince pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import json
 
 import numpy as np
@@ -69,7 +69,8 @@ class TargetField:
 
     An optional absorbing blend replaces W by the inward field -Y outside
     cutoff_on * ball_radius (smoothly), guaranteeing the inward boundary
-    condition without touching the dynamics on the attractor.
+    condition without touching the dynamics on the attractor.  affine is
+    the conjugacy rescale_into_ball built the field by (center, scale, tau).
     """
 
     p: int
@@ -78,6 +79,7 @@ class TargetField:
     f: np.ndarray
     ball_radius: float = 1.0
     cutoff_on: float | None = None
+    affine: dict | None = None
 
     def __post_init__(self):
         self.D = np.asarray(self.D, dtype=float)
@@ -109,20 +111,24 @@ class TargetField:
         return (1.0 - s) * v - s * Y
 
     def jac(self, Y: np.ndarray) -> np.ndarray:
+        """dW/dY at one point Y.
+
+        In the blend, W = (1 - s) v - s Y with v the bare field and
+        s = S(t), t = (|Y|/R - c)/(1 - c), so dW/dY = (1 - s) dv/dY - s I
+        - (v + Y) grad(s)^T with grad(s) = S'(t) Y / ((1 - c) R |Y|) and
+        S'(t) = 30 t^2 (1 - t)^2.
+        """
         J = self.R + 2.0 * self.D.dot(Y)
         if self.cutoff_on is None:
             return J
-        # finite-difference fallback in the blend region
-        rr = np.linalg.norm(Y) / self.ball_radius
-        if rr <= self.cutoff_on:
+        c, radius = self.cutoff_on, self.ball_radius
+        r = np.linalg.norm(Y)
+        if r / radius <= c:
             return J
-        eps = 1e-7
-        cols = []
-        for a in range(self.p):
-            e = np.zeros(self.p)
-            e[a] = eps
-            cols.append((self(Y + e) - self(Y - e)) / (2 * eps))
-        return np.array(cols).T
+        t = min((r / radius - c) / (1.0 - c), 1.0)
+        s = _smoothstep(t)
+        grad_s = 30.0 * t * t * (1.0 - t) ** 2 / ((1.0 - c) * radius * r) * Y
+        return (1.0 - s) * J - s * np.eye(self.p) - np.outer(self.bare(Y) + Y, grad_s)
 
     def inward_on_boundary(self) -> bool:
         """W(q) . q < 0 at 10000 seeded points q of the boundary sphere."""
@@ -144,11 +150,8 @@ class TargetField:
         q = rng.standard_normal((n_samples, self.p))
         radii = rng.uniform(0, self.ball_radius, n_samples)
         q *= (radii / np.linalg.norm(q, axis=1))[:, None]
-        out = 0.0
-        for qi in q:
-            J = self.R + 2.0 * np.einsum("ijl,l->ij", self.D, qi)
-            out = max(out, float(np.linalg.norm(J, 2)))
-        return out
+        J = self.R + 2.0 * np.einsum("ijl,nl->nij", self.D, q)
+        return float(np.linalg.norm(J, 2, axis=(1, 2)).max())
 
 
 def _smoothstep(t):
@@ -594,18 +597,17 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
     D = raw.D * scale
     R = raw.R + 2.0 * np.einsum("ijl,l->ij", raw.D, center)
     fvec = (raw.quad(center) + raw.R @ center + raw.f) / scale
-    cand = TargetField(p=raw.p, D=D, R=R, f=fvec, ball_radius=ball_radius)
-    gb = cand.grad_bound()
-    tau = 0.9 / gb
-    cand = TargetField(p=raw.p, D=D * tau, R=R * tau, f=fvec * tau,
+    tau = 0.9 / TargetField(p=raw.p, D=D, R=R, f=fvec,
+                            ball_radius=ball_radius).grad_bound()
+    bare = TargetField(p=raw.p, D=D * tau, R=R * tau, f=fvec * tau,
                        ball_radius=ball_radius)
-    if not cand.inward_on_boundary():
-        cand.cutoff_on = 0.9
-        if not cand.inward_on_boundary():
-            raise RealizeError("inward condition fails even with the blend")
-    cand.affine = {"center": center.tolist(), "scale": float(scale),
-                   "tau": float(tau)}
-    return cand
+    cutoff_on = None if bare.inward_on_boundary() else 0.9
+    target = replace(bare, cutoff_on=cutoff_on,
+                     affine={"center": center.tolist(), "scale": float(scale),
+                             "tau": float(tau)})
+    if cutoff_on is not None and not target.inward_on_boundary():
+        raise RealizeError("inward condition fails even with the blend")
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +616,9 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
 
 @dataclass
 class RealizationReport:
+    """The gates realize_target measured, and the realized orbit they were
+    measured on."""
+
     sup_error: float
     manifold: dict
     field_c0_error: float
@@ -624,7 +629,7 @@ class RealizationReport:
     xi: float
     p: int
     N: int
-    trajectory_steps: int
+    trajectory: Trajectory
 
     def to_json(self) -> str:
         def listed(a):
@@ -637,7 +642,7 @@ class RealizationReport:
                "lyapunovTargetStderr": listed(self.lyap_target_stderr),
                "lyapunovRealizedStderr": listed(self.lyap_realized_stderr),
                "xi": self.xi, "p": self.p, "N": self.N,
-               "trajectory_steps": self.trajectory_steps}
+               "trajectory_steps": self.trajectory.steps}
         return json.dumps(doc, sort_keys=True)
 
 
@@ -651,12 +656,12 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     data, reports the slow-trajectory sup error over the horizon, manifold
     residual statistics, the empirical field discrepancy, and the Lyapunov
     spectra of both dynamics with their standard errors (None without
-    with_lyapunov).  The trajectory is the ETDRK4 path at dt = 5e-3 for
-    xi <= 2e-3.  Both Benettin runs take dt = 0.5: on the rescaled Lorenz
-    target, over horizons 1500 and 12000 on six seeds, it keeps the
-    exponent sums within 1.8e-6 (target) and 1.1e-5 (realized) of the
-    exact trace, and the step's shift of the leading exponent is lost in
-    its spread across seeds.
+    with_lyapunov).  The report carries the realized trajectory: the
+    ETDRK4 path at dt = 5e-3 for xi <= 2e-3.  Both Benettin runs take
+    dt = 0.5: on the rescaled Lorenz target, over horizons 1500 and 12000
+    on six seeds, it keeps the exponent sums within 1.8e-6 (target) and
+    1.1e-5 (realized) of the exact trace, and the step's shift of the
+    leading exponent is lost in its spread across seeds.
     """
     system = build_fast_slow(target, K, kset, xi)
     p = kset.p
@@ -686,4 +691,4 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
                              field_c0_error=c0, lyap_target=lyap_t,
                              lyap_realized=lyap_r, lyap_target_stderr=err_t,
                              lyap_realized_stderr=err_r, xi=xi, p=p, N=kset.N,
-                             trajectory_steps=traj.steps)
+                             trajectory=traj)

@@ -2,6 +2,7 @@ import pytest
 
 from obrealize import derive_scales, designed_profile, default_grid, extended_set
 from obrealize.grid import make_grid
+from obrealize.realize import lorenz_field, rescale_into_ball
 from obrealize.reduction import asymptotic_basis
 
 
@@ -39,3 +40,10 @@ def kset2():
 def basis50(profile50, kset2):
     grid = make_grid(profile50.params.h, 300, 4.0)
     return asymptotic_basis(kset2.full, profile50.params, grid)
+
+
+@pytest.fixture(scope="session")
+def lorenz_target():
+    """The Lorenz field conjugated into the unit ball (seed 1), with its
+    absorbing blend; no test mutates it."""
+    return rescale_into_ball(lorenz_field(), ball_radius=1.0, seed=1)

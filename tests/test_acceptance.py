@@ -16,8 +16,7 @@ from obrealize.profile import (DesignPolynomial, build_profile, derive_scales,
                                designed_profile)
 from obrealize.realize import (build_fast_slow, empirical_field_error,
                                integrate, lorenz_field, lyapunov,
-                               manifold_residual, realize_target,
-                               rescale_into_ball)
+                               manifold_residual, realize_target)
 from obrealize.reduction import asymptotic_basis, compute_K
 from obrealize.scalar import TransferHierarchy, find_root_z, lambda_from_z
 from obrealize.spectral import (assemble_pencil, biorthogonalize, default_grid,
@@ -217,14 +216,13 @@ def test_criterion_8_moment_profiles():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def lorenz_setup():
+def lorenz_setup(lorenz_target):
     p = derive_scales(50.0)
     kset = extended_set(3)
     grid = make_grid(p.h, 300, 4.0)
     basis = asymptotic_basis(kset.full, p, grid)
     K, _ = compute_K(basis, p.nu)
-    target = rescale_into_ball(lorenz_field(), ball_radius=1.0, seed=1)
-    return K, kset, target
+    return K, kset, lorenz_target
 
 
 @pytest.fixture(scope="module")

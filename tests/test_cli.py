@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import obrealize
 from obrealize.cli import load_config, main
 from obrealize.profile import designed_profile
 
@@ -173,17 +177,61 @@ def test_negative_seed_flag_exits_2(tmp_path):
 
 
 def test_all_runs_every_stage(tmp_path):
+    # every stage writes its figures, and a rerun writes the same bytes
     args = ["--set", "spectrum.kmax=6", "--set", "spectrum.pencil_kmax=2",
             "--set", "realize.preset=contraction", "--set", "realize.xi=0.01",
             "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
-    assert main(["all", "--out", str(tmp_path)] + args) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
+    o1, o2 = tmp_path / "a", tmp_path / "b"
+    assert main(["all", "--out", str(o1)] + args) == 0
+    assert main(["all", "--out", str(o2)] + args) == 0
+    names = sorted(p.name for p in o1.iterdir())
+    assert names == [
         "calibration.json", "control_report.json", "control_solution.json",
-        "realization_report.json", "reduced_system.json", "reduction_info.json",
-        "spectrum.csv"]
+        "g1_grid.csv", "phase_portrait.svg", "realization_report.json",
+        "reduced_system.json", "reduction_info.json", "spectrum.csv",
+        "spectrum.svg", "trajectory.csv", "u1_grid.csv"]
+    assert sorted(p.name for p in o2.iterdir()) == names
+    for name in names:
+        assert (o1 / name).read_bytes() == (o2 / name).read_bytes(), name
+
+
+def test_realize_writes_the_certified_orbit(tmp_path, monkeypatch):
+    # trajectory.csv is the orbit realize_target measured its gates on:
+    # it starts at the state realize_target integrated from
+    import obrealize.realize as realize
+    integrate, starts = realize.integrate, []
+
+    def recording(system, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return integrate(system, x0, *args, **kwargs)
+
+    monkeypatch.setattr(realize, "integrate", recording)
+    assert main(["realize", "--out", str(tmp_path),
+                 "--set", "realize.preset=contraction",
+                 "--set", "realize.xi=0.01", "--set", "realize.horizon=10",
+                 "--set", "realize.lyapunov=false"]) == 0
+    assert len(starts) == 1
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert rows[0] == "0," + ",".join(f"{v:.12g}" for v in starts[0])
+    rep = json.loads((tmp_path / "realization_report.json").read_text())
+    assert len(rows) == rep["trajectory_steps"] + 1
+
+
+def test_plot_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "--out", str(tmp_path), "--plot"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--plot" not in capsys.readouterr().out
 
 
 def test_console_entrypoint():
+    # the child imports the package this process imported, installed or not
+    src = str(Path(obrealize.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-m", "obrealize.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert res.returncode == 0
