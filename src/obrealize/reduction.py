@@ -184,23 +184,25 @@ def compute_M(u1: FourierProfileSet, basis: ModeBasis) -> np.ndarray:
 def compute_K(basis: ModeBasis, nu: float):
     """K_ijl = -M_ij(theta_l), symmetrized over (j, l).
 
-    Only Fourier-resonant triples are populated; the sparsity of the rest
-    is reported (not projected).
+    theta_l lives on the single cosine slot k_l, so M_ij(theta_l) reads
+    only the resonant slot of (i, j) at n = k_l: each slot of each (i, j)
+    is integrated once, against the theta_l it meets, and every other
+    entry is zero.  The size of K off the resonances k_i = k_j + k_l,
+    k_i = |k_j - k_l| is reported (not projected).  nu is not read: the
+    O(1/nu) corrections are dropped.
     """
     N = basis.size
+    g = basis.grid
+    ks = np.asarray(basis.wavenumbers)
     K = np.zeros((N, N, N))
-    for l in range(N):
-        kl = basis.wavenumbers[l]
-        u1 = FourierProfileSet({kl: basis.theta[l]})
-        K[:, :, l] = -compute_M(u1, basis)
-    K = 0.5 * (K + np.swapaxes(K, 1, 2))
-    ks = basis.wavenumbers
-    resonant = np.zeros((N, N, N), dtype=bool)
     for i in range(N):
         for j in range(N):
-            for l in range(N):
-                si, sj, sl = ks[i], ks[j], ks[l]
-                resonant[i, j, l] = (si == sj + sl) or (si == abs(sj - sl))
+            for n, w, kern in resonant_slots(i, j, basis):
+                for l in np.flatnonzero(ks == n):
+                    K[i, j, l] += w * g.integrate(kern * basis.theta[l])
+    K = -0.5 * (K + np.swapaxes(K, 1, 2))
+    ki, kj, kl = np.meshgrid(ks, ks, ks, indexing="ij")
+    resonant = (ki == kj + kl) | (ki == np.abs(kj - kl))
     kmax_res = np.max(np.abs(K[resonant])) if resonant.any() else 0.0
     off = np.abs(K[~resonant]).max() if (~resonant).any() else 0.0
     info = {"max_resonant": float(kmax_res), "max_nonresonant": float(off),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from obrealize.control import extended_set
 from obrealize.realize import (QuadraticSystem, RealizeError, TargetField,
@@ -136,6 +137,68 @@ def test_blowup_detection(kset3):
     with pytest.raises(RealizeError):
         integrate(sysu, x0, (0.0, 10.0), method="dopri",
                   blowup_radius=20.0)
+
+
+def test_rk45_rejections_counted_from_its_evaluations(kset3):
+    # a fast decay at rate 200 under the max step 1/4 of xi = 1 holds RK45
+    # at its stability limit, where it rejects steps
+    N = kset3.N
+    M = -np.diag(np.r_[np.ones(3), 200.0 * np.ones(N - 3)])
+    sysd = QuadraticSystem(N=N, p=3, K=np.zeros((N, N, N)), M=M,
+                           f=np.zeros(N), xi=1.0, T=np.zeros((3, N - 3)),
+                           R=-np.eye(3))
+    calls = 0
+    rhs = sysd.rhs
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return rhs(x)
+
+    sysd.rhs = counted
+    traj = integrate(sysd, np.ones(N), (0.0, 5.0), method="dopri", tol=1e-6)
+    assert traj.rejected > 0
+    # two evaluations before the first step, six on each attempted step
+    assert 2 + 6 * (traj.steps + traj.rejected) == calls
+    assert np.allclose(traj.X[-1, :3], np.exp(-5.0), rtol=1e-5)
+
+
+@pytest.mark.parametrize("horizon", [12.3456, 0.004])
+def test_etdrk4_path_ends_at_t1(kset3, horizon):
+    # ETDRK4 is exact in M, so on a linear system the end state is
+    # e^{M t1} x0 whatever the step, if the steps add up to t1
+    N = kset3.N
+    M = -np.diag(np.linspace(0.5, 3.0, N))
+    M[0, 1] = 0.7
+    sysd = QuadraticSystem(N=N, p=3, K=np.zeros((N, N, N)), M=M,
+                           f=np.zeros(N), xi=1e-3, T=np.zeros((3, N - 3)),
+                           R=M[:3, :3])
+    x0 = np.linspace(1.0, -1.0, N)
+    traj = integrate(sysd, x0, (0.0, horizon), method="imex", dt=5e-3)
+    assert traj.steps == math.ceil(horizon / 5e-3)
+    assert traj.t[-1] == horizon
+    assert np.allclose(np.diff(traj.t), horizon / traj.steps, rtol=1e-9)
+    assert np.allclose(traj.X[-1], expm(horizon * M) @ x0, rtol=0, atol=1e-12)
+
+
+def test_field_error_refuses_an_orbit_with_no_tail(K9, kset3):
+    # one ETDRK4 step leaves no interior node to difference; the report
+    # must not read 0 for a discrepancy it never measured
+    with pytest.raises(RealizeError, match="no interior node"):
+        realize_target(contraction_field(3), K9, kset3, xi=1e-3,
+                       horizon=0.004, with_lyapunov=False)
+
+
+def test_sup_error_is_measured_at_the_sample_times(K9, kset3, lorenz_target):
+    rep = realize_target(lorenz_target, K9, kset3, xi=1e-3,
+                         with_lyapunov=False)
+    samples = np.linspace(0.0, 50.0, 400)
+    y0 = rep.trajectory.X[0, :3]
+    ref = solve_ivp(lambda t, y: lorenz_target(y), (0.0, 50.0), y0,
+                    method="DOP853", t_eval=samples, rtol=1e-13, atol=1e-15)
+    dist = np.linalg.norm(rep.trajectory.sample(samples)[:, :3] - ref.y.T,
+                          axis=1)
+    assert abs(rep.sup_error - dist.max()) < 1e-8
 
 
 def test_manifold_residual_ladder(K9, kset3):
