@@ -11,6 +11,16 @@ its linear term through one least-norm solve for the forcing profile
 included, on the slow manifold of a fast-slow extension (realize).
 """
 
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before numpy
+# loads: the dense algebra here is small, OpenBLAS's thread per core
+# slows it (operator-ladder 22.4 s against 13.7 s on 2 cores), and
+# spectrum_report already puts its per-k records on every core
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .grid import Grid, make_grid

@@ -9,6 +9,7 @@ weights transformed to the mapped coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,8 @@ class Grid:
 
     nodes are strictly increasing in [0, h]; weights are the transformed
     Clenshaw-Curtis weights (positive, summing to h); diff is d/dy at the
-    nodes.  i0/ih index the y=0 and y=h endpoints.
+    nodes and d2 its square, computed once per grid.  i0/ih index the y=0
+    and y=h endpoints.
     """
 
     h: float
@@ -62,6 +64,10 @@ class Grid:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     diff: np.ndarray = field(repr=False)
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        return self.diff @ self.diff
 
     @property
     def i0(self) -> int:

@@ -129,6 +129,7 @@ def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid) -> ModeB
         pen = assemble_pencil(k, profile, grid)
         mode = solve_modes(pen)
         cm = solve_conjugate_modes(pen)
+        del pen                 # frees its (A, B) before the next assembly
         psi.append(np.real(mode.psi))
         dpsi.append(np.real(Dy @ mode.psi))
         theta.append(np.real(mode.w))

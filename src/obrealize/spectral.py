@@ -10,20 +10,27 @@ w' = beta1 w at y=h).  The sign of the coupling U_y psi follows the
 stream-function form of the linearized equations; see the decisions notes
 for the discrepancy with one printed variant.
 
-Solvers: assemble_pencil builds the generalized (A, B) pair with boundary
-rows and, from it, the Schur complement in w (the nu^{-1} block is ~1e-15
-of the rest, so psi is slaved through the clamped biharmonic solve), which
-avoids the spurious modes of the singular pencil.  Every solver below takes
-that Pencil.  One left-and-right eigendecomposition of the Schur operator
-per wavenumber gives both the leading direct mode (solve_modes) and its
-conjugate (adjoint) mode (solve_conjugate_modes), which therefore share
-one eigenvalue.  Each mode records its residuals and is rejected with a
-SpectralError above their bounds: the direct mode's componentwise backward
-error against (A, B) above PENCIL_RESIDUAL_TOL, and either mode's
-boundary-row residual above BOUNDARY_RESIDUAL_TOL.
+Solvers: assemble_pencil builds the Schur complement in w of the
+collocation pencil with boundary rows (the nu^{-1} block is ~1e-15 of the
+rest, so psi is slaved through the clamped biharmonic solve), which avoids
+the spurious modes of the singular pencil.  The generalized 2m x 2m pair
+(A, B) itself is built only when read, by the backward error.  Every
+solver below takes that Pencil.  One left-and-right eigendecomposition of
+the Schur operator per wavenumber gives both the leading direct mode
+(solve_modes) and its conjugate (adjoint) mode (solve_conjugate_modes),
+which therefore share one eigenvalue.  Each mode records its residuals
+and is rejected with a SpectralError above their bounds: the direct mode's
+componentwise backward error against (A, B) above PENCIL_RESIDUAL_TOL, and
+either mode's boundary-row residual above BOUNDARY_RESIDUAL_TOL.
+
+spectrum_report solves its per-k records on every core this process may
+use, one whole record per thread; each record runs the same serial code,
+so the survey is bit-identical to a one-thread run.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,17 +94,33 @@ def resolves_layer(grid: Grid, b: float) -> bool:
 # operator assembly
 # ---------------------------------------------------------------------------
 
+def _operator(grid: Grid, k: int) -> np.ndarray:
+    """L_k = D_y^2 - k^2 at the nodes."""
+    return grid.d2 - (k * k) * np.eye(len(grid.nodes))
+
+
+def _robin_rows(grid: Grid, params: ScaleParams) -> np.ndarray:
+    """The w Robin rows w' - beta w at y = 0 and w' - beta1 w at y = h."""
+    Dy, m = grid.diff, len(grid.nodes)
+    return np.array([Dy[grid.i0] - params.beta * np.eye(1, m, grid.i0)[0],
+                     Dy[grid.ih] - params.beta1 * np.eye(1, m, grid.ih)[0]])
+
+
 def _clamped_biharmonic(grid: Grid, L: np.ndarray) -> np.ndarray:
     """G with psi = G f solving (D^2-k^2)^2 psi = f, clamped ends; L = D^2-k^2.
 
     The fourth-order solve is split through phi = L_k psi into two
     second-order blocks, which keeps the conditioning at the level of D^2.
+    The block system is filled in place in the Fortran order LAPACK
+    factors in, and the factorization and the solve overwrite their inputs.
     """
     Dy = grid.diff
     m = len(grid.nodes)
-    I = np.eye(m)
     i0, ih = grid.i0, grid.ih
-    A = np.block([[L, -I], [np.zeros((m, m)), L]])
+    A = np.zeros((2 * m, 2 * m), order="F")
+    A[:m, :m] = L
+    A[:m, m:] = -np.eye(m)
+    A[m:, m:] = L
     A[i0, :] = 0.0
     A[i0, i0] = 1.0
     A[ih, :] = 0.0
@@ -106,10 +129,10 @@ def _clamped_biharmonic(grid: Grid, L: np.ndarray) -> np.ndarray:
     A[m + i0, :m] = Dy[i0]
     A[m + ih, :] = 0.0
     A[m + ih, :m] = Dy[ih]
-    rhs = np.zeros((2 * m, m))
-    rhs[m:, :] = I
+    rhs = np.zeros((2 * m, m), order="F")
+    rhs[m:, :] = np.eye(m)
     rhs[[i0, ih, m + i0, m + ih], :] = 0.0
-    return lu_solve(lu_factor(A), rhs)[:m]
+    return lu_solve(lu_factor(A, overwrite_a=True), rhs, overwrite_b=True)[:m]
 
 
 @dataclass
@@ -119,12 +142,11 @@ class Pencil:
     Ared is the reduced standard eigenproblem in the interior w unknowns:
     psi is slaved through the clamped biharmonic G (the nu^{-1} mass block
     is negligible at nu = b^10), and the two Robin rows eliminate the
-    boundary values w[rows] = T @ w[interior].
+    boundary values w[rows] = T @ w[interior].  The 2m x 2m pair (A, B)
+    is built on first read: only the backward error reads it.
     """
 
     k: int
-    A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
     grid: Grid = field(repr=False)
     profile: TemperatureProfile = field(repr=False)
     uy: np.ndarray = field(repr=False)
@@ -133,6 +155,37 @@ class Pencil:
     interior: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     T: np.ndarray = field(repr=False)
+
+    @property
+    def _boundary_rows(self) -> list[int]:
+        """Rows of (A, B) replaced by boundary conditions: psi values at
+        both ends, psi slopes on the adjacent rows, the w Robin rows."""
+        m, i0, ih = len(self.grid.nodes), self.grid.i0, self.grid.ih
+        return [i0, ih, 1, m - 2, m + i0, m + ih]
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The collocation operator with its boundary rows."""
+        g, k = self.grid, self.k
+        Dy, m = g.diff, len(g.nodes)
+        L = _operator(g, k)
+        A = np.block([[L @ L, (k * k) * np.eye(m)], [np.diag(self.uy), L]])
+        A[self._boundary_rows, :] = 0.0
+        A[g.i0, g.i0] = A[g.ih, g.ih] = 1.0
+        A[1, :m] = Dy[g.i0]
+        A[m - 2, :m] = Dy[g.ih]
+        A[m + self.rows, m:] = _robin_rows(g, self.profile.params)
+        return A
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The mass operator, zero on the boundary rows."""
+        m = len(self.grid.nodes)
+        zero = np.zeros((m, m))
+        B = np.block([[_operator(self.grid, self.k) / self.profile.params.nu, zero],
+                      [zero, np.eye(m)]])
+        B[self._boundary_rows, :] = 0.0
+        return B
 
     def residual(self, lam: complex, v: np.ndarray) -> float:
         """Componentwise backward error of the eigenpair.
@@ -151,10 +204,12 @@ class Pencil:
     @cached_property
     def leading(self):
         """(lambda, right, left) eigentriple of Ared with the largest Re
-        lambda, from one eigendecomposition; u^H Ared = lambda u^H for left."""
+        lambda, from one eigendecomposition; u^H Ared = lambda u^H for left.
+        The vectors are copied out, so the full eigenvector matrices are
+        not kept."""
         lam, vl, vr = eig(self.Ared, left=True, right=True)
         j = np.argsort(-lam.real)[0]
-        return lam[j], vr[:, j], vl[:, j]
+        return lam[j], vr[:, j].copy(), vl[:, j].copy()
 
     def lift(self, vec: np.ndarray) -> np.ndarray:
         """Full w profile from its interior values through the Robin rows."""
@@ -165,50 +220,28 @@ class Pencil:
 
 
 def assemble_pencil(k: int, profile: TemperatureProfile, grid: Grid) -> Pencil:
-    """Collocation matrices with boundary rows for the clamped/Robin pair,
-    and the Schur operator they reduce to."""
+    """The Schur operator of the clamped/Robin collocation pencil."""
     if k < 1:
         raise SpectralError("wavenumber must be a positive integer")
     p = profile.params
-    y, Dy = grid.nodes, grid.diff
+    y = grid.nodes
     if not resolves_layer(grid, p.b):
         raise SpectralError("grid too coarse for the boundary layer; "
                             "node spacing near y=0 must resolve 1/(4b)")
     m = len(y)
-    I = np.eye(m)
-    L = Dy @ Dy - (k * k) * I
+    L = _operator(grid, k)
     uy = profile.u_y(y)
     G = _clamped_biharmonic(grid, L)
-    A = np.block([[L @ L, (k * k) * I], [np.diag(uy), L]])
-    B = np.block([[L / p.nu, np.zeros((m, m))], [np.zeros((m, m)), I]])
     i0, ih = grid.i0, grid.ih
-    # psi rows: value at both ends on the value rows, slope on the adjacent rows
-    for row, vec in ((i0, I[i0]), (ih, I[ih])):
-        A[row, :m] = vec
-        A[row, m:] = 0.0
-        B[row, :] = 0.0
-    A[1, :m] = Dy[i0]
-    A[1, m:] = 0.0
-    B[1, :] = 0.0
-    A[m - 2, :m] = Dy[ih]
-    A[m - 2, m:] = 0.0
-    B[m - 2, :] = 0.0
-    # w Robin rows
-    A[m + i0, :] = 0.0
-    A[m + i0, m:] = Dy[i0] - p.beta * I[i0]
-    B[m + i0, :] = 0.0
-    A[m + ih, :] = 0.0
-    A[m + ih, m:] = Dy[ih] - p.beta1 * I[ih]
-    B[m + ih, :] = 0.0
     # Schur operator: k^2 scales uy first, then G (the product order sets
     # Ared's rounding)
     Aop = L - ((k * k) * uy)[:, None] * G
     rows = np.array([i0, ih])
     interior = np.array([i for i in range(m) if i != i0 and i != ih])
-    Bc = A[m + rows, m:]                  # the Robin rows
+    Bc = _robin_rows(grid, p)
     T = -np.linalg.solve(Bc[:, rows], Bc[:, interior])
     Ared = Aop[np.ix_(interior, interior)] + Aop[np.ix_(interior, rows)] @ T
-    return Pencil(k=k, A=A, B=B, grid=grid, profile=profile, uy=uy, G=G,
+    return Pencil(k=k, grid=grid, profile=profile, uy=uy, G=G,
                   Ared=Ared, interior=interior, rows=rows, T=T)
 
 
@@ -413,6 +446,55 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_cores(fn, items) -> list:
+    """[fn(x) for x in items], spread over the cores this process may use.
+
+    The calling thread takes part, with one worker thread per further
+    core; each item runs whole on one thread (LAPACK releases the GIL).
+    Items are claimed in order and, once one has failed, no new one
+    starts: every item before a failed one still runs, so the exception
+    raised, unchanged, is that of the lowest failing item, as in the
+    serial loop.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    claims = iter(range(len(items)))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def work():
+        while not failed.is_set():
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+                failed.set()
+
+    workers = [threading.Thread(target=work)
+               for _ in range(min(_cores(), len(items)) - 1)]
+    for t in workers:
+        t.start()
+    work()
+    for t in workers:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile,
                     grid: Grid | None = None, pencil_kmax: int = 64,
                     finite_ks: tuple[int, ...] | None = None,
@@ -422,18 +504,20 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     The design values carry the engineered-kernel statement; pencil and
     finite-b hierarchy values cross-validate each other where affordable.
     Wavenumbers beyond the a-priori bound h r b are gapped without solving:
-    their records carry no eigenvalue.  threads is not read; the benchmark still passes it.
+    their records carry no eigenvalue.  The per-k records run on the cores
+    this process may use (_map_cores), each whole on one thread, so they
+    are bit-identical to a serial survey.  threads is not read; the
+    benchmark still passes it.
     """
     kernel = tuple(int(k) for k in kernel)
     if grid is None:
         grid = default_grid(profile)
     bound = kbar_bound(params)
-    records: list[SpectrumRecord] = []
-    for k in range(1, kmax + 1):
+
+    def record(k: int) -> SpectrumRecord:
         if k > bound:
-            records.append(SpectrumRecord(k=k, lam_design=None, lam_finite=None,
-                                          lam_pencil=None, in_kernel=k in kernel))
-            continue
+            return SpectrumRecord(k=k, lam_design=None, lam_finite=None,
+                                  lam_pencil=None, in_kernel=k in kernel)
         lam_p = None
         if k <= pencil_kmax:
             try:
@@ -449,8 +533,11 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
                 lam_f = complex(TransferHierarchy(k, params).leading_lambda())
             except ScalarError:     # no separated root at this k
                 lam_f = None
-        records.append(SpectrumRecord(k=k, lam_design=lam_d, lam_finite=lam_f,
-                                      lam_pencil=lam_p, in_kernel=k in kernel))
+        return SpectrumRecord(k=k, lam_design=lam_d, lam_finite=lam_f,
+                              lam_pencil=lam_p, in_kernel=k in kernel)
+
+    grid.d2     # built before the pool: a worker's array would pin its heap
+    records = list(_map_cores(record, range(1, kmax + 1)))
     kr = max(abs(r.lam_design) for r in records
              if r.in_kernel and r.lam_design is not None)
     gap = min(-np.real(r.lam_design) for r in records

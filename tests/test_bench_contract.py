@@ -9,7 +9,6 @@ import ast
 import importlib
 import importlib.util
 import inspect
-from dataclasses import fields
 from pathlib import Path
 from types import ModuleType
 
@@ -65,7 +64,7 @@ def test_tracer_wraps_and_restores_every_target():
     assert [owner.__dict__[attr] for owner, attr, *_ in spans.TARGETS] == before
 
 
-def test_workload_calls_bind():
+def test_workload_calls_bind(profile30, grid30):
     seen = set()
     for line, name, fn, npos, keywords in _package_calls():
         seen.add(name)
@@ -82,5 +81,7 @@ def test_workload_calls_bind():
                                                     dt=0.02, seed=0)
     lyap.apply_defaults()
     assert {"horizon", "dt", "transient"} <= set(lyap.arguments)
-    # the backward-error check reads the assembled pencil
-    assert {"A", "B"} <= {f.name for f in fields(spectral.Pencil)}
+    # the backward-error check reads the assembled pencil's (A, B)
+    pen = spectral.assemble_pencil(1, profile30, grid30)
+    m = len(grid30.nodes)
+    assert pen.A.shape == pen.B.shape == (2 * m, 2 * m)

@@ -1,7 +1,10 @@
 """The package's public lists name only what exists."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,23 @@ def test_package_exports_exist_and_are_listed():
             if alias.name not in getattr(module, "__all__", (alias.name,)):
                 unlisted.append(f"{node.module}.{alias.name}")
     assert not unlisted
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user", [None, "2"])
+def test_import_pins_blas_threads_unless_set(user):
+    """Importing the package sets one BLAS thread before numpy loads; a
+    value the caller set wins."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    src = str(Path(obrealize.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, os, obrealize; "
+            "assert 'numpy' in sys.modules; "
+            f"print(' '.join(os.environ[v] for v in {BLAS_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    assert out == [user or "1", "1", "1"]

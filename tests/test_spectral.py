@@ -180,6 +180,80 @@ def test_spectrum_report_pencil_fault_propagates(profile30, monkeypatch):
     assert excinfo.type is RuntimeError     # not rewrapped as a SpectralError
 
 
+def test_spectrum_report_pool_matches_serial(profile30, monkeypatch):
+    """The per-k records on every core equal a serial survey bit for bit."""
+    import obrealize.spectral as spectral
+
+    def survey():
+        return spectrum_report([1, 7], 9, profile30.params, profile30.poly,
+                               profile30).records
+
+    pooled = survey()
+    monkeypatch.setattr(spectral, "_map_cores", map)
+    serial = survey()
+    assert [r.k for r in pooled] == list(range(1, 10))
+    assert pooled == serial
+    assert all(r.lam_pencil is not None and r.lam_finite is not None for r in pooled)
+
+
+def test_map_cores_order_and_lowest_failure(monkeypatch):
+    import time
+    import obrealize.spectral as spectral
+
+    monkeypatch.setattr(spectral, "_cores", lambda: 3)
+    assert spectral._map_cores(lambda x: (time.sleep(0.002 * (x % 3)), x * x)[1],
+                               range(12)) == [x * x for x in range(12)]
+    raised = {1: KeyError(1), 2: RuntimeError(2)}
+
+    def fn(x):
+        if x == 1:
+            time.sleep(0.05)        # the higher item fails first
+        if x in raised:
+            raise raised[x]
+        return x
+
+    with pytest.raises(KeyError) as excinfo:
+        spectral._map_cores(fn, range(6))
+    assert excinfo.value is raised[1]
+
+
+def test_map_cores_one_core_starts_no_thread(monkeypatch):
+    import threading
+    import obrealize.spectral as spectral
+
+    monkeypatch.setattr(spectral, "_cores", lambda: 1)
+    threads = spectral._map_cores(lambda x: threading.current_thread(), range(5))
+    assert threads == [threading.current_thread()] * 5
+
+
+def test_cores_without_affinity(monkeypatch):
+    import os
+    import obrealize.spectral as spectral
+
+    assert spectral._cores() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert spectral._cores() == (os.cpu_count() or 1)
+
+
+def test_assemble_pencil_peak_memory():
+    """The survey's pencil builds neither the 2m x 2m (A, B) nor a second
+    copy of the clamped block system: one assembly at b = 112 (m = 561)
+    peaks below 25 MB, where building them took 37.8 MB."""
+    import tracemalloc
+    from obrealize import derive_scales, designed_profile
+
+    prof = designed_profile(derive_scales(112.0), [1, 7])
+    grid = default_grid(prof)
+    assert len(grid.nodes) == 561
+    tracemalloc.start()
+    try:
+        assemble_pencil(3, prof, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
 def test_semigroup_rate_matches_pencil(profile30, grid30):
     pen = assemble_pencil(2, profile30, grid30)
     lead = np.max(np.linalg.eigvals(pen.Ared).real)
