@@ -28,11 +28,22 @@ derivative of that step, and rescale_into_ball uses it for the bounding
 run.  Non-stiff fast-slow systems (xi > 2e-3) are integrated by scipy's
 adaptive RK45, and realize_target evaluates the target's reference orbit at
 its sample times by scipy's DOP853.
+
+These loops step 3- to 9-vectors, where numpy's per-call overhead, not
+arithmetic, is the cost.  The ETDRK4 path of integrate and the bounding run
+write their states into one preallocated array and check finiteness and
+the escape radius once per block of _RENORM_EVERY = 10 steps, not on each
+step; the error names the first offending step, as a per-step check would,
+and the states are those of the unchecked loop.  A TargetField evaluates
+one point by ndarray.dot (D.dot(Y).dot(Y) for the quadratic term, and the
+blend radius as sqrt(Y.dot(Y))) and a batch of points by einsum; the two
+agree to rounding, not bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import json
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -96,15 +107,25 @@ class TargetField:
         self.D = 0.5 * (self.D + np.swapaxes(self.D, 1, 2))
 
     def quad(self, Y: np.ndarray) -> np.ndarray:
+        """D(Y, Y) at one point Y, or at each row of an (n, p) array.
+
+        One point takes two ndarray.dot calls, cheaper than the einsum on a
+        short vector; the two paths agree to rounding.
+        """
+        if Y.ndim == 1:
+            return self.D.dot(Y).dot(Y)
         return np.einsum("ijl,...j,...l->...i", self.D, Y, Y)
 
     def bare(self, Y: np.ndarray) -> np.ndarray:
-        return self.quad(Y) + Y @ self.R.T + self.f
+        return self.quad(Y) + Y.dot(self.R.T) + self.f
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         """W at one point Y, or at each row of an (n, p) array of points."""
         v = self.bare(Y)
         if self.cutoff_on is None:
+            return v
+        if (Y.ndim == 1
+                and math.sqrt(Y.dot(Y)) / self.ball_radius <= self.cutoff_on):
             return v
         rr = np.linalg.norm(Y, axis=-1, keepdims=True) / self.ball_radius
         if rr.max() <= self.cutoff_on:      # the blend weight is exactly 0 here
@@ -124,7 +145,7 @@ class TargetField:
         if self.cutoff_on is None:
             return J
         c, radius = self.cutoff_on, self.ball_radius
-        r = np.linalg.norm(Y)
+        r = math.sqrt(Y.dot(Y))                 # np.linalg.norm(Y), bit for bit
         if r / radius <= c:
             return J
         t = min((r / radius - c) / (1.0 - c), 1.0)
@@ -251,6 +272,10 @@ def build_fast_slow(target: TargetField, K: np.ndarray, kset: WavenumberSet,
 # integration
 # ---------------------------------------------------------------------------
 
+# steps between the escape checks of integrate and rescale_into_ball, and
+# between the QR renormalizations of lyapunov
+_RENORM_EVERY = 10
+
 @dataclass
 class Trajectory:
     t: np.ndarray
@@ -357,6 +382,32 @@ def _rk4_step(rhs, x, h, jac=None, Q=None):
     return xn, Q + h / 6.0 * (G1 + 2 * G2 + 2 * G3 + G4)
 
 
+def _fill_checked(step, x, xs, radius):
+    """Fill row i of xs with the state after i + 1 steps from x.
+
+    Each block of _RENORM_EVERY rows is checked once it is filled, not each
+    step.  Returns the index of the first row that is not finite or has
+    |x| > radius (np.linalg.norm of the row), or None.  One row-wise sum of
+    squares clears a block inside 0.99 radius; only a block near or past
+    the radius, or one holding a non-finite row, is walked row by row.
+    Steps run on past an escaped row to the end of its block, so the
+    overflow they may meet is not warned about.
+    """
+    n = len(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n, _RENORM_EVERY):
+            i1 = min(i0 + _RENORM_EVERY, n)
+            for i in range(i0, i1):
+                x = xs[i] = step(x)
+            block = xs[i0:i1]
+            if np.einsum("ni,ni->n", block, block).max() < (0.99 * radius) ** 2:
+                continue
+            for i in range(i0, i1):
+                if not np.all(np.isfinite(xs[i])) or np.linalg.norm(xs[i]) > radius:
+                    return i
+    return None
+
+
 def _integrate_etdrk4(system: QuadraticSystem, x0, t0, t1, dt, blowup):
     """ETDRK4 over [t0, t1] in n = ceil((t1 - t0)/dt) equal steps, so the
     path ends at t1; the step is dt itself wherever dt divides the span."""
@@ -364,11 +415,11 @@ def _integrate_etdrk4(system: QuadraticSystem, x0, t0, t1, dt, blowup):
     ts = np.linspace(t0, t1, nsteps + 1)
     coeffs = _etdrk4_coeffs(system.M, (t1 - t0) / nsteps)
     xs = np.empty((nsteps + 1, len(x0)))
-    x = xs[0] = x0
-    for i in range(nsteps):
-        x = xs[i + 1] = _etdrk4_step(system, x, coeffs)
-        if np.linalg.norm(x) > blowup:
-            raise RealizeError(f"trajectory blow-up at t={ts[i + 1]:.4g}")
+    xs[0] = x0
+    i = _fill_checked(lambda x: _etdrk4_step(system, x, coeffs), x0, xs[1:],
+                      blowup)
+    if i is not None:
+        raise RealizeError(f"trajectory blow-up at t={ts[i + 1]:.4g}")
     return ts, xs, nsteps, 0
 
 
@@ -407,11 +458,14 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
     xi <= 1e-3), in ceil(span/dt) equal steps that end on t1 (dt defaults
     to min(5e-3, 5% of the span)).  'auto' picks imex for xi <= 2e-3 and RK45 above.  Either
     raises RealizeError once |X| passes blowup_radius (default
-    10 max(1, |x0|)).  Deterministic: identical inputs give identical
-    output.
+    10 max(1, |x0|)); imex also once a state is not finite, and both
+    reject a non-finite x0.  Deterministic: identical inputs give
+    identical output.
     """
     t0, t1 = tspan
     x0 = np.array(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise RealizeError("x0 must be finite")
     if blowup_radius is None:
         blowup_radius = 10.0 * max(1.0, np.linalg.norm(x0))
     if method == "auto":
@@ -469,8 +523,6 @@ def empirical_field_error(traj: Trajectory, system: QuadraticSystem,
 # Lyapunov spectra
 # ---------------------------------------------------------------------------
 
-# QR renormalization interval of lyapunov, in steps
-_RENORM_EVERY = 10
 # equal blocks of the measured horizon behind each exponent's standard error
 _BATCHES = 10
 
@@ -561,14 +613,10 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
     # crude transient + bounding run with plain RK4, sampled after the transient
     dt = 5e-3
     nburn = int(20.0 / dt)
-    pts = []
-    for i in range(nburn + int(200.0 / dt)):
-        x = _rk4_step(raw.bare, x, dt)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e6:
-            raise RealizeError("raw field escaped during the bounding run")
-        if i >= nburn and (i - nburn) % 5 == 0:
-            pts.append(x)
-    pts = np.array(pts)
+    xs = np.empty((nburn + int(200.0 / dt), raw.p))
+    if _fill_checked(lambda x: _rk4_step(raw.bare, x, dt), x, xs, 1e6) is not None:
+        raise RealizeError("raw field escaped during the bounding run")
+    pts = xs[nburn::5]
     center = 0.5 * (pts.max(axis=0) + pts.min(axis=0))
     radius = np.max(np.linalg.norm(pts - center, axis=1))
     scale = 2.0 * radius / ball_radius          # maps attractor into R/2

@@ -10,7 +10,8 @@ from obrealize.realize import (QuadraticSystem, RealizeError, TargetField,
                                _etdrk4_coeffs, _etdrk4_step, _phi_functions,
                                build_fast_slow, contraction_field,
                                empirical_field_error, integrate, lorenz_field,
-                               lyapunov, manifold_residual, realize_target)
+                               lyapunov, manifold_residual, realize_target,
+                               rescale_into_ball)
 
 
 def check_blocks(system: QuadraticSystem) -> dict:
@@ -126,17 +127,54 @@ def test_target_field_rejects_mismatched_R_and_f(R, f, match):
         TargetField(p=2, D=np.zeros((2, 2, 2)), R=R, f=f)
 
 
-def test_blowup_detection(kset3):
+def _squaring_system(kset3):
+    """dX0/dt = X0^2 on the p = 3 extended set, everything else at rest."""
     N = kset3.N
     K = np.zeros((N, N, N))
-    K[0, 0, 0] = 1.0     # dX0/dt = X0^2 blows up
-    sysu = QuadraticSystem(N=N, p=3, K=K, M=np.zeros((N, N)), f=np.zeros(N),
+    K[0, 0, 0] = 1.0
+    return QuadraticSystem(N=N, p=3, K=K, M=np.zeros((N, N)), f=np.zeros(N),
                            xi=1.0, T=np.zeros((3, N - 3)), R=np.zeros((3, 3)))
-    x0 = np.zeros(N)
+
+
+def test_blowup_detection(kset3):
+    x0 = np.zeros(kset3.N)
     x0[0] = 5.0
     with pytest.raises(RealizeError):
-        integrate(sysu, x0, (0.0, 10.0), method="dopri",
+        integrate(_squaring_system(kset3), x0, (0.0, 10.0), method="dopri",
                   blowup_radius=20.0)
+
+
+@pytest.mark.parametrize("dt, t_escape", [(1e-3, "0.151"), (5e-3, "0.155"),
+                                          (7e-3, "0.154")])
+def test_etdrk4_blowup_reported_at_its_first_step(kset3, dt, t_escape):
+    # X0 = 5/(1 - 5t) passes 20 at t = 0.15; the escape is checked once per
+    # block of steps, and names the first step past the radius, as a check
+    # on every step would
+    sysu = _squaring_system(kset3)
+    x0 = np.zeros(kset3.N)
+    x0[0] = 5.0
+    with pytest.raises(RealizeError, match=rf"blow-up at t={t_escape}$"):
+        integrate(sysu, x0, (0.0, 10.0), method="imex", dt=dt,
+                  blowup_radius=20.0)
+
+
+def test_etdrk4_non_finite_state_is_a_blowup(kset3):
+    # no radius stops dX0/dt = X0^2, so the orbit overflows: the first
+    # non-finite state is a blow-up
+    x0 = np.zeros(kset3.N)
+    x0[0] = 5.0
+    with pytest.raises(RealizeError, match=r"blow-up at t=0.203$"):
+        integrate(_squaring_system(kset3), x0, (0.0, 1.0), method="imex",
+                  dt=1e-3, blowup_radius=np.inf)
+
+
+@pytest.mark.parametrize("method", ["imex", "dopri"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_rejects_non_finite_start(kset3, method, bad):
+    x0 = np.zeros(kset3.N)
+    x0[1] = bad
+    with pytest.raises(RealizeError, match="x0 must be finite"):
+        integrate(_squaring_system(kset3), x0, (0.0, 1.0), method=method)
 
 
 def test_rk45_rejections_counted_from_its_evaluations(kset3):
@@ -340,11 +378,13 @@ def test_lyapunov_slow_columns_match_full_frame():
 
 def test_lyapunov_target_exponents_pinned(lorenz_target):
     # the RK4 state step and its derivative on the frame, on the blended
-    # Lorenz target, bit for bit as the per-step QR and stage Jacobians gave it
+    # Lorenz target, bit for bit as the per-step QR and stage Jacobians gave
+    # it, with TargetField's one-point arithmetic (D.dot(Y).dot(Y) for the
+    # quadratic term)
     tgt = lorenz_target
     exps, stderr = lyapunov(tgt, np.array([0.05, 0.02, 0.1]), horizon=50.0,
                             dt=0.02)
-    assert exps == pytest.approx([0.00878984173406925, 0.0021815507472736067,
+    assert exps == pytest.approx([0.00878984173406925, 0.0021815507472736115,
                                   -0.2017452463981126], rel=1e-15, abs=0.0)
     assert np.all(np.isfinite(stderr)) and np.all(stderr > 0.0)
 
@@ -354,15 +394,11 @@ def test_lyapunov_rejects_blowup_and_short_horizon(kset3):
     # state is checked at each renormalization, not at each step
     blowup = TargetField(p=1, D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
                          f=np.zeros(1), ball_radius=np.inf)
-    N = kset3.N
-    K = np.zeros((N, N, N))
-    K[0, 0, 0] = 1.0
-    sysu = QuadraticSystem(N=N, p=3, K=K, M=np.zeros((N, N)), f=np.zeros(N),
-                           xi=1.0, T=np.zeros((3, N - 3)), R=np.zeros((3, 3)))
-    x0 = np.zeros(N)
+    x0 = np.zeros(kset3.N)
     x0[0] = 5.0
     with np.errstate(all="ignore"):
-        for flow, x in ((blowup, np.array([5.0])), (sysu, x0)):
+        for flow, x in ((blowup, np.array([5.0])),
+                        (_squaring_system(kset3), x0)):
             with pytest.raises(RealizeError, match="unbounded"):
                 lyapunov(flow, x, horizon=10.0, dt=0.01, transient=0.0)
     # fewer measured renormalizations than batches for the error bar
@@ -397,6 +433,46 @@ def test_rescale_into_ball_properties(lorenz_target):
     lhs = tgt.bare(y)
     rhs = (tau / s) * lor.bare(c + s * y)
     assert np.allclose(lhs, rhs, rtol=1e-10)
+
+
+@pytest.mark.parametrize("seed, center, scale, tau", [
+    (1, [-0.31972211881504364, -0.5567342693273485, 24.940058396322293],
+     61.16862037875085, 0.013959062481781527),
+    (1234, [-0.18438430396162708, -0.37613126403035757, 24.792318617331976],
+     62.15769341831966, 0.013738735172111266),
+])
+def test_rescale_into_ball_affine_pinned(seed, center, scale, tau):
+    # the raw bounding run, bit for bit: every realize artifact of the
+    # Lorenz preset is computed in this map
+    tgt = rescale_into_ball(lorenz_field(), seed=seed)
+    assert tgt.affine == {"center": center, "scale": scale, "tau": tau}
+    assert tgt.cutoff_on == 0.9
+
+
+def test_rescale_into_ball_rejects_escaping_field():
+    # dX/dt = X^2 from seed 0's start X = 0.0136 blows up near t = 74,
+    # inside the 220 time units of the bounding run
+    raw = TargetField(p=1, D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
+                      f=np.zeros(1), ball_radius=np.inf)
+    with pytest.raises(RealizeError, match="escaped"):
+        rescale_into_ball(raw, seed=0)
+
+
+def test_one_point_field_matches_batched(lorenz_target):
+    # 200 seeded points inside cutoff_on and 200 in the blend shell: the
+    # one-point arithmetic agrees with the batched rows to rounding, relative
+    # to each row's norm (a component that cancels to 1e-3 of its row can
+    # differ by 2e-14 of itself)
+    W = lorenz_target
+    rng = np.random.default_rng(11)
+    for lo, hi in ((0.0, W.cutoff_on), (W.cutoff_on, 1.0)):
+        q = rng.standard_normal((200, 3))
+        q *= (rng.uniform(lo, hi, 200) / np.linalg.norm(q, axis=1))[:, None]
+        for f in (W, W.quad):
+            batched = f(q)
+            diff = np.array([f(y) for y in q]) - batched
+            assert np.all(np.linalg.norm(diff, axis=1)
+                          <= 1e-14 * np.linalg.norm(batched, axis=1))
 
 
 def _inward_by_loop(field):
