@@ -9,9 +9,26 @@ weights transformed to the mapped coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
+
+
+class cached_attribute:
+    """functools.cached_property without its lock: the first read computes
+    the value and stores it in the instance __dict__, which later reads and
+    assignments use.  On Python < 3.12 cached_property holds one lock per
+    attribute shared by every instance, so first reads on different
+    instances in different threads run one at a time.  Two first reads of
+    one instance may both compute; either result is kept."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def chebyshev_diff(n: int):
@@ -65,7 +82,7 @@ class Grid:
     weights: np.ndarray = field(repr=False)
     diff: np.ndarray = field(repr=False)
 
-    @cached_property
+    @cached_attribute
     def d2(self) -> np.ndarray:
         return self.diff @ self.diff
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from .grid import Grid
 from .profile import ScaleParams, TemperatureProfile
-from .spectral import (ModeBasis, biorthogonalize, solve_conjugate_modes,
-                       solve_modes, assemble_pencil)
+from .spectral import (ModeBasis, _map_cores, assemble_pencil, biorthogonalize,
+                       solve_conjugate_modes, solve_modes)
 
 __all__ = [
     "FourierProfileSet",
@@ -120,22 +120,24 @@ def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid) -> ModeB
     """Biorthogonalized basis from the leading pencil modes and their adjoints.
 
     One pencil and one eigendecomposition per wavenumber give the direct
-    mode and its adjoint at the same eigenvalue.
+    mode and its adjoint at the same eigenvalue (Pencil.leading: LAPACK's
+    geev and one inverse-iteration solve, both without the GIL).  The
+    wavenumbers run on the cores this process may use (_map_cores), each
+    whole on one thread, so the basis is bit-identical to a serial run.
     """
     ks = tuple(int(k) for k in wavenumbers)
-    psi, dpsi, theta, thetastar, dthetastar, phi = [], [], [], [], [], []
     Dy = grid.diff
-    for k in ks:
+
+    def profiles(k: int):
         pen = assemble_pencil(k, profile, grid)
         mode = solve_modes(pen)
         cm = solve_conjugate_modes(pen)
-        del pen                 # frees its (A, B) before the next assembly
-        psi.append(np.real(mode.psi))
-        dpsi.append(np.real(Dy @ mode.psi))
-        theta.append(np.real(mode.w))
-        thetastar.append(np.real(cm.wtilde))
-        dthetastar.append(np.real(Dy @ cm.wtilde))
-        phi.append(np.real(cm.phi))
+        return (np.real(mode.psi), np.real(Dy @ mode.psi), np.real(mode.w),
+                np.real(cm.wtilde), np.real(Dy @ cm.wtilde), np.real(cm.phi))
+
+    grid.d2     # built before the pool: a worker's array would pin its heap
+    psi, dpsi, theta, thetastar, dthetastar, phi = (
+        list(col) for col in zip(*_map_cores(profiles, ks)))
     return biorthogonalize(ModeBasis(wavenumbers=ks, grid=grid, psi=psi,
                                      dpsi=dpsi, theta=theta, thetastar=thetastar,
                                      dthetastar=dthetastar, phi=phi))

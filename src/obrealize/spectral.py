@@ -14,30 +14,37 @@ Solvers: assemble_pencil builds the Schur complement in w of the
 collocation pencil with boundary rows (the nu^{-1} block is ~1e-15 of the
 rest, so psi is slaved through the clamped biharmonic solve), which avoids
 the spurious modes of the singular pencil.  The generalized 2m x 2m pair
-(A, B) itself is built only when read, by the backward error.  Every
-solver below takes that Pencil.  One left-and-right eigendecomposition of
-the Schur operator per wavenumber gives both the leading direct mode
-(solve_modes) and its conjugate (adjoint) mode (solve_conjugate_modes),
-which therefore share one eigenvalue.  Each mode records its residuals
-and is rejected with a SpectralError above their bounds: the direct mode's
+(A, B) itself is built only when read, by the backward error, and not
+kept.  Every solver below takes that Pencil.  One eigendecomposition of
+the Schur operator per wavenumber (Pencil.leading) gives the leading
+eigenvalue and direct mode (solve_modes); one inverse-iteration solve at
+that eigenvalue gives its conjugate (adjoint) mode (solve_conjugate_modes),
+so the two share one eigenvalue.  Each mode records its residuals and is
+rejected with a SpectralError above their bounds: the direct mode's
 componentwise backward error against (A, B) above PENCIL_RESIDUAL_TOL, and
 either mode's boundary-row residual above BOUNDARY_RESIDUAL_TOL.
 
-spectrum_report solves its per-k records on every core this process may
-use, one whole record per thread; each record runs the same serial code,
-so the survey is bit-identical to a one-thread run.
+spectrum_report solves its per-k records, and reduction.numeric_basis its
+wavenumbers, on every core this process may use, one whole item per
+thread; each item runs the same serial code, so the result is
+bit-identical to a one-thread run.  The threads overlap only inside
+LAPACK calls that release the GIL: numpy's eig (geev) and solve (gesv)
+do; numpy's eigvals holds it at m = 259 and 399 unknowns (b = 30, 80),
+and scipy.linalg.eig(left=True, right=True) for much of its run, so
+Pencil.leading uses the first two.  Pencil.leading and Grid.d2 are
+cached without a lock (cached_attribute), so first reads on different
+pencils do not wait for each other.
 """
 from __future__ import annotations
 
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eig, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
-from .grid import Grid, make_grid
+from .grid import Grid, cached_attribute, make_grid
 from .profile import ScaleParams, TemperatureProfile
 from .scalar import (ScalarError, TransferHierarchy, find_root_z, kbar_bound,
                      lambda_from_z)
@@ -135,6 +142,17 @@ def _clamped_biharmonic(grid: Grid, L: np.ndarray) -> np.ndarray:
     return lu_solve(lu_factor(A, overwrite_a=True), rhs, overwrite_b=True)[:m]
 
 
+class _built_on_read:
+    """A non-data descriptor that builds its value on every read and keeps
+    none; a value assigned to the attribute shadows it."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else self.fn(obj)
+
+
 @dataclass
 class Pencil:
     """Generalized eigenpair data lambda B v = A v over stacked (psi, w).
@@ -143,7 +161,8 @@ class Pencil:
     psi is slaved through the clamped biharmonic G (the nu^{-1} mass block
     is negligible at nu = b^10), and the two Robin rows eliminate the
     boundary values w[rows] = T @ w[interior].  The 2m x 2m pair (A, B)
-    is built on first read: only the backward error reads it.
+    is built on each read and not kept: only the backward error reads it,
+    one matrix at a time, so a pencil per core fits beside the others.
     """
 
     k: int
@@ -163,7 +182,7 @@ class Pencil:
         m, i0, ih = len(self.grid.nodes), self.grid.i0, self.grid.ih
         return [i0, ih, 1, m - 2, m + i0, m + ih]
 
-    @cached_property
+    @_built_on_read
     def A(self) -> np.ndarray:
         """The collocation operator with its boundary rows."""
         g, k = self.grid, self.k
@@ -177,7 +196,7 @@ class Pencil:
         A[m + self.rows, m:] = _robin_rows(g, self.profile.params)
         return A
 
-    @cached_property
+    @_built_on_read
     def B(self) -> np.ndarray:
         """The mass operator, zero on the boundary rows."""
         m = len(self.grid.nodes)
@@ -193,23 +212,44 @@ class Pencil:
         Per-row normalization keeps the metric meaningful despite the
         wildly different scales of the fourth-order rows.
         """
-        r = self.A @ v - lam * (self.B @ v)
-        denom = (np.abs(self.A) @ np.abs(v)
-                 + abs(lam) * (np.abs(self.B) @ np.abs(v)))
+        av = np.abs(v)
+        A = self.A
+        r = A @ v
+        denom = np.abs(A) @ av
+        del A                   # so that A and B are never alive together
+        B = self.B
+        r = r - lam * (B @ v)
+        denom += abs(lam) * (np.abs(B) @ av)
         # rows whose natural magnitude is negligible (satisfied boundary
         # rows) are measured against the dominant row scale
         denom = np.maximum(denom, 1e-10 * np.max(denom))
         return float(np.max(np.abs(r) / denom))
 
-    @cached_property
+    @cached_attribute
     def leading(self):
         """(lambda, right, left) eigentriple of Ared with the largest Re
-        lambda, from one eigendecomposition; u^H Ared = lambda u^H for left.
-        The vectors are copied out, so the full eigenvector matrices are
-        not kept."""
-        lam, vl, vr = eig(self.Ared, left=True, right=True)
+        lambda; u^H Ared = lambda u^H for the unit-norm left vector.
+
+        lambda and the right vector come from one np.linalg.eig (LAPACK
+        geev, which runs without the GIL; only the chosen column is kept).
+        The left vector is one inverse-iteration solve of
+        (Ared^T - conj(lambda) I) u = r from a seeded r, in real arithmetic
+        when lambda is real.  A shift that makes the matrix exactly
+        singular is nudged by eps ||Ared||_1.
+        """
+        lam, vr = np.linalg.eig(self.Ared)
         j = np.argsort(-lam.real)[0]
-        return lam[j], vr[:, j].copy(), vl[:, j].copy()
+        lam, right = lam[j], vr[:, j].copy()
+        del vr                  # freed before the solve's m x m arrays
+        shift = np.conj(lam) if lam.imag else lam.real
+        At = self.Ared.T
+        r = np.random.default_rng(0).standard_normal(len(At))
+        try:
+            u = np.linalg.solve(At - shift * np.eye(len(At)), r)
+        except np.linalg.LinAlgError:   # shift is exactly an eigenvalue
+            shift += np.finfo(float).eps * (np.linalg.norm(At, np.inf) or 1.0)
+            u = np.linalg.solve(At - shift * np.eye(len(At)), r)
+        return lam, right, u / np.linalg.norm(u)
 
     def lift(self, vec: np.ndarray) -> np.ndarray:
         """Full w profile from its interior values through the Robin rows."""

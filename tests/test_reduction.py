@@ -214,7 +214,9 @@ def test_reduced_system_json_roundtrip(basis50, kset2):
 
 def test_numeric_basis_assembles_once(profile30, grid30, monkeypatch):
     """One pencil (and so one Schur reduction) and one eigendecomposition
-    per wavenumber: the conjugate mode reuses the direct one's."""
+    per wavenumber, np.linalg.eig: the conjugate mode reuses the direct
+    one's eigenvalue, and neither eigvals nor scipy's eig runs."""
+    import scipy.linalg
     from obrealize import reduction, spectral
     calls = []
     solves = []
@@ -233,13 +235,49 @@ def test_numeric_basis_assembles_once(profile30, grid30, monkeypatch):
 
     for module in (reduction, spectral):
         monkeypatch.setattr(module, "assemble_pencil", counted(module.assemble_pencil))
-    monkeypatch.setattr(spectral, "eig", counted_solve("eig", spectral.eig))
-    for name in ("eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name,
-                            counted_solve(f"np.linalg.{name}", getattr(np.linalg, name)))
+    for module, prefix in ((np.linalg, "np.linalg"), (scipy.linalg, "scipy.linalg")):
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(module, name, counted_solve(f"{prefix}.{name}",
+                                                            getattr(module, name)))
     numeric_basis((1, 2), profile30, grid30)
     assert sorted(calls) == [1, 2]
-    assert solves == ["eig", "eig"]
+    assert solves == ["np.linalg.eig", "np.linalg.eig"]
+    assert not hasattr(spectral, "eig")
+
+
+def test_numeric_basis_pool_matches_serial(profile30, grid30, monkeypatch):
+    """The wavenumbers on every core give the serial basis bit for bit."""
+    from obrealize import extended_set, reduction
+
+    ks = extended_set(2).full
+    pooled = numeric_basis(ks, profile30, grid30)
+    monkeypatch.setattr(reduction, "_map_cores", map)
+    serial = numeric_basis(ks, profile30, grid30)
+    assert pooled.wavenumbers == serial.wavenumbers == ks
+    for name in ("psi", "dpsi", "theta", "thetastar", "dthetastar", "phi"):
+        for a, b in zip(getattr(pooled, name), getattr(serial, name)):
+            assert np.array_equal(a, b)
+    assert np.array_equal(pooled.gram, serial.gram)
+
+
+def test_numeric_basis_peak_memory():
+    """One pencil per core at b = 112 (m = 561) stays below 70 MB of traced
+    peak: 40 MB serial, 45-58 MB on 2 cores.  With (A, B) kept on each
+    pencil, two residuals at once reached 78 MB."""
+    import tracemalloc
+    from obrealize import default_grid, derive_scales, designed_profile, extended_set
+
+    kset = extended_set(2)
+    prof = designed_profile(derive_scales(112.0), kset.base)
+    grid = default_grid(prof)
+    assert len(grid.nodes) == 561
+    tracemalloc.start()
+    try:
+        numeric_basis(kset.full, prof, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70e6
 
 
 @pytest.mark.xfail(reason="at desk-scale b the leading collocation mode sits "

@@ -290,3 +290,37 @@ def test_kernel_mode_neutral_under_evolution(profile30, grid30):
     rate, _ = semigroup_decay(pen, horizon=1.0, dt=5e-4, x0=w0,
                               fit_fraction=0.9)
     assert abs(np.expm1(rate * 1.0)) < 1e-4
+
+
+def test_adjoint_of_complex_leading_pair(profile30, grid30):
+    """The inverse-iteration left vector at a complex rightmost eigenvalue:
+    u^H A = lambda u^H to 1e-12 ||A||, unit norm, beside the right vector."""
+    pen = assemble_pencil(1, profile30, grid30)
+    rot = np.array([[-0.5, 2.0], [-3.0, -0.5]])     # eigenvalues -0.5 +- i sqrt(6)
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    S = np.zeros((5, 5))
+    S[:2, :2] = rot
+    S[2:, 2:] = np.diag([-4.0, -7.0, -9.0]) + np.triu(rng.standard_normal((3, 3)), 1)
+    S[:2, 2:] = rng.standard_normal((2, 3))
+    pen.Ared = Q @ S @ Q.T
+    lam, right, left = pen.leading
+    A = pen.Ared
+    scale = np.linalg.norm(A, 2)
+    assert lam == pytest.approx(-0.5 + 1j * np.sign(lam.imag) * np.sqrt(6.0), rel=1e-13)
+    assert np.linalg.norm(left) == pytest.approx(1.0, rel=1e-14)
+    assert np.linalg.norm(left.conj() @ A - lam * left.conj()) <= 1e-12 * scale
+    assert np.linalg.norm(A @ right - lam * right) <= 1e-12 * scale
+
+
+def test_adjoint_at_exactly_singular_shift(profile30, grid30):
+    """An eigenvalue LAPACK returns exactly (a triangular Ared) makes the
+    shifted solve exactly singular; the shift is nudged, nothing raises."""
+    pen = assemble_pencil(1, profile30, grid30)
+    pen.Ared = np.array([[1.0, 0.0, 0.0], [2.0, -2.0, 0.0], [0.5, 1.0, -3.0]])
+    with pytest.raises(np.linalg.LinAlgError):      # the shift is exact
+        np.linalg.solve(pen.Ared.T - np.eye(3), np.ones(3))
+    lam, _, left = pen.leading
+    assert lam == 1.0
+    A = pen.Ared
+    assert np.linalg.norm(left @ A - lam * left) <= 1e-12 * np.linalg.norm(A, 2)
