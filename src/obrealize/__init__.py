@@ -12,12 +12,23 @@ included, on the slow manifold of a fast-slow extension (realize).
 """
 
 import os
+import sys
+import warnings
 
 # One BLAS thread unless the caller chose otherwise, set before numpy
 # loads: the dense algebra here is small, OpenBLAS's thread per core
 # slows it (operator-ladder 22.4 s against 13.7 s on 2 cores), and
 # spectrum_report already puts its per-k records on every core
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(v in os.environ for v in _BLAS_VARS):
+    # BLAS read its thread count when numpy loaded (the b = 112 survey
+    # took 6.5-7.7 s so, against 2.7-3.4 s pinned)
+    warnings.warn("numpy was imported before obrealize with none of "
+                  f"{', '.join(_BLAS_VARS)} set, so BLAS runs one thread per "
+                  "core and the dense algebra here slows down; import "
+                  "obrealize first or set OPENBLAS_NUM_THREADS=1",
+                  RuntimeWarning, stacklevel=2)
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

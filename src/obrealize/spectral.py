@@ -24,16 +24,26 @@ rejected with a SpectralError above their bounds: the direct mode's
 componentwise backward error against (A, B) above PENCIL_RESIDUAL_TOL, and
 either mode's boundary-row residual above BOUNDARY_RESIDUAL_TOL.
 
-spectrum_report solves its per-k records, and reduction.numeric_basis its
-wavenumbers, on every core this process may use, one whole item per
-thread; each item runs the same serial code, so the result is
-bit-identical to a one-thread run.  The threads overlap only inside
-LAPACK calls that release the GIL: numpy's eig (geev) and solve (gesv)
-do; numpy's eigvals holds it at m = 259 and 399 unknowns (b = 30, 80),
-and scipy.linalg.eig(left=True, right=True) for much of its run, so
-Pencil.leading uses the first two.  Pencil.leading and Grid.d2 are
-cached without a lock (cached_attribute), so first reads on different
-pencils do not wait for each other.
+spectrum_report solves its records in groups of consecutive wavenumbers,
+and reduction.numeric_basis its wavenumbers, on every core this process
+may use, one whole item per thread; each item runs the same serial code,
+so the result is bit-identical to a one-thread run.  The threads overlap
+only inside LAPACK calls that release the GIL.  numpy's eigvals loop
+releases it only when batch x m > 500 (batch matrices of m unknowns in
+one call): beside one eigvals call a pure-Python thread ran at 0.18-0.25
+of its solo rate at m = 259 (b = 30), 0.06-0.15 at 399 (b = 80) and 0.11
+at 500, but at 1.26 at 501; at 0.17 beside a stack of 2 x 250 and 0.93
+beside 2 x 251; at 0.19 beside 3 x 166 and 1.23 beside 3 x 167.  So
+spectrum_report hands eigvals stacks of _stack_size(m) Schur operators,
+whose eigenvalues are each bit-identical to a lone call's.  eig (geev)
+runs without the GIL at every m here (0.9-1.0 at m = 259), so
+Pencil.leading takes its eigenpairs from it, not from
+scipy.linalg.eig(left=True, right=True), which holds the GIL for much of
+its run.  Pencil.leading's one-column solve also holds it at m <= 500 (a
+thread beside it ran at 0.46-0.61); it stays, because a two-column solve
+moves the unit left vector by 5e-15 to 6e-14, not bit for bit.
+Pencil.leading and Grid.d2 are cached without a lock (cached_attribute),
+so first reads on different pencils do not wait for each other.
 """
 from __future__ import annotations
 
@@ -535,6 +545,13 @@ def _map_cores(fn, items) -> list:
     return results
 
 
+def _stack_size(m: int) -> int:
+    """Schur operators per eigvals call at m unknowns: the fewest with
+    batch x m > 500, above which numpy runs its eigvals loop without the
+    GIL."""
+    return -(-501 // m)
+
+
 def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile,
                     grid: Grid | None = None, pencil_kmax: int = 64,
                     finite_ks: tuple[int, ...] | None = None,
@@ -544,27 +561,61 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     The design values carry the engineered-kernel statement; pencil and
     finite-b hierarchy values cross-validate each other where affordable.
     Wavenumbers beyond the a-priori bound h r b are gapped without solving:
-    their records carry no eigenvalue.  The per-k records run on the cores
-    this process may use (_map_cores), each whole on one thread, so they
-    are bit-identical to a serial survey.  threads is not read; the
+    their records carry no eigenvalue.  params and poly must equal
+    profile.params and profile.poly, else a SpectralError is raised.
+
+    The records run in groups of _stack_size(m) consecutive wavenumbers
+    (2 at b = 30 and 80, 1 at b = 112), on the cores this process may use
+    (_map_cores), each group whole on one thread.  A group assembles its
+    pencils, keeps only their Schur operators, stacks them into one
+    (batch, m, m) array and solves it in one np.linalg.eigvals call:
+    numpy runs that without the GIL only when batch x m > 500, and a lone
+    m = 259 or 399 matrix holds it for the whole call.  Each matrix's
+    eigenvalues are bit-identical to a lone call's, so the records are
+    those of a serial survey.  Within a group the failures come in this
+    order: a pencil assembly fault at any of its wavenumbers, then an
+    eigvals LinAlgError (a SpectralError naming the group's wavenumbers),
+    then each k's design root and hierarchy in k order; across groups the
+    lowest failing group's exception is raised.  threads is not read; the
     benchmark still passes it.
     """
+    if params != profile.params or poly != profile.poly:
+        raise SpectralError("params and poly must be the profile's own")
     kernel = tuple(int(k) for k in kernel)
     if grid is None:
         grid = default_grid(profile)
     bound = kbar_bound(params)
 
-    def record(k: int) -> SpectrumRecord:
+    def pencil_eigenvalues(ks) -> dict:
+        """The leading eigenvalue of each k's Schur operator, from one
+        eigvals call on their stack.  Each pencil is dropped once its Ared
+        is kept, and the stack is built after the last assembly, so no
+        assembly runs beside it (peak RSS of the b = 30 survey 102.4 MB,
+        against 103.5 MB with the stack allocated first)."""
+        areds = []
+        for k in ks:
+            try:
+                areds.append(assemble_pencil(k, profile, grid).Ared)
+            except (SpectralError, np.linalg.LinAlgError) as exc:
+                raise SpectralError(f"pencil solve failed at k={k}: {exc}") from exc
+        try:
+            evs = np.linalg.eigvals(np.stack(areds))
+        except np.linalg.LinAlgError as exc:
+            raise SpectralError("pencil solve failed at k="
+                                f"{', '.join(map(str, ks))}: {exc}") from exc
+        # a lone matrix's eigvals are real when all their imaginary parts are 0
+        evs = [ev if ev.imag.any() else ev.real for ev in evs]
+        return {k: ev[np.argmax(ev.real)] for k, ev in zip(ks, evs)}
+
+    def group_records(ks) -> list[SpectrumRecord]:
+        solved = [k for k in ks if k <= bound and k <= pencil_kmax]
+        lam_p = pencil_eigenvalues(solved) if solved else {}
+        return [record(k, lam_p.get(k)) for k in ks]
+
+    def record(k: int, lam_p) -> SpectrumRecord:
         if k > bound:
             return SpectrumRecord(k=k, lam_design=None, lam_finite=None,
                                   lam_pencil=None, in_kernel=k in kernel)
-        lam_p = None
-        if k <= pencil_kmax:
-            try:
-                ev = np.linalg.eigvals(assemble_pencil(k, profile, grid).Ared)
-            except (SpectralError, np.linalg.LinAlgError) as exc:
-                raise SpectralError(f"pencil solve failed at k={k}: {exc}") from exc
-            lam_p = ev[np.argmax(ev.real)]
         z = find_root_z(k, params, poly)
         lam_d = lambda_from_z(z, k)
         lam_f = None
@@ -576,8 +627,10 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
         return SpectrumRecord(k=k, lam_design=lam_d, lam_finite=lam_f,
                               lam_pencil=lam_p, in_kernel=k in kernel)
 
+    ks, batch = range(1, kmax + 1), _stack_size(len(grid.nodes) - 2)
+    groups = [ks[i:i + batch] for i in range(0, kmax, batch)]
     grid.d2     # built before the pool: a worker's array would pin its heap
-    records = list(_map_cores(record, range(1, kmax + 1)))
+    records = [r for group in _map_cores(group_records, groups) for r in group]
     kr = max(abs(r.lam_design) for r in records
              if r.in_kernel and r.lam_design is not None)
     gap = min(-np.real(r.lam_design) for r in records

@@ -40,18 +40,40 @@ def test_package_exports_exist_and_are_listed():
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _python(code, **blas):
+    """Run code in a fresh interpreter with only the given BLAS variables
+    set and the package on its path."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas)
+    src = str(Path(obrealize.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("user", [None, "2"])
 def test_import_pins_blas_threads_unless_set(user):
     """Importing the package sets one BLAS thread before numpy loads; a
     value the caller set wins."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    if user is not None:
-        env["OPENBLAS_NUM_THREADS"] = user
-    src = str(Path(obrealize.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, os, obrealize; "
             "assert 'numpy' in sys.modules; "
             f"print(' '.join(os.environ[v] for v in {BLAS_VARS!r}))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout.split()
-    assert out == [user or "1", "1", "1"]
+    run = _python(code, **({} if user is None else {"OPENBLAS_NUM_THREADS": user}))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [user or "1", "1", "1"]
+
+
+@pytest.mark.parametrize("order, blas, warns", [
+    ("obrealize, numpy", {}, False),
+    ("numpy, obrealize", {}, True),
+    ("numpy, obrealize", {"OPENBLAS_NUM_THREADS": "2"}, False),
+    ("numpy, obrealize", {"OMP_NUM_THREADS": "1"}, False),
+])
+def test_import_warns_when_blas_pin_comes_too_late(order, blas, warns):
+    """Imported after numpy with no BLAS variable set, the package cannot
+    pin BLAS and says so; a variable the caller set is their choice."""
+    run = _python("import warnings; warnings.simplefilter('error', RuntimeWarning); "
+                  f"import {order}", **blas)
+    assert run.returncode == (1 if warns else 0), run.stderr
+    assert ("RuntimeWarning" in run.stderr
+            and "OPENBLAS_NUM_THREADS=1" in run.stderr) is warns

@@ -235,6 +235,121 @@ def test_cores_without_affinity(monkeypatch):
     assert spectral._cores() == (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("b", [30.0, 80.0])
+def test_stacked_pencil_eigenvalues_match_lone_calls(profile30, b):
+    """Each survey pencil eigenvalue, solved in a stack, equals the leading
+    value of a one-matrix eigvals call on its Schur operator bit for bit,
+    type included."""
+    from obrealize import derive_scales, designed_profile
+
+    prof = profile30 if b == 30.0 else designed_profile(derive_scales(b), [1, 7])
+    grid = default_grid(prof)
+    rep = spectrum_report([1, 7], 21, prof.params, prof.poly, prof, grid=grid,
+                          finite_ks=())
+    assert [r.k for r in rep.records if r.lam_pencil is not None] == list(range(1, 22))
+    for r in rep.records:
+        ev = np.linalg.eigvals(assemble_pencil(r.k, prof, grid).Ared)
+        lone = ev[np.argmax(ev.real)]
+        assert type(r.lam_pencil) is type(lone)
+        assert np.asarray(r.lam_pencil).tobytes() == np.asarray(lone).tobytes()
+
+
+def test_survey_stack_sizes(profile30, grid30, monkeypatch):
+    """Two Schur operators a stack at m = 259 and 399 (b = 30, 80), one
+    at 559 (b = 112): the fewest whose rows exceed 500."""
+    import obrealize.spectral as spectral
+    from obrealize import derive_scales
+
+    ms = [len(spectral.scale_grid(derive_scales(b)).nodes) - 2
+          for b in (30.0, 80.0, 112.0)]
+    assert ms == [259, 399, 559]
+    assert [spectral._stack_size(m) for m in ms] == [2, 2, 1]
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    monkeypatch.setattr(spectral, "_map_cores", map)
+    spectrum_report([1, 7], 5, profile30.params, profile30.poly, profile30,
+                    grid=grid30, finite_ks=())
+    assert shapes == [(2, 259, 259), (2, 259, 259), (1, 259, 259)]
+
+
+def _spins_during(call) -> int:
+    """How far a pure-Python counting thread gets while call() runs.
+
+    The switch interval is set far above the call's length, so once the
+    counter waits for the GIL it runs again only if the call releases it
+    (and then keeps it for a whole interval)."""
+    import sys
+    import threading
+
+    count, stop = [0], [False]
+
+    def spin():
+        while not stop[0]:
+            count[0] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.25)
+    counter = threading.Thread(target=spin)
+    try:
+        counter.start()
+        before = count[0]
+        call()
+        return count[0] - before
+    finally:
+        stop[0] = True
+        counter.join()
+        sys.setswitchinterval(interval)
+
+
+def test_stacked_eigvals_releases_the_gil(profile30, grid30):
+    """numpy's eigvals loop runs a stack of _stack_size(259) Schur
+    operators without the GIL and a lone m = 259 one with it: a Python
+    thread counts millions of steps beside the stacked call and none
+    beside the lone one.  The loop is called as np.linalg.eigvals calls
+    it, without the wrapper's finite check, which releases the GIL for a
+    moment whatever the stack size."""
+    import obrealize.spectral as spectral
+    from numpy.linalg import _umath_linalg
+
+    m = len(grid30.nodes) - 2
+    stack = np.stack([assemble_pencil(k, profile30, grid30).Ared
+                      for k in range(1, spectral._stack_size(m) + 1)])
+    assert np.array_equal(_umath_linalg.eigvals(stack, signature="d->D"),
+                          np.linalg.eigvals(stack))
+    lone = _spins_during(lambda: _umath_linalg.eigvals(stack[0], signature="d->D"))
+    stacked = _spins_during(lambda: _umath_linalg.eigvals(stack, signature="d->D"))
+    assert stacked > 1000 * (lone + 1), (lone, stacked)
+
+
+def test_spectrum_report_eigvals_fault_names_the_stack(profile30, grid30, monkeypatch):
+    """A LinAlgError of the stacked eigvals call comes out as a
+    SpectralError naming the stack's wavenumbers."""
+    def eigvals(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with pytest.raises(SpectralError, match=r"k=1, 2: Eigenvalues did not") as excinfo:
+        spectrum_report([1, 7], 4, profile30.params, profile30.poly, profile30,
+                        grid=grid30, finite_ks=())
+    assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_spectrum_report_rejects_another_profiles_scales(profile30, params50):
+    from obrealize.profile import DesignPolynomial
+
+    with pytest.raises(SpectralError, match="profile's own"):
+        spectrum_report([1, 7], 2, params50, profile30.poly, profile30)
+    with pytest.raises(SpectralError, match="profile's own"):
+        spectrum_report([1, 7], 2, profile30.params,
+                        DesignPolynomial(coeffs=(0.0,)), profile30)
+
+
 def test_assemble_pencil_peak_memory():
     """The survey's pencil builds neither the 2m x 2m (A, B) nor a second
     copy of the clamped block system: one assembly at b = 112 (m = 561)
