@@ -21,6 +21,7 @@ from .profile import ProfileError, derive_scales, designed_profile
 from .realize import (contraction_field, lorenz_field, realize_target,
                       rescale_into_ball, RealizeError, TargetField)
 from .reduction import ReducedSystem, asymptotic_basis, compute_K
+from .scalar import kbar_bound
 from .spectral import default_grid, resolves_layer, scale_grid, spectrum_report
 
 
@@ -132,6 +133,15 @@ def _validate(cfg: dict) -> None:
     if n and not resolves_layer(scale_grid(_scales(cfg, b), n), b):
         raise SystemExit(f"invalid spectrum.grid_n: {n} intervals do not resolve "
                          f"the 1/(4b) boundary layer at scales.b = {b}")
+    # the spectrum verdict reads a design root at every wavenumber up to
+    # spectrum.kmax and the a-priori bound h r b: the kernel, and at least
+    # one wavenumber outside it, must all lie there
+    kernel = extended_set(cfg["wavenumbers"]["p"]).base
+    top = min(cfg["spectrum"]["kmax"], kbar_bound(_scales(cfg, b)))
+    if max(kernel) > top or int(top) <= len(kernel):
+        raise SystemExit(f"invalid spectrum.kmax or scales.b: the survey runs to "
+                         f"k = {int(top)}, which must cover the kernel {list(kernel)} "
+                         "and one wavenumber outside it")
     r = cfg["realize"]
     if r["preset"] == "explicit":
         if not {"D", "R", "f"} <= r.keys():
@@ -285,7 +295,7 @@ def cmd_realize(cfg: dict, outdir: Path) -> int:
         target = rescale_into_ball(lorenz_field(), rcfg["ball_radius"],
                                    seed=cfg["seed"])
     elif rcfg["preset"] == "contraction":
-        target = contraction_field(cfg["wavenumbers"]["p"])
+        target = contraction_field(cfg["wavenumbers"]["p"], rcfg["ball_radius"])
     else:
         target = _explicit_target(rcfg)
     kset, params, basis = _reduce_basis(cfg, target.p)

@@ -13,24 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class cached_attribute:
-    """functools.cached_property without its lock: the first read computes
-    the value and stores it in the instance __dict__, which later reads and
-    assignments use.  On Python < 3.12 cached_property holds one lock per
-    attribute shared by every instance, so first reads on different
-    instances in different threads run one at a time.  Two first reads of
-    one instance may both compute; either result is kept."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 def chebyshev_diff(n: int):
     """Differentiation matrix on Chebyshev-Lobatto points x_j = cos(j pi/n)."""
     if n < 1:
@@ -81,10 +63,7 @@ class Grid:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     diff: np.ndarray = field(repr=False)
-
-    @cached_attribute
-    def d2(self) -> np.ndarray:
-        return self.diff @ self.diff
+    d2: np.ndarray = field(repr=False)
 
     @property
     def i0(self) -> int:
@@ -123,4 +102,4 @@ def make_grid(h: float, n: int = 280, alpha: float = 5.0) -> Grid:
     Dy = Dy[np.ix_(order, order)]
     y[0] = 0.0
     y[-1] = h
-    return Grid(h=h, n=n, nodes=y, weights=wy, diff=Dy)
+    return Grid(h=h, n=n, nodes=y, weights=wy, diff=Dy, d2=Dy @ Dy)

@@ -193,9 +193,10 @@ def lorenz_field() -> TargetField:
     return TargetField(p=3, D=D, R=R, f=np.zeros(3), ball_radius=np.inf)
 
 
-def contraction_field(p: int, rate: float = 1.0) -> TargetField:
-    return TargetField(p=p, D=np.zeros((p, p, p)), R=-rate * np.eye(p),
-                       f=np.zeros(p), ball_radius=1.0)
+def contraction_field(p: int, ball_radius: float = 1.0) -> TargetField:
+    """The linear field W(Y) = -Y on the ball |Y| <= ball_radius."""
+    return TargetField(p=p, D=np.zeros((p, p, p)), R=-np.eye(p),
+                       f=np.zeros(p), ball_radius=ball_radius)
 
 
 # ---------------------------------------------------------------------------

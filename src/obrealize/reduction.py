@@ -119,11 +119,13 @@ def asymptotic_basis(wavenumbers, params: ScaleParams, grid: Grid) -> ModeBasis:
 def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid) -> ModeBasis:
     """Biorthogonalized basis from the leading pencil modes and their adjoints.
 
-    One pencil and one eigendecomposition per wavenumber give the direct
-    mode and its adjoint at the same eigenvalue (Pencil.leading: LAPACK's
-    geev and one inverse-iteration solve, both without the GIL).  The
-    wavenumbers run on the cores this process may use (_map_cores), each
-    whole on one thread, so the basis is bit-identical to a serial run.
+    One pencil per wavenumber gives the direct mode and its adjoint at the
+    same eigenvalue: solve_modes takes the eigenvalue and right vector
+    from one np.linalg.eig (LAPACK's geev, without the GIL), and
+    solve_conjugate_modes the left vector from one inverse-iteration solve
+    at it.  The wavenumbers run on the cores this process may use
+    (_map_cores), each whole on one thread, so the basis is bit-identical
+    to a serial run.
     """
     ks = tuple(int(k) for k in wavenumbers)
     Dy = grid.diff
@@ -131,11 +133,10 @@ def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid) -> ModeB
     def profiles(k: int):
         pen = assemble_pencil(k, profile, grid)
         mode = solve_modes(pen)
-        cm = solve_conjugate_modes(pen)
+        cm = solve_conjugate_modes(pen, mode)
         return (np.real(mode.psi), np.real(Dy @ mode.psi), np.real(mode.w),
                 np.real(cm.wtilde), np.real(Dy @ cm.wtilde), np.real(cm.phi))
 
-    grid.d2     # built before the pool: a worker's array would pin its heap
     psi, dpsi, theta, thetastar, dthetastar, phi = (
         list(col) for col in zip(*_map_cores(profiles, ks)))
     return biorthogonalize(ModeBasis(wavenumbers=ks, grid=grid, psi=psi,

@@ -14,12 +14,12 @@ Solvers: assemble_pencil builds the Schur complement in w of the
 collocation pencil with boundary rows (the nu^{-1} block is ~1e-15 of the
 rest, so psi is slaved through the clamped biharmonic solve), which avoids
 the spurious modes of the singular pencil.  The generalized 2m x 2m pair
-(A, B) itself is built only when read, by the backward error, and not
-kept.  Every solver below takes that Pencil.  One eigendecomposition of
-the Schur operator per wavenumber (Pencil.leading) gives the leading
-eigenvalue and direct mode (solve_modes); one inverse-iteration solve at
-that eigenvalue gives its conjugate (adjoint) mode (solve_conjugate_modes),
-so the two share one eigenvalue.  Each mode records its residuals and is
+(A, B) itself is built on each read, by the backward error, and not kept.
+Every solver below takes that Pencil.  solve_modes takes the leading
+eigenvalue and direct mode from one np.linalg.eig of the Schur operator;
+solve_conjugate_modes takes the conjugate (adjoint) mode from one
+inverse-iteration solve for the left vector at that mode's eigenvalue, so
+the two share one eigenvalue.  Each mode records its residuals and is
 rejected with a SpectralError above their bounds: the direct mode's
 componentwise backward error against (A, B) above PENCIL_RESIDUAL_TOL, and
 either mode's boundary-row residual above BOUNDARY_RESIDUAL_TOL.
@@ -37,13 +37,13 @@ beside 2 x 251; at 0.19 beside 3 x 166 and 1.23 beside 3 x 167.  So
 spectrum_report hands eigvals stacks of _stack_size(m) Schur operators,
 whose eigenvalues are each bit-identical to a lone call's.  eig (geev)
 runs without the GIL at every m here (0.9-1.0 at m = 259), so
-Pencil.leading takes its eigenpairs from it, not from
+solve_modes takes its eigenpair from it, not from
 scipy.linalg.eig(left=True, right=True), which holds the GIL for much of
-its run.  Pencil.leading's one-column solve also holds it at m <= 500 (a
-thread beside it ran at 0.46-0.61); it stays, because a two-column solve
-moves the unit left vector by 5e-15 to 6e-14, not bit for bit.
-Pencil.leading and Grid.d2 are cached without a lock (cached_attribute),
-so first reads on different pencils do not wait for each other.
+its run.  The one-column left solve of solve_conjugate_modes also holds it
+at m <= 500 (a thread beside it ran at 0.46-0.61); it stays, because a
+two-column solve moves the unit left vector by 5e-15 to 6e-14, not bit for
+bit.  Nothing on a Grid or a Pencil is cached after construction, so the
+threads share no lazy state.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .grid import Grid, cached_attribute, make_grid
+from .grid import Grid, make_grid
 from .profile import ScaleParams, TemperatureProfile
 from .scalar import (ScalarError, TransferHierarchy, find_root_z, kbar_bound,
                      lambda_from_z)
@@ -152,17 +152,6 @@ def _clamped_biharmonic(grid: Grid, L: np.ndarray) -> np.ndarray:
     return lu_solve(lu_factor(A, overwrite_a=True), rhs, overwrite_b=True)[:m]
 
 
-class _built_on_read:
-    """A non-data descriptor that builds its value on every read and keeps
-    none; a value assigned to the attribute shadows it."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        return self if obj is None else self.fn(obj)
-
-
 @dataclass
 class Pencil:
     """Generalized eigenpair data lambda B v = A v over stacked (psi, w).
@@ -192,7 +181,7 @@ class Pencil:
         m, i0, ih = len(self.grid.nodes), self.grid.i0, self.grid.ih
         return [i0, ih, 1, m - 2, m + i0, m + ih]
 
-    @_built_on_read
+    @property
     def A(self) -> np.ndarray:
         """The collocation operator with its boundary rows."""
         g, k = self.grid, self.k
@@ -206,7 +195,7 @@ class Pencil:
         A[m + self.rows, m:] = _robin_rows(g, self.profile.params)
         return A
 
-    @_built_on_read
+    @property
     def B(self) -> np.ndarray:
         """The mass operator, zero on the boundary rows."""
         m = len(self.grid.nodes)
@@ -234,32 +223,6 @@ class Pencil:
         # rows) are measured against the dominant row scale
         denom = np.maximum(denom, 1e-10 * np.max(denom))
         return float(np.max(np.abs(r) / denom))
-
-    @cached_attribute
-    def leading(self):
-        """(lambda, right, left) eigentriple of Ared with the largest Re
-        lambda; u^H Ared = lambda u^H for the unit-norm left vector.
-
-        lambda and the right vector come from one np.linalg.eig (LAPACK
-        geev, which runs without the GIL; only the chosen column is kept).
-        The left vector is one inverse-iteration solve of
-        (Ared^T - conj(lambda) I) u = r from a seeded r, in real arithmetic
-        when lambda is real.  A shift that makes the matrix exactly
-        singular is nudged by eps ||Ared||_1.
-        """
-        lam, vr = np.linalg.eig(self.Ared)
-        j = np.argsort(-lam.real)[0]
-        lam, right = lam[j], vr[:, j].copy()
-        del vr                  # freed before the solve's m x m arrays
-        shift = np.conj(lam) if lam.imag else lam.real
-        At = self.Ared.T
-        r = np.random.default_rng(0).standard_normal(len(At))
-        try:
-            u = np.linalg.solve(At - shift * np.eye(len(At)), r)
-        except np.linalg.LinAlgError:   # shift is exactly an eigenvalue
-            shift += np.finfo(float).eps * (np.linalg.norm(At, np.inf) or 1.0)
-            u = np.linalg.solve(At - shift * np.eye(len(At)), r)
-        return lam, right, u / np.linalg.norm(u)
 
     def lift(self, vec: np.ndarray) -> np.ndarray:
         """Full w profile from its interior values through the Robin rows."""
@@ -330,9 +293,34 @@ def _boundary_residual(mode_psi, mode_w, grid: Grid, params) -> float:
     return float(max(res))
 
 
+def _leading_eigenpair(Ared: np.ndarray):
+    """(lambda, right) of Ared with the largest Re lambda, from one
+    np.linalg.eig (LAPACK geev, which runs without the GIL); only the
+    chosen column is kept."""
+    lam, vr = np.linalg.eig(Ared)
+    j = np.argsort(-lam.real)[0]
+    return lam[j], vr[:, j].copy()
+
+
+def _left_vector(Ared: np.ndarray, lam) -> np.ndarray:
+    """Unit-norm u with u^H Ared = lam u^H: one inverse-iteration solve of
+    (Ared^T - conj(lam) I) u = r from a seeded r, in real arithmetic when
+    lam is real.  A shift that makes the matrix exactly singular is nudged
+    by eps ||Ared||_1."""
+    shift = np.conj(lam) if lam.imag else lam.real
+    At = Ared.T
+    r = np.random.default_rng(0).standard_normal(len(At))
+    try:
+        u = np.linalg.solve(At - shift * np.eye(len(At)), r)
+    except np.linalg.LinAlgError:   # shift is exactly an eigenvalue
+        shift += np.finfo(float).eps * (np.linalg.norm(At, np.inf) or 1.0)
+        u = np.linalg.solve(At - shift * np.eye(len(At)), r)
+    return u / np.linalg.norm(u)
+
+
 def solve_modes(pencil: Pencil) -> EigenMode:
-    """Leading eigenpair, scaled to psi''(0) = 2 (max |w| = 1 where psi''(0)
-    vanishes).
+    """Leading eigenpair of the Schur operator, scaled to psi''(0) = 2
+    (max |w| = 1 where psi''(0) vanishes).
 
     Raises SpectralError when its backward error against the assembled
     (A, B) pencil exceeds PENCIL_RESIDUAL_TOL or its boundary-row residual
@@ -341,7 +329,7 @@ def solve_modes(pencil: Pencil) -> EigenMode:
     k = pencil.k
     grid = pencil.grid
     Dy = grid.diff
-    lam, right, _ = pencil.leading
+    lam, right = _leading_eigenpair(pencil.Ared)
     w = pencil.lift(right)
     psi = -(k * k) * (pencil.G @ w)
     d2psi0 = (Dy @ (Dy @ psi))[grid.i0]
@@ -365,8 +353,8 @@ def solve_modes(pencil: Pencil) -> EigenMode:
     return mode
 
 
-def solve_conjugate_modes(pencil: Pencil) -> ConjugateMode:
-    """Adjoint mode (phi, wtilde) at the leading eigenvalue.
+def solve_conjugate_modes(pencil: Pencil, mode: EigenMode) -> ConjugateMode:
+    """Adjoint mode (phi, wtilde) at the eigenvalue of the direct mode.
 
     The adjoint of the Schur operator with respect to the quadrature inner
     product is W^{-1} A^T W, whose eigenvectors are W^{-1} u for the
@@ -376,10 +364,10 @@ def solve_conjugate_modes(pencil: Pencil) -> ConjugateMode:
     they lift through the direct elimination T.  Raises SpectralError when
     the boundary-row residual exceeds BOUNDARY_RESIDUAL_TOL.
     """
-    k = pencil.k
+    k, lam = pencil.k, mode.lam
     grid = pencil.grid
     p = pencil.profile.params
-    lam, _, left = pencil.leading
+    left = _left_vector(pencil.Ared, lam)
     wt = pencil.lift(np.conj(left) / grid.weights[pencil.interior])
     i0 = grid.i0
     if abs(wt[i0]) > 1e-10 * np.max(np.abs(wt)):
@@ -388,13 +376,13 @@ def solve_conjugate_modes(pencil: Pencil) -> ConjugateMode:
     # division (lam - L_k) wt / nu is cancellation-limited):
     # nu phi = k^2 phihat with L_k^2 phihat = -U_y wtilde
     phi = -(k * k / p.nu) * (pencil.G @ (pencil.uy * wt))
-    mode = ConjugateMode(k=k, lam=lam, phi=phi, wtilde=wt,
-                         boundary_residual=_boundary_residual(phi, wt, grid, p))
-    if mode.boundary_residual > BOUNDARY_RESIDUAL_TOL:
+    cm = ConjugateMode(k=k, lam=lam, phi=phi, wtilde=wt,
+                       boundary_residual=_boundary_residual(phi, wt, grid, p))
+    if cm.boundary_residual > BOUNDARY_RESIDUAL_TOL:
         raise SpectralError(
             f"adjoint mode at k={k}, lambda={lam:.6g} fails its boundary "
-            f"bound: residual {mode.boundary_residual:.2e}")
-    return mode
+            f"bound: residual {cm.boundary_residual:.2e}")
+    return cm
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +617,6 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
 
     ks, batch = range(1, kmax + 1), _stack_size(len(grid.nodes) - 2)
     groups = [ks[i:i + batch] for i in range(0, kmax, batch)]
-    grid.d2     # built before the pool: a worker's array would pin its heap
     records = [r for group in _map_cores(group_records, groups) for r in group]
     kr = max(abs(r.lam_design) for r in records
              if r.in_kernel and r.lam_design is not None)

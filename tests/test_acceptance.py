@@ -302,7 +302,7 @@ def test_criterion_11a_semigroup_rate(profile30, grid30):
                           "kernel wavenumbers stays O(-1) at desk-scale b "
                           "for any admissible profile, so its mode cannot be "
                           "norm-neutral over unit time; see decisions notes",
-                   strict=True)
+                   raises=AssertionError, strict=True)
 def test_criterion_11b_kernel_drift(profile30, grid30):
     pen = assemble_pencil(1, profile30, grid30)
     mode = solve_modes(pen)

@@ -55,7 +55,7 @@ def test_spectrum_stage_writes_artifacts(tmp_path):
 
 def test_spectrum_determinism(tmp_path):
     o1, o2 = tmp_path / "a", tmp_path / "b"
-    args = ["--set", "spectrum.kmax=6", "--set", "spectrum.pencil_kmax=2"]
+    args = ["--set", "spectrum.kmax=7", "--set", "spectrum.pencil_kmax=2"]
     assert run_cli(["spectrum", "--out", str(o1)] + args) == 0
     assert run_cli(["spectrum", "--out", str(o2)] + args) == 0
     assert (o1 / "spectrum.csv").read_bytes() == (o2 / "spectrum.csv").read_bytes()
@@ -106,6 +106,20 @@ def test_realize_contraction(tmp_path):
                                         "lyapunovRealizedStderr"))
 
 
+def test_contraction_preset_reads_ball_radius(tmp_path):
+    # the contraction target is built on the configured ball, where
+    # realize_target draws its start
+    args = ["--set", "realize.preset=contraction", "--set", "realize.xi=0.01",
+            "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
+    reports = []
+    for radius in (1, 2):
+        out = tmp_path / str(radius)
+        assert main(["realize", "--out", str(out),
+                     "--set", f"realize.ball_radius={radius}"] + args) == 0
+        reports.append((out / "realization_report.json").read_bytes())
+    assert reports[0] != reports[1]
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(SystemExit):
         load_config(None, ["realize.preset=banana"])
@@ -146,6 +160,10 @@ def test_unknown_preset_rejected():
     ["realize.preset=explicit", "realize.D=[[[-1.0]]]",    # f not of length p
      "realize.R=[[1]]", "realize.f=[0, 0]"],
     ["spectrum.grid_n=10"],                     # too coarse for 1/(4b) at b = 30
+    ["spectrum.kmax=6"],                        # kernel k = 7 not surveyed
+    ["scales.b=1.5"],                           # k = 7 past h r b = 4.14
+    ["scales.b=1.1"],                           # h r b = 0.96: nothing surveyed
+    ["wavenumbers.p=1", "spectrum.kmax=1"],     # no wavenumber outside the kernel
 ])
 def test_config_error_exits_2(tmp_path, overrides):
     args = [a for ov in overrides for a in ("--set", ov)]
@@ -165,7 +183,7 @@ def test_stage_designs_profile_only_where_read(tmp_path, monkeypatch, stage, cal
         return designed_profile(*args, **kwargs)
 
     monkeypatch.setattr(cli, "designed_profile", counting)
-    args = ["--set", "spectrum.kmax=6", "--set", "spectrum.pencil_kmax=2",
+    args = ["--set", "spectrum.kmax=7", "--set", "spectrum.pencil_kmax=2",
             "--set", "realize.preset=contraction", "--set", "realize.xi=0.01",
             "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
     assert main([stage, "--out", str(tmp_path)] + args) == 0
@@ -178,7 +196,7 @@ def test_negative_seed_flag_exits_2(tmp_path):
 
 def test_all_runs_every_stage(tmp_path):
     # every stage writes its figures, and a rerun writes the same bytes
-    args = ["--set", "spectrum.kmax=6", "--set", "spectrum.pencil_kmax=2",
+    args = ["--set", "spectrum.kmax=7", "--set", "spectrum.pencil_kmax=2",
             "--set", "realize.preset=contraction", "--set", "realize.xi=0.01",
             "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
     o1, o2 = tmp_path / "a", tmp_path / "b"

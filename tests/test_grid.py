@@ -46,38 +46,3 @@ def test_clenshaw_curtis_exactness():
 def test_chebyshev_diff_exact_on_polys():
     D, x = chebyshev_diff(16)
     assert np.allclose(D @ x**3, 3 * x**2, atol=1e-10)
-
-
-def test_cached_attribute_holds_no_shared_lock():
-    """First reads of one cached attribute on two instances run at once:
-    X's computation waits for Y's, which starts only once X's has (under
-    Python 3.11's functools.cached_property, Y would wait for X's lock)."""
-    import threading
-    from obrealize.grid import cached_attribute
-
-    x_started, y_ran = threading.Event(), threading.Event()
-
-    class Probe:
-        def __init__(self, first):
-            self.first = first
-
-        @cached_attribute
-        def value(self):
-            if self.first:
-                x_started.set()
-                return y_ran.wait(timeout=5.0)
-            y_ran.set()
-            return True
-
-    x, y = Probe(True), Probe(False)
-    got = []
-    t = threading.Thread(target=lambda: got.append(x.value))
-    t.start()
-    assert x_started.wait(timeout=5.0)
-    assert y.value is True
-    t.join(timeout=10.0)
-    assert not t.is_alive()
-    assert got == [True]
-    assert x.__dict__["value"] is True      # later reads skip the computation
-    x.value = "set"
-    assert x.value == "set"

@@ -240,7 +240,8 @@ def test_sup_error_is_measured_at_the_sample_times(K9, kset3, lorenz_target):
 
 
 def test_manifold_residual_ladder(K9, kset3):
-    target = contraction_field(3, rate=0.5)
+    target = TargetField(p=3, D=np.zeros((3, 3, 3)), R=-0.5 * np.eye(3),
+                         f=np.zeros(3))
     rng = np.random.default_rng(2)
     y0 = np.array([0.3, -0.2, 0.25])
     sups = []
@@ -256,7 +257,8 @@ def test_manifold_residual_ladder(K9, kset3):
 
 def test_manifold_local_invariance(K9, kset3):
     xi = 1e-2
-    target = contraction_field(3, rate=0.5)
+    target = TargetField(p=3, D=np.zeros((3, 3, 3)), R=-0.5 * np.eye(3),
+                         f=np.zeros(3))
     sysd = build_fast_slow(target, K9, kset3, xi=xi)
     y0 = np.array([0.3, -0.2, 0.25])
     x0 = np.zeros(kset3.N)
@@ -269,7 +271,7 @@ def test_manifold_local_invariance(K9, kset3):
 
 
 def test_lyapunov_linear_contraction():
-    field = contraction_field(3, rate=1.0)
+    field = contraction_field(3)
     exps, _ = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=50.0,
                        dt=1e-2, transient=1.0)
     assert np.allclose(exps, -1.0, atol=1e-3)
@@ -516,7 +518,7 @@ def test_blend_jacobian_matches_central_differences(lorenz_target):
 
 
 def test_realize_contraction_end_to_end(K9, kset3):
-    target = contraction_field(3, rate=1.0)
+    target = contraction_field(3)
     rep = realize_target(target, K9, kset3, xi=1e-2, horizon=20.0,
                          with_lyapunov=False, seed=4)
     assert rep.sup_error < 1e-2
