@@ -313,17 +313,17 @@ def control_solve(T: np.ndarray, basis: ModeBasis, kset: WavenumberSet,
         raise ControlError("target matrix must be N x N")
     g = basis.grid
     Bw = _bump_legendre(g.h, g.nodes, _SLOT_BASIS) * g.weights
-    rows = [resonant_slots(i, j, basis) for i in range(N) for j in range(N)]
-    slots = sorted({n for row in rows for n, _, _ in row})
-    col = {n: _SLOT_BASIS * s for s, n in enumerate(slots)}
+    pairs = resonant_slots(basis)
+    slots = np.unique([n for n, _, _ in pairs]).tolist()
     A = np.zeros((N * N, _SLOT_BASIS * len(slots)))
-    for r, row in enumerate(rows):
-        for n, w, kern in row:
-            A[r, col[n]:col[n] + _SLOT_BASIS] += w * (Bw @ kern)
+    for n, w, kern in pairs:
+        cols = _SLOT_BASIS * np.searchsorted(slots, n.ravel())
+        for r, (col, wr, kr) in enumerate(zip(cols, w.ravel(), kern.reshape(N * N, -1))):
+            A[r, col:col + _SLOT_BASIS] += wr * (Bw @ kr)
     c, cond = _least_norm(A, T.ravel(), rcond=1e-13)
     profiles = FourierProfileSet(
-        {n: eval_profile(c[col[n]:col[n] + _SLOT_BASIS], g.h, g.nodes)
-         for n in slots})
+        {n: eval_profile(c[_SLOT_BASIS * s:_SLOT_BASIS * (s + 1)], g.h, g.nodes)
+         for s, n in enumerate(slots)})
     return ControlSolution(target=T, profiles=profiles,
                            u0=float(2.0 * profile.sup_abs_u() + 1.0),
                            gamma=float(profile.params.gamma),

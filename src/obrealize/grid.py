@@ -88,18 +88,13 @@ def make_grid(h: float, n: int = 280, alpha: float = 5.0) -> Grid:
         raise ValueError("domain height must be positive")
     D, x = chebyshev_diff(n)
     wx = clenshaw_curtis(n)
-    s = (1.0 - x) / 2.0                     # s=0 at x=1
+    s = (1.0 - x) / 2.0     # s = 0 at x = 1; s, and so y, rise with the node index
     denom = np.expm1(alpha)
     y = h * np.expm1(alpha * s) / denom
     dyds = h * alpha * np.exp(alpha * s) / denom
     dydx = -0.5 * dyds
     Dy = D / dydx[:, None]
     wy = wx * np.abs(dydx)
-    # reorder ascending in y
-    order = np.argsort(y)
-    y = y[order]
-    wy = wy[order]
-    Dy = Dy[np.ix_(order, order)]
     y[0] = 0.0
     y[-1] = h
     return Grid(h=h, n=n, nodes=y, weights=wy, diff=Dy, d2=Dy @ Dy)

@@ -18,7 +18,9 @@ pairs with u_0 at weight 1 (inner product normalized to (2/pi) per unit
 x-interval so matched cosines integrate to the plain y-integral).
 
 The basis may be either the closed-form critical-mode shapes (default;
-the design-level objects) or numerically computed pencil modes.
+the design-level objects) or numerically computed pencil modes.  Each
+quadrature reads every (i, j) at once, from the (N, N, m) slot kernels of
+resonant_slots.
 """
 from __future__ import annotations
 
@@ -53,8 +55,14 @@ class FourierProfileSet:
 
     entries: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def get(self, n: int, size: int) -> np.ndarray:
-        return self.entries.get(n, np.zeros(size))
+    def take(self, ns, size: int) -> np.ndarray:
+        """The profiles at an integer array of indices: shape ns.shape + (size,)."""
+        ns = np.asarray(ns)
+        table = np.zeros((ns.max(initial=-1) + 1, size))
+        for n, prof in self.entries.items():
+            if n < len(table):
+                table[n] = prof
+        return table[ns]
 
     def at(self, x, size: int) -> np.ndarray:
         """sum_n cos(n x) u_n(y): one row of size profile samples per x."""
@@ -74,46 +82,34 @@ class FourierProfileSet:
 # bases
 # ---------------------------------------------------------------------------
 
-def asymptotic_profiles(k: int, params: ScaleParams, grid: Grid):
-    """Leading-order critical-mode shapes sampled on the grid.
+def asymptotic_profiles(k, params: ScaleParams, grid: Grid):
+    """Leading-order critical-mode shapes and slopes sampled on the grid.
 
     Psi = y^2 e^{-ky}; Theta = amp (e^{-by} - e^{-ky}) with the layer
     transfer amplitude amp = 2|C_U|(1+3r) beta/(beta+k); Theta* =
     (k y^2 + y) e^{-ky} with unit slope at the wall (the conjugate scale is
-    fixed afterwards by biorthogonality).
+    fixed afterwards by biorthogonality).  Returns (Psi, Psi', Theta,
+    Theta*, Theta*'), the order of ModeBasis's fields; k may be a column
+    of wavenumbers, one row each.
     """
     y = grid.nodes
     b, r, beta = params.b, params.r, params.beta
-    psi = y**2 * np.exp(-k * y)
+    decay = np.exp(-k * y)
     amp = 2.0 * abs(params.C_U) * (1.0 + 3.0 * r) * beta / (beta + k)
-    theta = amp * (np.exp(-b * y) - np.exp(-k * y))
-    thetastar = (k * y**2 + y) * np.exp(-k * y)
-    return psi, theta, thetastar
-
-
-def _asym_derivatives(k: int, grid: Grid):
-    y = grid.nodes
-    dpsi = (2.0 * y - k * y**2) * np.exp(-k * y)
+    psi = y**2 * decay
+    dpsi = (2.0 * y - k * y**2) * decay
+    theta = amp * (np.exp(-b * y) - decay)
+    thetastar = (k * y**2 + y) * decay
     # d/dy (k y^2 + y) e^{-ky} = (1 + 2ky - k(k y^2 + y)) e^{-ky}
-    dthetastar = (1.0 + 2.0 * k * y - k * (k * y**2 + y)) * np.exp(-k * y)
-    return dpsi, dthetastar
+    dthetastar = (1.0 + 2.0 * k * y - k * (k * y**2 + y)) * decay
+    return psi, dpsi, theta, thetastar, dthetastar
 
 
 def asymptotic_basis(wavenumbers, params: ScaleParams, grid: Grid) -> ModeBasis:
     """Closed-form mode basis over the wavenumber set, biorthogonalized."""
     ks = tuple(int(k) for k in wavenumbers)
-    psi, dpsi, theta, thetastar, dthetastar = [], [], [], [], []
-    for k in ks:
-        P, Th, Ts = asymptotic_profiles(k, params, grid)
-        dP, dTs = _asym_derivatives(k, grid)
-        psi.append(P)
-        dpsi.append(dP)
-        theta.append(Th)
-        thetastar.append(Ts)
-        dthetastar.append(dTs)
-    return biorthogonalize(ModeBasis(wavenumbers=ks, grid=grid, psi=psi,
-                                     dpsi=dpsi, theta=theta, thetastar=thetastar,
-                                     dthetastar=dthetastar))
+    return biorthogonalize(ModeBasis(
+        ks, grid, *asymptotic_profiles(np.array(ks)[:, None], params, grid)))
 
 
 def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid) -> ModeBasis:
@@ -137,52 +133,44 @@ def numeric_basis(wavenumbers, profile: TemperatureProfile, grid: Grid) -> ModeB
         return (np.real(mode.psi), np.real(Dy @ mode.psi), np.real(mode.w),
                 np.real(cm.wtilde), np.real(Dy @ cm.wtilde), np.real(cm.phi))
 
-    psi, dpsi, theta, thetastar, dthetastar, phi = (
-        list(col) for col in zip(*_map_cores(profiles, ks)))
-    return biorthogonalize(ModeBasis(wavenumbers=ks, grid=grid, psi=psi,
-                                     dpsi=dpsi, theta=theta, thetastar=thetastar,
-                                     dthetastar=dthetastar, phi=phi))
+    return biorthogonalize(ModeBasis(
+        ks, grid, *(np.array(col) for col in zip(*_map_cores(profiles, ks)))))
 
 
 # ---------------------------------------------------------------------------
 # quadratures
 # ---------------------------------------------------------------------------
 
-def zeta_profiles(i: int, j: int, basis: ModeBasis):
-    """(zeta_ij, zeta~_ij): the difference- and sum-slot y-kernels of M."""
-    ki = basis.wavenumbers[i]
-    kj = basis.wavenumbers[j]
-    zeta = (kj * basis.psi[j] * basis.dthetastar[i]
-            + ki * basis.dpsi[j] * basis.thetastar[i])
-    zeta_t = (kj * basis.psi[j] * basis.dthetastar[i]
-              - ki * basis.dpsi[j] * basis.thetastar[i])
-    return zeta, zeta_t
+def zeta_profiles(basis: ModeBasis):
+    """(zeta, zeta~): the difference- and sum-slot y-kernels of M, each
+    (N, N, m) with entry [i, j] = k_j Psi_j Theta*_i' +- k_i Psi_j' Theta*_i."""
+    k = np.asarray(basis.wavenumbers)[:, None]
+    stream = (k * basis.psi)[None] * basis.dthetastar[:, None]
+    slope = k[:, None] * basis.dpsi[None] * basis.thetastar[:, None]
+    return stream + slope, stream - slope
 
 
-def resonant_slots(i: int, j: int, basis: ModeBasis):
-    """The Fourier slots M_ij reads, as (n, weight, y-kernel) triples.
+def resonant_slots(basis: ModeBasis):
+    """The Fourier slots M reads, as two (n, weight, y-kernel) triples:
+    n and weight (N, N) arrays, the kernel (N, N, m), entry [i, j] for M_ij.
 
     M_ij is the sum over them of weight * int kernel u_n dy: the sum slot
     k_i+k_j at weight 1/2 against zeta~_ij, and the difference slot
     |k_i-k_j| against zeta_ij at weight 1/2, or 1 on the diagonal (u_0).
     """
-    ki, kj = basis.wavenumbers[i], basis.wavenumbers[j]
-    zeta, zeta_t = zeta_profiles(i, j, basis)
-    dif = abs(ki - kj)
-    return ((ki + kj, 0.5, zeta_t), (dif, 1.0 if dif == 0 else 0.5, zeta))
+    k = np.asarray(basis.wavenumbers)
+    total, dif = k[:, None] + k, np.abs(k[:, None] - k)
+    zeta, zeta_t = zeta_profiles(basis)
+    return ((total, np.full(total.shape, 0.5), zeta_t),
+            (dif, np.where(dif == 0, 1.0, 0.5), zeta))
 
 
 def compute_M(u1: FourierProfileSet, basis: ModeBasis) -> np.ndarray:
     """M_ij = <{psi_j, theta*_i}, u1> via the resonant Fourier slots."""
-    N = basis.size
     g = basis.grid
     m = len(g.nodes)
-    M = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            M[i, j] = sum(w * g.integrate(kern * u1.get(n, m))
-                          for n, w, kern in resonant_slots(i, j, basis))
-    return M
+    return sum(w * g.integrate(kern * u1.take(n, m))
+               for n, w, kern in resonant_slots(basis))
 
 
 def compute_K(basis: ModeBasis, nu: float):
@@ -199,11 +187,9 @@ def compute_K(basis: ModeBasis, nu: float):
     g = basis.grid
     ks = np.asarray(basis.wavenumbers)
     K = np.zeros((N, N, N))
-    for i in range(N):
-        for j in range(N):
-            for n, w, kern in resonant_slots(i, j, basis):
-                for l in np.flatnonzero(ks == n):
-                    K[i, j, l] += w * g.integrate(kern * basis.theta[l])
+    for n, w, kern in resonant_slots(basis):
+        i, j, l = np.nonzero(n[:, :, None] == ks)
+        K[i, j, l] += w[i, j] * g.integrate(kern[i, j] * basis.theta[l])
     K = -0.5 * (K + np.swapaxes(K, 1, 2))
     ki, kj, kl = np.meshgrid(ks, ks, ks, indexing="ij")
     resonant = (ki == kj + kl) | (ki == np.abs(kj - kl))
@@ -217,19 +203,16 @@ def compute_K(basis: ModeBasis, nu: float):
 def compute_f(eta1: FourierProfileSet, basis: ModeBasis) -> np.ndarray:
     """f_i = <theta*_i, eta1>: the k_i cosine slot against Theta*_i."""
     g = basis.grid
-    m = len(g.nodes)
-    return np.array([g.integrate(basis.thetastar[i] * eta1.get(basis.wavenumbers[i], m))
-                     for i in range(basis.size)])
+    return g.integrate(basis.thetastar * eta1.take(basis.wavenumbers, len(g.nodes)))
 
 
 def eta_for_f(f_target: np.ndarray, basis: ModeBasis) -> FourierProfileSet:
     """Inverse of compute_f: heat-source profiles achieving a target f."""
-    g = basis.grid
+    ts = basis.thetastar
+    norms = basis.grid.integrate(ts * ts)
     out = FourierProfileSet()
-    for i, fi in enumerate(f_target):
-        ts = basis.thetastar[i]
-        norm = g.integrate(ts * ts)
-        out[basis.wavenumbers[i]] = (fi / norm) * ts
+    for k, prof in zip(basis.wavenumbers, (np.asarray(f_target) / norms)[:, None] * ts):
+        out[k] = prof
     return out
 
 

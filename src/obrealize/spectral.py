@@ -391,61 +391,62 @@ def solve_conjugate_modes(pencil: Pencil, mode: EigenMode) -> ConjugateMode:
 
 @dataclass
 class ModeBasis:
-    """Direct and conjugate mode families over a wavenumber set.
+    """Direct and conjugate mode families over a set of distinct wavenumbers.
 
-    Profile arrays are sampled on the shared grid; dpsi/dthetastar are the
-    y-derivatives used by the reduction quadratures.  The x-dependence is
-    sin(kx) for stream parts and cos(kx) for temperature parts, with inner
-    product normalized so matched cosines pair to the plain y-integral.
+    Each profile family is one (N, m) array sampled on the shared grid, row
+    i at wavenumbers[i]; dpsi/dthetastar are the y-derivatives used by the
+    reduction quadratures.  The x-dependence is sin(kx) for stream parts
+    and cos(kx) for temperature parts, with inner product normalized so
+    matched cosines pair to the plain y-integral.  The x-integral zeroes
+    the pairing of two distinct wavenumbers, so the Gram matrix
+    <e_j, e*_i> is diagonal and pairings() is its diagonal.
     """
 
     wavenumbers: tuple[int, ...]
     grid: Grid
-    psi: list[np.ndarray]
-    dpsi: list[np.ndarray]
-    theta: list[np.ndarray]
-    thetastar: list[np.ndarray]
-    dthetastar: list[np.ndarray]
-    phi: list[np.ndarray] | None = None
-    gram: np.ndarray | None = None
+    psi: np.ndarray
+    dpsi: np.ndarray
+    theta: np.ndarray
+    thetastar: np.ndarray
+    dthetastar: np.ndarray
+    phi: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return len(self.wavenumbers)
 
-    def pairing(self, j: int, i: int) -> float:
-        """<e_j, e*_i> with Fourier orthogonality in x built in."""
-        if self.wavenumbers[j] != self.wavenumbers[i]:
-            return 0.0
+    def pairings(self) -> np.ndarray:
+        """<e_i, e*_i> for each i: int theta theta* dy, plus
+        int psi' phi' + k^2 psi phi dy when there is a conjugate stream part."""
         g = self.grid
-        val = g.integrate(self.theta[j] * self.thetastar[i])
+        pair = g.integrate(self.theta * self.thetastar)
         if self.phi is not None:
-            k = self.wavenumbers[j]
-            val += g.integrate(self.dpsi[j] * g.diff @ self.phi[i]
-                               + k * k * self.psi[j] * self.phi[i])
-        return float(np.real(val))
+            k2 = (np.asarray(self.wavenumbers) ** 2)[:, None]
+            pair = pair + g.integrate(self.dpsi * (self.phi @ g.diff.T)
+                                      + k2 * self.psi * self.phi)
+        return pair
 
 
 def biorthogonalize(basis: ModeBasis) -> ModeBasis:
     """Rescale the conjugate family so the Gram matrix is the identity.
 
-    Distinct wavenumbers are orthogonal through the x-integral; the
-    kernel-block Gram must be invertible (no generalized eigenvectors), so
-    a singular diagonal raises.
+    Only its diagonal is computed, since the x-integral makes distinct
+    wavenumbers orthogonal.  A repeated wavenumber, whose modes it does not
+    separate, raises, as does a vanishing diagonal entry (a generalized
+    eigenvector).
     """
-    N = basis.size
-    raw = np.array([[basis.pairing(j, i) for i in range(N)] for j in range(N)])
-    diag = np.diag(raw)
-    tol = 1e-12 * (np.max(np.abs(raw)) or 1.0)
-    if np.min(np.abs(diag)) < tol or np.linalg.matrix_rank(raw, tol=tol) < N:
-        raise SpectralError("singular Gram matrix: defective or duplicated modes")
-    for i in range(N):
-        basis.thetastar[i] = basis.thetastar[i] / diag[i]
-        basis.dthetastar[i] = basis.dthetastar[i] / diag[i]
-        if basis.phi is not None:
-            basis.phi[i] = basis.phi[i] / diag[i]
-    gram = np.array([[basis.pairing(j, i) for i in range(N)] for j in range(N)])
-    basis.gram = gram
+    ks = basis.wavenumbers
+    if len(set(ks)) < len(ks):
+        raise SpectralError(f"repeated wavenumbers in {ks}: their modes are "
+                            "not separated by the x-integral")
+    diag = basis.pairings()
+    if np.min(np.abs(diag)) < 1e-12 * (np.max(np.abs(diag)) or 1.0):
+        raise SpectralError("singular Gram matrix: defective modes")
+    scale = diag[:, None]
+    basis.thetastar = basis.thetastar / scale
+    basis.dthetastar = basis.dthetastar / scale
+    if basis.phi is not None:
+        basis.phi = basis.phi / scale
     return basis
 
 
@@ -550,7 +551,9 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     finite-b hierarchy values cross-validate each other where affordable.
     Wavenumbers beyond the a-priori bound h r b are gapped without solving:
     their records carry no eigenvalue.  params and poly must equal
-    profile.params and profile.poly, else a SpectralError is raised.
+    profile.params and profile.poly, and the wavenumbers solved, k = 1 to
+    min(kmax, h r b), must hold the whole kernel and one wavenumber outside
+    it; else a SpectralError is raised before any solve.
 
     The records run in groups of _stack_size(m) consecutive wavenumbers
     (2 at b = 30 and 80, 1 at b = 112), on the cores this process may use
@@ -570,9 +573,17 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     if params != profile.params or poly != profile.poly:
         raise SpectralError("params and poly must be the profile's own")
     kernel = tuple(int(k) for k in kernel)
+    bound = kbar_bound(params)
+    top = int(min(kmax, bound))
+    if not kernel or not set(kernel) <= set(range(1, top + 1)):
+        raise SpectralError(f"the kernel {list(kernel)} must be nonempty and inside "
+                            f"the survey k = 1..{top} (kmax {kmax}, a-priori "
+                            f"bound h r b = {bound:.4g})")
+    if top <= len(set(kernel)):
+        raise SpectralError(f"the survey k = 1..{top} holds no wavenumber outside "
+                            f"the kernel {list(kernel)}: the gap is undefined")
     if grid is None:
         grid = default_grid(profile)
-    bound = kbar_bound(params)
 
     def pencil_eigenvalues(ks) -> dict:
         """The leading eigenvalue of each k's Schur operator, from one

@@ -119,7 +119,7 @@ def test_criterion_4_engineered_spectrum(profile30):
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_biorthogonality(basis50):
-    err = np.max(np.abs(basis50.gram - np.eye(basis50.size)))
+    err = np.max(np.abs(basis50.pairings() - 1.0))
     # duplicated-mode injection must raise
     import copy
     dup = copy.deepcopy(basis50)

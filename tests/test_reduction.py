@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from obrealize import extended_set
 from obrealize.grid import make_grid
 from obrealize.reduction import (FourierProfileSet, ReducedSystem,
                                  asymptotic_basis, asymptotic_profiles,
@@ -14,14 +15,15 @@ from obrealize.spectral import ModeBasis
 
 def test_asymptotic_profile_wall_conditions(params50):
     g = make_grid(params50.h, 200, 3.0)
-    psi, theta, thetastar = asymptotic_profiles(3, params50, g)
+    psi, dpsi, theta, thetastar, dthetastar = asymptotic_profiles(3, params50, g)
     assert psi[0] == 0.0
-    # Psi'(0) = 0 and Theta*'(0) = 1 for the unit-slope convention
-    dpsi = g.diff @ psi
-    dts = g.diff @ thetastar
-    assert abs(dpsi[0]) < 1e-9
+    # Psi'(0) = 0 and Theta*'(0) = 1 for the unit-slope convention, in the
+    # closed-form slopes and in the spectral derivative
+    assert dpsi[0] == 0.0 and dthetastar[0] == 1.0
+    assert abs((g.diff @ psi)[0]) < 1e-9
     assert thetastar[0] == 0.0
-    assert dts[0] == pytest.approx(1.0, rel=1e-9)
+    assert (g.diff @ thetastar)[0] == pytest.approx(1.0, rel=1e-9)
+    assert np.max(np.abs(g.diff @ psi - dpsi)) < 1e-8 * np.max(np.abs(dpsi))
 
 
 def test_zeta_closed_forms(basis50):
@@ -32,7 +34,7 @@ def test_zeta_closed_forms(basis50):
     y = g.nodes
     i, j = 0, 1
     ki, kj = basis50.wavenumbers[i], basis50.wavenumbers[j]
-    zeta, zeta_t = zeta_profiles(i, j, basis50)
+    zeta, zeta_t = (z[i, j] for z in zeta_profiles(basis50))
     eta = y**2 * ((kj + 2 * ki) + 2 * ki**2 * y
                   - 2 * ki**2 * kj * y**2) * np.exp(-(ki + kj) * y)
     eta_t = y**2 * ((kj - 2 * ki) + 2 * ki * (kj - ki) * y) * np.exp(-(ki + kj) * y)
@@ -47,7 +49,7 @@ def test_zeta_tilde_diagonal_drops_linear_term(basis50):
     # i = j: kj - 2ki = -ki and the y^3 term vanishes
     g = basis50.grid
     y = g.nodes
-    zeta, zeta_t = zeta_profiles(0, 0, basis50)
+    zeta_t = zeta_profiles(basis50)[1][0, 0]
     k = basis50.wavenumbers[0]
     ref = y**2 * (-k) * np.exp(-2 * k * y)
     amp = g.integrate(zeta_t * ref) / g.integrate(ref * ref)
@@ -203,6 +205,73 @@ def test_f_zero(basis50):
     assert np.all(compute_f(FourierProfileSet(), basis50) == 0.0)
 
 
+# Per-entry loop oracles: each quadrature integrates the same elementwise
+# products, one (i, j) or (i, j, l) at a time, with the same weights; the
+# array code must agree with them bit for bit, which pins numpy's summation
+# order over the last axis of an (..., m) array to that of a single row.
+
+def _loop_slots(i, j, basis):
+    ki, kj = basis.wavenumbers[i], basis.wavenumbers[j]
+    stream = kj * basis.psi[j] * basis.dthetastar[i]
+    slope = ki * basis.dpsi[j] * basis.thetastar[i]
+    dif = abs(ki - kj)
+    return ((ki + kj, 0.5, stream - slope),
+            (dif, 1.0 if dif == 0 else 0.5, stream + slope))
+
+
+def _loop_M(u1, basis):
+    N, g = basis.size, basis.grid
+    zero = np.zeros(len(g.nodes))
+    M = np.zeros((N, N))
+    for i in range(N):
+        for j in range(N):
+            M[i, j] = sum(w * g.integrate(kern * u1.entries.get(n, zero))
+                          for n, w, kern in _loop_slots(i, j, basis))
+    return M
+
+
+def _loop_K(basis):
+    N, g = basis.size, basis.grid
+    K = np.zeros((N, N, N))
+    for i in range(N):
+        for j in range(N):
+            for n, w, kern in _loop_slots(i, j, basis):
+                for l in range(N):
+                    if basis.wavenumbers[l] == n:
+                        K[i, j, l] += w * g.integrate(kern * basis.theta[l])
+    return -0.5 * (K + np.swapaxes(K, 1, 2))
+
+
+def _loop_f(eta1, basis):
+    g = basis.grid
+    return np.array([g.integrate(basis.thetastar[i] * eta1.entries[k])
+                     for i, k in enumerate(basis.wavenumbers)])
+
+
+@pytest.fixture(scope="module")
+def basis50_p3(params50):
+    return asymptotic_basis(extended_set(3).full, params50,
+                            make_grid(params50.h, 300, 4.0))
+
+
+@pytest.mark.parametrize("name", ["basis50", "basis50_p3"])
+def test_quadratures_match_loop_oracles(name, request):
+    basis = request.getfixturevalue(name)
+    y = basis.grid.nodes
+    rng = np.random.default_rng(11)
+    # every slot up to 2 max k, u_0 included, but every third one missing
+    u1 = FourierProfileSet({n: rng.standard_normal() * y * np.exp(-0.2 * n * y)
+                            for n in range(2 * max(basis.wavenumbers) + 1)
+                            if n % 3 != 1})
+    eta1 = FourierProfileSet({k: rng.standard_normal() * y**2 * np.exp(-k * y)
+                              for k in basis.wavenumbers})
+    M, K, f = compute_M(u1, basis), compute_K(basis, 50.0**10)[0], compute_f(eta1, basis)
+    assert np.abs(M).max() > 0 and np.abs(K).max() > 0 and np.abs(f).min() > 0
+    assert np.array_equal(M, _loop_M(u1, basis))
+    assert np.array_equal(K, _loop_K(basis))
+    assert np.array_equal(f, _loop_f(eta1, basis))
+
+
 def test_reduced_system_json_roundtrip(basis50, kset2):
     K, _ = compute_K(basis50, 50.0**10)
     sysd = ReducedSystem(N=5, K=K, M=np.zeros((5, 5)), f=np.zeros(5),
@@ -255,9 +324,8 @@ def test_numeric_basis_pool_matches_serial(profile30, grid30, monkeypatch):
     serial = numeric_basis(ks, profile30, grid30)
     assert pooled.wavenumbers == serial.wavenumbers == ks
     for name in ("psi", "dpsi", "theta", "thetastar", "dthetastar", "phi"):
-        for a, b in zip(getattr(pooled, name), getattr(serial, name)):
-            assert np.array_equal(a, b)
-    assert np.array_equal(pooled.gram, serial.gram)
+        assert np.array_equal(getattr(pooled, name), getattr(serial, name))
+    assert np.array_equal(pooled.pairings(), serial.pairings())
 
 
 def test_numeric_basis_peak_memory():

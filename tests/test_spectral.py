@@ -104,7 +104,22 @@ def test_conjugate_stream_small(profile30, grid30):
 
 def test_biorthogonal_numeric_basis(profile30, grid30):
     basis = numeric_basis((1, 2), profile30, grid30)
-    assert np.max(np.abs(basis.gram - np.eye(2))) < 1e-8
+    assert np.max(np.abs(basis.pairings() - 1.0)) < 1e-8
+
+
+def test_stream_pairing_reads_both_slopes(profile30, grid30):
+    """The stream part of <e_i, e*_i> is int psi' phi' + k^2 psi phi dy.
+    With phi scaled by 1e15 the psi' phi' term is 8 to 37% of the pairing,
+    and biorthogonalize brings the whole sum, taken here row by row, to 1."""
+    basis = numeric_basis((1, 2, 7), profile30, grid30)
+    basis.phi = 1e15 * np.asarray(basis.phi)
+    biorthogonalize(basis)
+    w = grid30.weights
+    for i, k in enumerate(basis.wavenumbers):
+        psi, phi = basis.psi[i], basis.phi[i]
+        pair = (np.sum(w * basis.theta[i] * basis.thetastar[i])
+                + np.sum(w * (basis.dpsi[i] * (grid30.diff @ phi) + k * k * psi * phi)))
+        assert pair == pytest.approx(1.0, rel=1e-12)
 
 
 def test_duplicated_mode_raises(profile30, grid30):
@@ -118,6 +133,40 @@ def test_duplicated_mode_raises(profile30, grid30):
     basis.phi = None
     with pytest.raises(SpectralError):
         biorthogonalize(basis)
+
+
+def test_vanishing_pairing_raises(profile30, grid30):
+    basis = numeric_basis((1, 2), profile30, grid30)
+    basis.thetastar[1] = 0.0
+    basis.phi[1] = 0.0
+    with pytest.raises(SpectralError, match="singular Gram"):
+        biorthogonalize(basis)
+
+
+def test_repeated_wavenumber_raises(params50):
+    """Two distinct modes labelled with one wavenumber: the x-integral does
+    not separate them, so the Gram matrix is not diagonal."""
+    from obrealize.grid import make_grid
+    from obrealize.reduction import asymptotic_basis
+
+    basis = asymptotic_basis((1, 2), params50, make_grid(params50.h, 300, 4.0))
+    basis.wavenumbers = (1, 1)
+    with pytest.raises(SpectralError, match="repeated wavenumbers"):
+        biorthogonalize(basis)
+
+
+@pytest.mark.parametrize("kernel, kmax, match", [
+    ([1], 1, "no wavenumber outside the kernel"),
+    ([1, 7], 1, "inside the survey k = 1..1"),
+    ([3], 2, "inside the survey k = 1..2"),
+    ([1, 7], 5, "inside the survey k = 1..5"),
+])
+def test_spectrum_report_names_survey_errors(profile30, kernel, kmax, match):
+    """A survey that cannot measure the kernel residual or the gap is
+    refused before any solve."""
+    with pytest.raises(SpectralError, match=match):
+        spectrum_report(kernel, kmax, profile30.params, profile30.poly, profile30,
+                        finite_ks=())
 
 
 def test_spectrum_report(profile30):
@@ -155,7 +204,7 @@ def _report_with_leading_lambda(profile, monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(TransferHierarchy, "leading_lambda", leading_lambda)
-    return spectrum_report([1, 7], 2, profile.params, profile.poly, profile,
+    return spectrum_report([1], 2, profile.params, profile.poly, profile,
                            pencil_kmax=0)
 
 
@@ -179,7 +228,7 @@ def test_spectrum_report_pencil_fault_propagates(profile30, monkeypatch):
 
     monkeypatch.setattr(spectral, "assemble_pencil", assemble_pencil)
     with pytest.raises(RuntimeError, match="fault") as excinfo:
-        spectrum_report([1, 7], 2, profile30.params, profile30.poly, profile30,
+        spectrum_report([1], 2, profile30.params, profile30.poly, profile30,
                         finite_ks=())
     assert excinfo.type is RuntimeError     # not rewrapped as a SpectralError
 
@@ -277,7 +326,7 @@ def test_survey_stack_sizes(profile30, grid30, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", recorded)
     monkeypatch.setattr(spectral, "_map_cores", map)
-    spectrum_report([1, 7], 5, profile30.params, profile30.poly, profile30,
+    spectrum_report([1], 5, profile30.params, profile30.poly, profile30,
                     grid=grid30, finite_ks=())
     assert shapes == [(2, 259, 259), (2, 259, 259), (1, 259, 259)]
 
@@ -339,7 +388,7 @@ def test_spectrum_report_eigvals_fault_names_the_stack(profile30, grid30, monkey
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     with pytest.raises(SpectralError, match=r"k=1, 2: Eigenvalues did not") as excinfo:
-        spectrum_report([1, 7], 4, profile30.params, profile30.poly, profile30,
+        spectrum_report([1], 4, profile30.params, profile30.poly, profile30,
                         grid=grid30, finite_ks=())
     assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
 
