@@ -21,8 +21,8 @@ from .profile import ProfileError, derive_scales, designed_profile
 from .realize import (contraction_field, lorenz_field, realize_target,
                       rescale_into_ball, RealizeError, TargetField)
 from .reduction import ReducedSystem, asymptotic_basis, compute_K
-from .scalar import kbar_bound
-from .spectral import default_grid, resolves_layer, scale_grid, spectrum_report
+from .spectral import (SpectralError, check_survey, default_grid, resolves_layer,
+                       scale_grid, spectrum_report)
 
 
 # Every config key with its default and the bound on its value: a test and
@@ -133,15 +133,11 @@ def _validate(cfg: dict) -> None:
     if n and not resolves_layer(scale_grid(_scales(cfg, b), n), b):
         raise SystemExit(f"invalid spectrum.grid_n: {n} intervals do not resolve "
                          f"the 1/(4b) boundary layer at scales.b = {b}")
-    # the spectrum verdict reads a design root at every wavenumber up to
-    # spectrum.kmax and the a-priori bound h r b: the kernel, and at least
-    # one wavenumber outside it, must all lie there
-    kernel = extended_set(cfg["wavenumbers"]["p"]).base
-    top = min(cfg["spectrum"]["kmax"], kbar_bound(_scales(cfg, b)))
-    if max(kernel) > top or int(top) <= len(kernel):
-        raise SystemExit(f"invalid spectrum.kmax or scales.b: the survey runs to "
-                         f"k = {int(top)}, which must cover the kernel {list(kernel)} "
-                         "and one wavenumber outside it")
+    try:
+        check_survey(extended_set(cfg["wavenumbers"]["p"]).base,
+                     cfg["spectrum"]["kmax"], _scales(cfg, b))
+    except SpectralError as exc:
+        raise SystemExit(f"invalid spectrum.kmax or scales.b: {exc}") from None
     r = cfg["realize"]
     if r["preset"] == "explicit":
         if not {"D", "R", "f"} <= r.keys():

@@ -16,34 +16,39 @@ leading field equals any prescribed quadratic target.  Diagnostics:
 manifold residuals, empirical field discrepancy, and Benettin-style
 Lyapunov spectra.
 
-Each kind of system has one stepper.  A QuadraticSystem takes the
-Cox-Matthews ETDRK4 step of _etdrk4_step, exact in the whole constant
-linear part M (the stiff fast diagonal -1/xi and the coupling T/xi alike)
-and fourth order in K(X, X) + f; its e^{hM} and phi-functions come once
-per (system, step) from one augmented matrix exponential each.  integrate
-drives its state with that step, and lyapunov drives its state and, by
-the derivative of the same step, its tangent frame.  A TargetField takes
-the classic RK4 step of _rk4_step; lyapunov carries its frame by the
-derivative of that step, and rescale_into_ball uses it for the bounding
-run.  Non-stiff fast-slow systems (xi > 2e-3) are integrated by scipy's
-adaptive RK45, and realize_target evaluates the target's reference orbit at
-its sample times by scipy's DOP853.
+Each kind of system has one stepper, and each steps a (B, n) stack of
+states, one orbit per row, with an optional (B, n, k) stack of tangent
+frames.  A QuadraticSystem takes the Cox-Matthews ETDRK4 step of
+_etdrk4_step, exact in the whole constant linear part M (the stiff fast
+diagonal -1/xi and the coupling T/xi alike) and fourth order in
+K(X, X) + f; its e^{hM} and phi-functions come once per (system, step)
+from one augmented matrix exponential each.  integrate drives its one
+orbit with that step as a stack of one row, and lyapunov drives an
+ensemble of orbits and, by the derivative of the same step, their frames.
+A TargetField takes the classic RK4 step of _rk4_step; lyapunov carries
+its frames by the derivative of that step, and rescale_into_ball uses it
+for the bounding run.  Non-stiff fast-slow systems (xi > 2e-3) are
+integrated by scipy's adaptive RK45, and realize_target evaluates the
+target's reference orbit at its sample times by scipy's DOP853, each
+through the field at one point (QuadraticSystem.rhs, and a TargetField on
+a stack of one row).
 
-These loops step 3- to 9-vectors, where numpy's per-call overhead, not
-arithmetic, is the cost.  The ETDRK4 path of integrate and the bounding run
-write their states into one preallocated array and check finiteness and
-the escape radius once per block of _RENORM_EVERY = 10 steps, not on each
-step; the error names the first offending step, as a per-step check would,
-and the states are those of the unchecked loop.  A TargetField evaluates
-one point by ndarray.dot (D.dot(Y).dot(Y) for the quadratic term, and the
-blend radius as sqrt(Y.dot(Y))) and a batch of points by einsum; the two
-agree to rounding, not bit for bit.
+The long loops run on ensembles of _ORBITS orbits.  Their states are 3- to
+9-vectors, where numpy's per-call overhead, not arithmetic, is the cost of
+a step, so one call that steps every orbit shares that cost: the Benettin
+runs of lyapunov split their measured horizon among the orbits and take
+the error bar from the orbits' scatter, and the bounding run samples the
+attractor along every orbit.  The ETDRK4 path of integrate writes its
+states, and the bounding run its samples (every fifth state), into one
+preallocated array, and each checks finiteness and the escape radius of
+every row once per block of _RENORM_EVERY = 10 entries, not on each; the
+error names the first offending entry, as a check on each would, and the
+states are those of the unchecked loop.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import json
-import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -105,53 +110,66 @@ class TargetField:
         if self.f.shape != (self.p,):
             raise RealizeError("f must have length p")
         self.D = 0.5 * (self.D + np.swapaxes(self.D, 1, 2))
+        # D as (p, p^2) and (p^2, p) matrices, transposed for row points
+        self._DF = self.D.reshape(self.p, -1).T
+        self._DT = self.D.reshape(-1, self.p).T
+
+    def quad_matrix(self, Y: np.ndarray) -> np.ndarray:
+        """D(Y) = sum_l D_ijl Y_l at each row of a (B, p) array: D(Y, Y) =
+        D(Y) Y, and the bare field's Jacobian is R + 2 D(Y)."""
+        return Y.dot(self._DT).reshape(*Y.shape[:-1], self.p, self.p)
 
     def quad(self, Y: np.ndarray) -> np.ndarray:
-        """D(Y, Y) at one point Y, or at each row of an (n, p) array.
-
-        One point takes two ndarray.dot calls, cheaper than the einsum on a
-        short vector; the two paths agree to rounding.
-        """
-        if Y.ndim == 1:
-            return self.D.dot(Y).dot(Y)
-        return np.einsum("ijl,...j,...l->...i", self.D, Y, Y)
+        """D(Y, Y) at each row of a (B, p) array, from the outer product of
+        each row with itself."""
+        YY = (Y[..., :, None] * Y[..., None, :]).reshape(*Y.shape[:-1], -1)
+        return YY.dot(self._DF)
 
     def bare(self, Y: np.ndarray) -> np.ndarray:
         return self.quad(Y) + Y.dot(self.R.T) + self.f
 
-    def __call__(self, Y: np.ndarray) -> np.ndarray:
-        """W at one point Y, or at each row of an (n, p) array of points."""
-        v = self.bare(Y)
+    def _blend(self, Y: np.ndarray):
+        """Each row's |Y| and its blend coordinate t = (|Y|/R - c)/(1 - c)
+        clipped to [0, 1], as (B, 1) columns; None when no row is past
+        cutoff_on, so that the blend weight S(t) is 0 on every row."""
         if self.cutoff_on is None:
+            return None
+        r = np.linalg.norm(Y, axis=-1, keepdims=True)
+        if r.max() / self.ball_radius <= self.cutoff_on:
+            return None
+        t = np.clip((r / self.ball_radius - self.cutoff_on)
+                    / (1.0 - self.cutoff_on), 0.0, 1.0)
+        return r, t
+
+    def __call__(self, Y: np.ndarray) -> np.ndarray:
+        """W at each row of a (B, p) array of points."""
+        v = self.bare(Y)
+        blend = self._blend(Y)
+        if blend is None:
             return v
-        if (Y.ndim == 1
-                and math.sqrt(Y.dot(Y)) / self.ball_radius <= self.cutoff_on):
-            return v
-        rr = np.linalg.norm(Y, axis=-1, keepdims=True) / self.ball_radius
-        if rr.max() <= self.cutoff_on:      # the blend weight is exactly 0 here
-            return v
-        s = _smoothstep((rr - self.cutoff_on) / (1.0 - self.cutoff_on))
+        s = _smoothstep(blend[1])
         return (1.0 - s) * v - s * Y
 
     def jac(self, Y: np.ndarray) -> np.ndarray:
-        """dW/dY at one point Y.
+        """dW/dY at each row of a (B, p) array, as a (B, p, p) stack.
 
         In the blend, W = (1 - s) v - s Y with v the bare field and
         s = S(t), t = (|Y|/R - c)/(1 - c), so dW/dY = (1 - s) dv/dY - s I
         - (v + Y) grad(s)^T with grad(s) = S'(t) Y / ((1 - c) R |Y|) and
-        S'(t) = 30 t^2 (1 - t)^2.
+        S'(t) = 30 t^2 (1 - t)^2; a row inside cutoff_on has t = 0 and
+        keeps dv/dY exactly.
         """
-        J = self.R + 2.0 * self.D.dot(Y)
-        if self.cutoff_on is None:
+        J = self.R + 2.0 * self.quad_matrix(Y)
+        blend = self._blend(Y)
+        if blend is None:
             return J
-        c, radius = self.cutoff_on, self.ball_radius
-        r = math.sqrt(Y.dot(Y))                 # np.linalg.norm(Y), bit for bit
-        if r / radius <= c:
-            return J
-        t = min((r / radius - c) / (1.0 - c), 1.0)
-        s = _smoothstep(t)
-        grad_s = 30.0 * t * t * (1.0 - t) ** 2 / ((1.0 - c) * radius * r) * Y
-        return (1.0 - s) * J - s * np.eye(self.p) - np.outer(self.bare(Y) + Y, grad_s)
+        r, t = blend
+        s = _smoothstep(t)[..., None]
+        ds = 30.0 * t * t * (1.0 - t) ** 2
+        grad_s = np.divide(ds, (1.0 - self.cutoff_on) * self.ball_radius * r,
+                           out=np.zeros_like(r), where=ds > 0.0) * Y
+        return ((1.0 - s) * J - s * np.eye(self.p)
+                - (self.bare(Y) + Y)[..., :, None] * grad_s[..., None, :])
 
     def inward_on_boundary(self) -> bool:
         """W(q) . q < 0 at 10000 seeded points q of the boundary sphere."""
@@ -216,19 +234,29 @@ class QuadraticSystem:
     T: np.ndarray
     R: np.ndarray
 
-    def rhs(self, X: np.ndarray) -> np.ndarray:
-        return self.quad_matrix(X).dot(X) + self.M.dot(X) + self.f
-
-    def quad_matrix(self, X: np.ndarray) -> np.ndarray:
-        """K(X) = sum_l K_ijl X_l: K(X, X) = K(X) X, and for K symmetric in
-        its last two slots (as compute_K builds it) the Jacobian of K(X, X)
-        is 2 K(X)."""
-        return self.K.reshape(-1, self.N).dot(X).reshape(self.N, self.N)
-
     def __post_init__(self):
         self.K = np.asarray(self.K, dtype=float)
         self.M = np.asarray(self.M, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
+        # K as (N, N^2) and (N^2, N) matrices, transposed for row states
+        self._KF = self.K.reshape(self.N, -1).T
+        self._KT = self.K.reshape(-1, self.N).T
+
+    def rhs(self, X: np.ndarray) -> np.ndarray:
+        """The field at one state X, as scipy's adaptive integrators call it."""
+        return self.quad_matrix(X).dot(X) + self.M.dot(X) + self.f
+
+    def quad_matrix(self, X: np.ndarray) -> np.ndarray:
+        """K(X) = sum_l K_ijl X_l at each row of a (B, N) array: K(X, X) =
+        K(X) X, and for K symmetric in its last two slots (as compute_K
+        builds it) the Jacobian of K(X, X) is 2 K(X)."""
+        return X.dot(self._KT).reshape(*X.shape[:-1], self.N, self.N)
+
+    def quad(self, X: np.ndarray) -> np.ndarray:
+        """K(X, X) at each row of a (B, N) array, from the outer product of
+        each row with itself."""
+        XX = (X[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], -1)
+        return XX.dot(self._KF)
 
     def kt1(self, Y: np.ndarray) -> np.ndarray:
         """Fast-block quadratic form restricted to slow arguments, at one
@@ -316,55 +344,68 @@ def _etdrk4_coeffs(L, h):
     (E, E2, P, B1, B2, B4): E = e^{hL}, E2 = e^{hL/2}, P = (h/2) phi1(hL/2),
     and the weights of the four stage nonlinearities, B1 = h (phi1 - 3 phi2
     + 4 phi3), B2 = h (2 phi2 - 4 phi3) for the two midpoint stages and
-    B4 = h (4 phi3 - phi2), all of hL.
+    B4 = h (4 phi3 - phi2), all of hL.  Each is returned transposed, so a
+    stack of row vectors V steps as V.dot(E).
     """
     E, p1, p2, p3 = _phi_functions(h * L)
     E2, q1 = _phi_functions(0.5 * h * L)[:2]
-    return (E, E2, 0.5 * h * q1, h * (p1 - 3.0 * p2 + 4.0 * p3),
-            h * (2.0 * p2 - 4.0 * p3), h * (4.0 * p3 - p2))
+    return tuple(np.ascontiguousarray(C.T) for C in (
+        E, E2, 0.5 * h * q1, h * (p1 - 3.0 * p2 + 4.0 * p3),
+        h * (2.0 * p2 - 4.0 * p3), h * (4.0 * p3 - p2)))
 
 
 def _etdrk4_step(system: QuadraticSystem, x, coeffs, Q=None):
-    """One ETDRK4 step of dX/dt = M X + K(X, X) + f, exact in M.
+    """One ETDRK4 step of dX/dt = M X + K(X, X) + f, exact in M, for each
+    row of a (B, N) stack of states.
 
-    With a tangent frame Q, also returns the frame carried by the
-    derivative of the same step: each stage's Jacobian 2 K(stage) applied
-    to that stage's frame.  (ndarray.dot: less call overhead than @ on
-    these small operands, about 1.3 against 1.9 us for 9 x 9.)
+    With a (B, N, k) stack of tangent frames Q, also returns the frames
+    carried by the derivative of the same step: each stage's Jacobian
+    2 K(stage) applied to that stage's frame.  The frame then rides as k
+    more rows under each state, so one product applies each linear
+    operator to states and frames alike, and one batched matmul per stage
+    applies K(stage) to the state (giving K(X, X)) and to twice the frame
+    (giving the Jacobian product).
     """
     E, E2, P, B1, B2, B4 = coeffs
-    f = system.f
-    Ku = system.quad_matrix(x)
-    Nu = Ku.dot(x) + f
-    E2x = E2.dot(x)
-    a = E2x + P.dot(Nu)
-    Ka = system.quad_matrix(a)
-    Na = Ka.dot(a) + f
-    b = E2x + P.dot(Na)
-    Kb = system.quad_matrix(b)
-    Nb = Kb.dot(b) + f
-    c = E2.dot(a) + P.dot(2.0 * Nb - Nu)
-    Kc = system.quad_matrix(c)
-    xn = E.dot(x) + B1.dot(Nu) + B2.dot(Na + Nb) + B4.dot(Kc.dot(c) + f)
+    B, n = x.shape
     if Q is None:
-        return xn
-    JQ = 2.0 * Ku.dot(Q)
-    E2Q = E2.dot(Q)
-    Qa = E2Q + P.dot(JQ)
-    JQa = 2.0 * Ka.dot(Qa)
-    Qb = E2Q + P.dot(JQa)
-    JQb = 2.0 * Kb.dot(Qb)
-    Qc = E2.dot(Qa) + P.dot(2.0 * JQb - JQ)
-    return xn, (E.dot(Q) + B1.dot(JQ) + B2.dot(JQa + JQb)
-                + B4.dot(2.0 * Kc.dot(Qc)))
+        def nonlinear(u):
+            return system.quad(u) + system.f
+        V = x
+    else:
+        m = 1 + Q.shape[2]
+        scale = np.full((m, 1), 2.0)
+        scale[0] = 1.0
+        forcing = np.zeros((m, n))
+        forcing[0] = system.f
+
+        def nonlinear(U):
+            U = U.reshape(B, m, n)
+            KU = np.matmul(U, system.quad_matrix(U[:, 0]).transpose(0, 2, 1))
+            return (KU * scale + forcing).reshape(B * m, n)
+        V = np.concatenate([x[:, None], Q.transpose(0, 2, 1)],
+                           axis=1).reshape(B * m, n)
+    Nu = nonlinear(V)
+    E2V = V.dot(E2)
+    a = E2V + Nu.dot(P)
+    Na = nonlinear(a)
+    b = E2V + Na.dot(P)
+    Nb = nonlinear(b)
+    c = a.dot(E2) + (2.0 * Nb - Nu).dot(P)
+    Vn = V.dot(E) + Nu.dot(B1) + (Na + Nb).dot(B2) + nonlinear(c).dot(B4)
+    if Q is None:
+        return Vn
+    Vn = Vn.reshape(B, m, n)
+    return Vn[:, 0], Vn[:, 1:].transpose(0, 2, 1)
 
 
 def _rk4_step(rhs, x, h, jac=None, Q=None):
-    """One classic fourth-order Runge-Kutta step.
+    """One classic fourth-order Runge-Kutta step of each row of a (B, n)
+    stack of states.
 
-    With jac and a tangent frame Q, also returns the frame carried by the
-    derivative of the same step: each stage Jacobian applied to its stage
-    frame.
+    With jac and a (B, n, k) stack of tangent frames Q, also returns the
+    frames carried by the derivative of the same step: each stage
+    Jacobian applied to its stage frame.
     """
     k1 = rhs(x)
     x2 = x + 0.5 * h * k1
@@ -384,15 +425,16 @@ def _rk4_step(rhs, x, h, jac=None, Q=None):
 
 
 def _fill_checked(step, x, xs, radius):
-    """Fill row i of xs with the state after i + 1 steps from x.
+    """Fill xs[i], a (B, n) stack of states, with the stack after i + 1
+    steps from x.
 
-    Each block of _RENORM_EVERY rows is checked once it is filled, not each
-    step.  Returns the index of the first row that is not finite or has
-    |x| > radius (np.linalg.norm of the row), or None.  One row-wise sum of
-    squares clears a block inside 0.99 radius; only a block near or past
-    the radius, or one holding a non-finite row, is walked row by row.
-    Steps run on past an escaped row to the end of its block, so the
-    overflow they may meet is not warned about.
+    Each block of _RENORM_EVERY steps is checked once it is filled, not
+    each step.  Returns the index of the first step at which some row is
+    not finite or has |x| > radius (the row's np.linalg.norm), or None.
+    One sum of squares per row clears a block inside 0.99 radius; only a
+    block near or past the radius, or one holding a non-finite row, is
+    walked step by step.  Steps run on past an escaped row to the end of
+    its block, so the overflow they may meet is not warned about.
     """
     n = len(xs)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,10 +443,11 @@ def _fill_checked(step, x, xs, radius):
             for i in range(i0, i1):
                 x = xs[i] = step(x)
             block = xs[i0:i1]
-            if np.einsum("ni,ni->n", block, block).max() < (0.99 * radius) ** 2:
+            if np.einsum("...i,...i->...", block, block).max() < (0.99 * radius) ** 2:
                 continue
             for i in range(i0, i1):
-                if not np.all(np.isfinite(xs[i])) or np.linalg.norm(xs[i]) > radius:
+                if (not np.all(np.isfinite(xs[i]))
+                        or np.linalg.norm(xs[i], axis=-1).max() > radius):
                     return i
     return None
 
@@ -417,8 +460,9 @@ def _integrate_etdrk4(system: QuadraticSystem, x0, t0, t1, dt, blowup):
     coeffs = _etdrk4_coeffs(system.M, (t1 - t0) / nsteps)
     xs = np.empty((nsteps + 1, len(x0)))
     xs[0] = x0
-    i = _fill_checked(lambda x: _etdrk4_step(system, x, coeffs), x0, xs[1:],
-                      blowup)
+    # the one orbit as a stack of one row
+    i = _fill_checked(lambda x: _etdrk4_step(system, x, coeffs), x0[None],
+                      xs[1:, None], blowup)
     if i is not None:
         raise RealizeError(f"trajectory blow-up at t={ts[i + 1]:.4g}")
     return ts, xs, nsteps, 0
@@ -524,37 +568,58 @@ def empirical_field_error(traj: Trajectory, system: QuadraticSystem,
 # Lyapunov spectra
 # ---------------------------------------------------------------------------
 
-# equal blocks of the measured horizon behind each exponent's standard error
-_BATCHES = 10
+# orbits in each Benettin ensemble and in the bounding run, and the
+# transient each Benettin orbit runs before its measured part (CHANGES.md
+# has the study that chose them)
+_ORBITS = 16
+_TRANSIENT = 200.0
 
 
-def lyapunov(flow, x0, horizon: float, dt: float = 1e-2,
-             transient: float = 20.0,
+def lyapunov(flow, starts, horizon: float, dt: float = 1e-2,
+             transient: float = _TRANSIENT,
              seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Benettin QR spectrum along the orbit of an autonomous field.
+    """Benettin QR spectrum of an autonomous field over an ensemble of
+    orbits, one from each row of the (B, n) array starts.
 
-    The frame is carried by the derivative of the state step, so the
-    tangent is fourth order like the orbit.  A QuadraticSystem is stepped
-    by ETDRK4, exact in M, and carries only its p slow tangent columns: the
-    leading exponents of a Benettin frame do not depend on its trailing
-    columns, so the N - p fast ones are never computed.  Any other flow (a
-    TargetField: called, and jac) is stepped by RK4, each stage Jacobian
-    applied to its stage frame, and carries all of its columns.  The frame,
-    the leading columns of one seeded orthonormal frame, is renormalized by
-    QR every _RENORM_EVERY steps, through the transient too, so the
-    measured average starts from an aligned frame; the state is checked
-    finite at each renormalization.
+    The B orbits are stepped together, each by transient and then by
+    horizon / B time units: horizon is the measured time of the whole
+    ensemble.  The frames are carried by the derivative of the state step,
+    so the tangent is fourth order like the orbit.  A QuadraticSystem is
+    stepped by ETDRK4, exact in M, and carries only its p slow tangent
+    columns: the leading exponents of a Benettin frame do not depend on its
+    trailing columns, so the N - p fast ones are never computed.  Any other
+    flow (a TargetField: called, and jac) is stepped by RK4, each stage
+    Jacobian applied to its stage frame, and carries all of its columns.
+    Every orbit starts from the leading columns of one seeded orthonormal
+    frame, and every _RENORM_EVERY steps one stacked QR renormalizes all
+    the frames, through the transient too, so the measured average starts
+    from an aligned frame; the states are checked finite at each
+    renormalization.
 
     Returns (exponents, stderr), both in descending order of exponent:
-    the log diagonal averaged over the horizon after the transient, and
-    the batch-means standard error of each exponent from _BATCHES equal
-    blocks of the same horizon.  The error bar is the scatter along this
-    one orbit, not that of an ensemble.
+    each orbit's log diagonal averaged over its measured whole blocks of
+    _RENORM_EVERY steps, then the mean over the B orbits, and its standard
+    error, the scatter of the B orbits' exponents over sqrt(B).  Raises
+    RealizeError for a non-finite start, for fewer than 2 orbits (no
+    scatter, so no error bar) and for a per-orbit horizon that holds no
+    measured renormalization.
     """
-    x = np.array(x0, dtype=float)
-    n = len(x)
+    x = np.array(starts, dtype=float)
+    if x.ndim != 2 or len(x) < 2:
+        raise RealizeError("lyapunov needs a (B, n) array of B >= 2 starts: "
+                           "one orbit gives no scatter for an error bar")
+    if not np.all(np.isfinite(x)):
+        raise RealizeError("Lyapunov starts must be finite")
+    B, n = x.shape
+    nburn = int(transient / dt)
+    nblocks = int(horizon / B / dt) // _RENORM_EVERY
+    if nblocks == 0:
+        raise RealizeError(f"Lyapunov horizon {horizon} over {B} orbits gives "
+                           f"each {horizon / B:.4g} time units, short of one "
+                           f"renormalization ({_RENORM_EVERY} steps at dt = {dt})")
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :flow.p]
+    Q = np.repeat(Q[None], B, axis=0)
 
     if isinstance(flow, QuadraticSystem):
         coeffs = _etdrk4_coeffs(flow.M, dt)
@@ -565,30 +630,25 @@ def lyapunov(flow, x0, horizon: float, dt: float = 1e-2,
         def step(x, Q):
             return _rk4_step(flow, x, dt, flow.jac, Q)
 
-    nburn = int(transient / dt)
-    nsteps = int(horizon / dt)
-    logs = []                   # log|diag R| of each measured renormalization
-    sums = np.zeros(Q.shape[1])
-    elapsed = 0.0
-    for r in range((nburn + nsteps) // _RENORM_EVERY):
-        for _ in range(_RENORM_EVERY):
+    # the transient in blocks of up to _RENORM_EVERY steps, then the
+    # measured whole blocks
+    blocks = [min(_RENORM_EVERY, nburn - i) for i in range(0, nburn, _RENORM_EVERY)]
+    burn_blocks = len(blocks)
+    blocks += [_RENORM_EVERY] * nblocks
+    sums = np.zeros((B, Q.shape[2]))
+    for r, nsteps in enumerate(blocks):
+        for _ in range(nsteps):
             x, Q = step(x, Q)
         if not np.all(np.isfinite(x)):
             raise RealizeError("unbounded orbit in Lyapunov computation")
         Q, Rm = np.linalg.qr(Q)
-        if (r + 1) * _RENORM_EVERY > nburn:
-            d = np.abs(np.diag(Rm))
+        if r >= burn_blocks:
+            d = np.abs(np.diagonal(Rm, axis1=1, axis2=2))
             d[d < 1e-300] = 1e-300
-            logs.append(np.log(d))
-            sums += logs[-1]
-            elapsed += _RENORM_EVERY * dt
-    if len(logs) < _BATCHES:
-        raise RealizeError(f"Lyapunov horizon {horizon} holds fewer than "
-                           f"{_BATCHES} renormalizations at dt = {dt}")
-    exps = sums / elapsed
-    batches = np.array([b.sum(axis=0) / (len(b) * _RENORM_EVERY * dt)
-                        for b in np.array_split(np.array(logs), _BATCHES)])
-    stderr = batches.std(axis=0, ddof=1) / np.sqrt(_BATCHES)
+            sums += np.log(d)
+    per_orbit = sums / (nblocks * _RENORM_EVERY * dt)
+    exps = per_orbit.mean(axis=0)
+    stderr = per_orbit.std(axis=0, ddof=1) / np.sqrt(B)
     order = np.argsort(exps)[::-1]
     return exps[order], stderr[order]
 
@@ -601,23 +661,31 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
                       seed: int = 0) -> TargetField:
     """Affine-conjugate a raw quadratic field into the ball contract.
 
-    The empirical attractor (200 time units of the raw field past a
-    transient of 20, RK4 at dt = 5e-3) is centered and scaled into radius
-    ball_radius/2; time is rescaled so the sampled gradient bound is
+    The empirical attractor is sampled every 5 steps of RK4 at dt = 5e-3
+    on _ORBITS seeded orbits, each past a transient of 20 time units, 200
+    time units in all; it is centered and scaled into radius
+    ball_radius/2.  Time is rescaled so the sampled gradient bound is
     0.9 < 1; the inward boundary condition is checked on a sampled net and
     an absorbing blend is attached if the bare conjugated field fails it.
     Conjugacy:
     Y = (X - c)/s, W(Y) = (tau/s) Q(c + s Y).
     """
     rng = np.random.default_rng(seed)
-    x = 0.1 * rng.standard_normal(raw.p) + 1e-3
-    # crude transient + bounding run with plain RK4, sampled after the transient
-    dt = 5e-3
-    nburn = int(20.0 / dt)
-    xs = np.empty((nburn + int(200.0 / dt), raw.p))
-    if _fill_checked(lambda x: _rk4_step(raw.bare, x, dt), x, xs, 1e6) is not None:
+    x = 0.1 * rng.standard_normal((_ORBITS, raw.p)) + 1e-3
+    dt, every = 5e-3, 5
+    nburn = round(20.0 / dt) // every
+    nkeep = round(200.0 / dt) // (every * _ORBITS)
+
+    def sample(x):
+        for _ in range(every):
+            x = _rk4_step(raw.bare, x, dt)
+        return x
+
+    # only the samples are kept, the transient's among them
+    xs = np.empty((nburn + nkeep, _ORBITS, raw.p))
+    if _fill_checked(sample, x, xs, 1e6) is not None:
         raise RealizeError("raw field escaped during the bounding run")
-    pts = xs[nburn::5]
+    pts = xs[nburn:].reshape(-1, raw.p)
     center = 0.5 * (pts.max(axis=0) + pts.min(axis=0))
     radius = np.max(np.linalg.norm(pts - center, axis=1))
     scale = 2.0 * radius / ball_radius          # maps attractor into R/2
@@ -689,24 +757,35 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     sample times themselves by DOP853 at rtol 1e-10, atol 1e-12, a method
     independent of the realized system's ETDRK4 and RK45.  The report
     carries the realized trajectory: the ETDRK4 path at dt = 5e-3 for
-    xi <= 2e-3, the RK45 path above.  Both Benettin runs take
-    dt = 0.5: on the rescaled Lorenz target, over horizons 1500 and 12000
-    on six seeds, it keeps the exponent sums within 1.8e-6 (target) and
-    1.1e-5 (realized) of the exact trace, and the step's shift of the
-    leading exponent is lost in its spread across seeds.
+    xi <= 2e-3, the RK45 path above.
+
+    The Benettin runs step _ORBITS orbits each, from starts drawn after y0
+    and as y0 is drawn (y0 is drawn even when given, so the starts depend
+    on the seed alone); the realized system starts each on the slow
+    manifold, Z = xi Kt1(Y).  Both take dt = 0.5 and split lyap_horizon
+    among their orbits.  The ensemble study behind _ORBITS and _TRANSIENT
+    is in CHANGES.md: on the rescaled Lorenz target, over 16 seeds, it
+    keeps the exponent sums within 2.1e-6 (target) and 1.5e-5 (realized)
+    of the exact trace, and at lyap_horizon 12000 a single 12000-unit
+    orbit's LLE lies within two ensemble standard errors of the ensemble
+    LLE on 28 of 32 runs.
     """
     system = build_fast_slow(target, K, kset, xi)
     p = kset.p
     rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(1 + _ORBITS):
+        y = 0.25 * target.ball_radius * rng.standard_normal(p)
+        y *= min(1.0, 0.25 * target.ball_radius / np.linalg.norm(y))
+        draws.append(y)
     if y0 is None:
-        y0 = 0.25 * target.ball_radius * rng.standard_normal(p)
-        y0 *= min(1.0, 0.25 * target.ball_radius / np.linalg.norm(y0))
+        y0 = draws[0]
     x0 = np.zeros(kset.N)
     x0[:p] = y0
     x0[p:] = xi * system.kt1(y0)
     traj = integrate(system, x0, (0.0, horizon), method="auto", dt=5e-3)
     samples = np.linspace(0.0, horizon, 400)
-    ref = solve_ivp(lambda t, y: target(y), (0.0, horizon), y0,
+    ref = solve_ivp(lambda t, y: target(y[None])[0], (0.0, horizon), y0,
                     method="DOP853", t_eval=samples, rtol=1e-10, atol=1e-12)
     if not ref.success:
         raise RealizeError(ref.message)
@@ -716,9 +795,13 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     c0 = empirical_field_error(traj, system, target)
     lyap_t = lyap_r = err_t = err_r = None
     if with_lyapunov:
-        lyap_t, err_t = lyapunov(target, y0, horizon=lyap_horizon, dt=0.5,
+        starts = np.array(draws[1:])
+        lifted = np.zeros((_ORBITS, kset.N))
+        lifted[:, :p] = starts
+        lifted[:, p:] = xi * system.kt1(starts)
+        lyap_t, err_t = lyapunov(target, starts, horizon=lyap_horizon, dt=0.5,
                                  seed=seed)
-        lyap_r, err_r = lyapunov(system, x0, horizon=lyap_horizon, dt=0.5,
+        lyap_r, err_r = lyapunov(system, lifted, horizon=lyap_horizon, dt=0.5,
                                  seed=seed)
     return RealizationReport(sup_error=sup_err, manifold=man,
                              field_c0_error=c0, lyap_target=lyap_t,

@@ -70,6 +70,7 @@ __all__ = [
     "solve_conjugate_modes",
     "biorthogonalize",
     "spectrum_report",
+    "check_survey",
     "semigroup_decay",
     "default_grid",
     "scale_grid",
@@ -541,6 +542,23 @@ def _stack_size(m: int) -> int:
     return -(-501 // m)
 
 
+def check_survey(kernel, kmax: int, params) -> None:
+    """Raise SpectralError unless the wavenumbers a spectrum survey solves,
+    k = 1 to min(kmax, h r b), hold the whole nonempty kernel and one
+    wavenumber outside it: else its kernel residual or its gap is
+    undefined."""
+    kernel = sorted(set(int(k) for k in kernel))
+    bound = kbar_bound(params)
+    top = int(min(kmax, bound))
+    if not kernel or not set(kernel) <= set(range(1, top + 1)):
+        raise SpectralError(f"the kernel {kernel} must be nonempty and inside "
+                            f"the survey k = 1..{top} (kmax {kmax}, a-priori "
+                            f"bound h r b = {bound:.4g})")
+    if top <= len(kernel):
+        raise SpectralError(f"the survey k = 1..{top} holds no wavenumber outside "
+                            f"the kernel {kernel}: the gap is undefined")
+
+
 def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile,
                     grid: Grid | None = None, pencil_kmax: int = 64,
                     finite_ks: tuple[int, ...] | None = None,
@@ -553,7 +571,7 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     their records carry no eigenvalue.  params and poly must equal
     profile.params and profile.poly, and the wavenumbers solved, k = 1 to
     min(kmax, h r b), must hold the whole kernel and one wavenumber outside
-    it; else a SpectralError is raised before any solve.
+    it (check_survey); else a SpectralError is raised before any solve.
 
     The records run in groups of _stack_size(m) consecutive wavenumbers
     (2 at b = 30 and 80, 1 at b = 112), on the cores this process may use
@@ -573,15 +591,8 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     if params != profile.params or poly != profile.poly:
         raise SpectralError("params and poly must be the profile's own")
     kernel = tuple(int(k) for k in kernel)
+    check_survey(kernel, kmax, params)
     bound = kbar_bound(params)
-    top = int(min(kmax, bound))
-    if not kernel or not set(kernel) <= set(range(1, top + 1)):
-        raise SpectralError(f"the kernel {list(kernel)} must be nonempty and inside "
-                            f"the survey k = 1..{top} (kmax {kmax}, a-priori "
-                            f"bound h r b = {bound:.4g})")
-    if top <= len(set(kernel)):
-        raise SpectralError(f"the survey k = 1..{top} holds no wavenumber outside "
-                            f"the kernel {list(kernel)}: the gap is undefined")
     if grid is None:
         grid = default_grid(profile)
 

@@ -268,7 +268,7 @@ def test_lorenz_run_exponent_sums(lorenz_setup, lorenz_run):
 
 
 def test_criterion_10_chaos_transfer(lorenz_run):
-    lle_raw = lyapunov(lorenz_field(), np.array([1.0, 1.0, 20.0]),
+    lle_raw = lyapunov(lorenz_field(), np.array([[1.0, 1.0, 20.0], [2.0, -1.0, 25.0]]),
                        horizon=600.0, dt=1e-2, transient=30.0, seed=0)[0][0]
     raw_ok = abs(lle_raw - 0.9056) < 0.05 * 0.9056
     lle_t = lorenz_run.lyap_target[0]

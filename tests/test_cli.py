@@ -9,7 +9,8 @@ import pytest
 
 import obrealize
 from obrealize.cli import load_config, main
-from obrealize.profile import designed_profile
+from obrealize.profile import derive_scales, designed_profile
+from obrealize.spectral import SpectralError, check_survey
 
 
 def run_cli(args):
@@ -168,6 +169,21 @@ def test_unknown_preset_rejected():
 def test_config_error_exits_2(tmp_path, overrides):
     args = [a for ov in overrides for a in ("--set", ov)]
     assert main(["all", "--out", str(tmp_path)] + args) == 2
+
+
+@pytest.mark.parametrize("overrides, kernel, kmax, b", [
+    (["spectrum.kmax=6"], [1, 7], 6, 30.0),
+    (["scales.b=1.1"], [1, 7], 21, 1.1),
+    (["wavenumbers.p=1", "spectrum.kmax=1"], [1], 1, 30.0),
+])
+def test_survey_rule_has_the_words_of_spectrum_report(tmp_path, capsys, overrides,
+                                                      kernel, kmax, b):
+    # the load-time check and the survey itself raise from one predicate
+    args = [a for ov in overrides for a in ("--set", ov)]
+    assert main(["spectrum", "--out", str(tmp_path)] + args) == 2
+    with pytest.raises(SpectralError) as exc:
+        check_survey(kernel, kmax, derive_scales(b, 0.95, 0.05, gamma=1e-3))
+    assert f"invalid spectrum.kmax or scales.b: {exc.value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stage, calls", [

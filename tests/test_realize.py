@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from obrealize.control import extended_set
 from obrealize.realize import (QuadraticSystem, RealizeError, TargetField,
                                _etdrk4_coeffs, _etdrk4_step, _phi_functions,
-                               build_fast_slow, contraction_field,
+                               _rk4_step, build_fast_slow, contraction_field,
                                empirical_field_error, integrate, lorenz_field,
                                lyapunov, manifold_residual, realize_target,
                                rescale_into_ball)
@@ -272,8 +272,8 @@ def test_manifold_local_invariance(K9, kset3):
 
 def test_lyapunov_linear_contraction():
     field = contraction_field(3)
-    exps, _ = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=50.0,
-                       dt=1e-2, transient=1.0)
+    exps, _ = lyapunov(field, np.array([[0.1, 0.05, -0.08], [-0.2, 0.1, 0.03]]),
+                       horizon=50.0, dt=1e-2, transient=1.0)
     assert np.allclose(exps, -1.0, atol=1e-3)
 
 
@@ -283,8 +283,8 @@ def test_lyapunov_transient_aligns_frame(seed):
     # if the transient has already turned the random frame onto the axes
     field = TargetField(p=3, D=np.zeros((3, 3, 3)), R=np.diag([-1.0, -2.0, -3.0]),
                         f=np.zeros(3))
-    exps, _ = lyapunov(field, np.array([0.1, 0.05, -0.08]), horizon=10.0,
-                       dt=1e-2, transient=20.0, seed=seed)
+    exps, _ = lyapunov(field, np.array([[0.1, 0.05, -0.08], [-0.2, 0.1, 0.03]]),
+                       horizon=10.0, dt=1e-2, transient=20.0, seed=seed)
     assert np.allclose(exps, [-1.0, -2.0, -3.0], rtol=0.0, atol=1e-3)
 
 
@@ -296,30 +296,37 @@ def test_lyapunov_stiff_linear_system():
     M = np.diag([-1.0, -2.0] + [-1.0 / xi] * 3)
     sysd = QuadraticSystem(N=5, p=2, K=np.zeros((5, 5, 5)), M=M, f=np.zeros(5),
                            xi=xi, T=np.zeros((2, 3)), R=M[:2, :2])
-    x0 = np.array([0.1, 0.05, 0.02, -0.01, 0.03])
+    starts = np.array([[0.1, 0.05, 0.02, -0.01, 0.03],
+                       [-0.2, 0.1, 0.0, 0.05, -0.02]])
     args = dict(horizon=10.0, dt=0.02, transient=20.0, seed=0)
-    exps, _ = lyapunov(sysd, x0, **args)
+    exps, _ = lyapunov(sysd, starts, **args)
     assert np.allclose(exps[:2], [-1.0, -2.0], rtol=0.0, atol=1e-3)
     # the fast block of the tangent frame is carried exactly: the N - p
     # exponents the oracle also computes are -1/xi to rounding
-    full = _full_frame_spectrum(sysd, x0, **args)
+    full = _full_frame_spectrum(sysd, starts, **args)
     assert np.allclose(full[2:], -1.0 / xi, rtol=1e-12, atol=0.0)
 
 
-def _full_frame_spectrum(system, x0, horizon, dt, transient, seed):
-    """Oracle: all N tangent columns, QR on every step, all N exponents."""
+def _full_frame_spectrum(system, starts, horizon, dt, transient, seed):
+    """Oracle: each start alone, all N tangent columns, QR on every step
+    over the orbit's share of the horizon; all N exponents, averaged over
+    the orbits."""
     coeffs = _etdrk4_coeffs(system.M, dt)
-    x = np.array(x0, dtype=float)
     rng = np.random.default_rng(seed)
-    Q = np.linalg.qr(rng.standard_normal((system.N, system.N)))[0]
-    nburn, nsteps = int(transient / dt), int(horizon / dt)
-    sums = np.zeros(system.N)
-    for i in range(nburn + nsteps):
-        x, Q = _etdrk4_step(system, x, coeffs, Q)
-        Q, Rm = np.linalg.qr(Q)
-        if i >= nburn:
-            sums += np.log(np.abs(np.diag(Rm)))
-    return np.sort(sums / (nsteps * dt))[::-1]
+    Q0 = np.linalg.qr(rng.standard_normal((system.N, system.N)))[0]
+    nburn, nsteps = int(transient / dt), int(horizon / len(starts) / dt)
+    spectra = []
+    for x0 in starts:
+        x, Q = np.array([x0], dtype=float), Q0[None]
+        sums = np.zeros(system.N)
+        for i in range(nburn + nsteps):
+            x, Q = _etdrk4_step(system, x, coeffs, Q)
+            Q, Rm = np.linalg.qr(Q[0])
+            Q = Q[None]
+            if i >= nburn:
+                sums += np.log(np.abs(np.diag(Rm)))
+        spectra.append(np.sort(sums / (nsteps * dt))[::-1])
+    return np.mean(spectra, axis=0)
 
 
 def _phi_closed(k, z):
@@ -370,24 +377,24 @@ def test_lyapunov_slow_columns_match_full_frame():
     f = np.array([0.05, -0.03, 0.0, 0.0, 0.0])
     sysd = QuadraticSystem(N=N, p=p, K=K, M=M, f=f, xi=xi,
                            T=xi * M[:p, p:], R=M[:p, :p])
-    x0 = np.array([0.1, 0.05, 0.02, -0.01, 0.03])
+    starts = np.array([[0.1, 0.05, 0.02, -0.01, 0.03],
+                       [-0.2, 0.1, 0.0, 0.05, -0.02]])
     args = dict(horizon=10.0, dt=0.02, transient=20.0, seed=4)
-    exps, _ = lyapunov(sysd, x0, **args)
+    exps, _ = lyapunov(sysd, starts, **args)
     assert len(exps) == p
-    assert np.allclose(exps, _full_frame_spectrum(sysd, x0, **args)[:p],
+    assert np.allclose(exps, _full_frame_spectrum(sysd, starts, **args)[:p],
                        rtol=1e-9, atol=0.0)
 
 
 def test_lyapunov_target_exponents_pinned(lorenz_target):
-    # the RK4 state step and its derivative on the frame, on the blended
-    # Lorenz target, bit for bit as the per-step QR and stage Jacobians gave
-    # it, with TargetField's one-point arithmetic (D.dot(Y).dot(Y) for the
-    # quadratic term)
+    # the batched RK4 state step and its derivative on the frames, on the
+    # blended Lorenz target, bit for bit as the stacked QR and stage
+    # Jacobians give it for two orbits past the default transient
     tgt = lorenz_target
-    exps, stderr = lyapunov(tgt, np.array([0.05, 0.02, 0.1]), horizon=50.0,
-                            dt=0.02)
-    assert exps == pytest.approx([0.00878984173406925, 0.0021815507472736115,
-                                  -0.2017452463981126], rel=1e-15, abs=0.0)
+    exps, stderr = lyapunov(tgt, np.array([[0.05, 0.02, 0.1], [-0.1, 0.05, 0.0]]),
+                            horizon=50.0, dt=0.02)
+    assert exps == pytest.approx([0.00032000529337517826, -0.005648148951183028,
+                                  -0.18328264703633057], rel=1e-15, abs=0.0)
     assert np.all(np.isfinite(stderr)) and np.all(stderr > 0.0)
 
 
@@ -396,23 +403,24 @@ def test_lyapunov_rejects_blowup_and_short_horizon(kset3):
     # state is checked at each renormalization, not at each step
     blowup = TargetField(p=1, D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
                          f=np.zeros(1), ball_radius=np.inf)
-    x0 = np.zeros(kset3.N)
-    x0[0] = 5.0
+    x0 = np.zeros((2, kset3.N))
+    x0[:, 0] = 5.0
     with np.errstate(all="ignore"):
-        for flow, x in ((blowup, np.array([5.0])),
+        for flow, x in ((blowup, np.array([[5.0], [5.0]])),
                         (_squaring_system(kset3), x0)):
             with pytest.raises(RealizeError, match="unbounded"):
                 lyapunov(flow, x, horizon=10.0, dt=0.01, transient=0.0)
-    # fewer measured renormalizations than batches for the error bar
+    # 8 orbits share 0.5 time units: 6 steps each, short of one
+    # renormalization of 10 steps
     with pytest.raises(RealizeError, match="horizon"):
-        lyapunov(contraction_field(2), np.array([0.1, 0.0]), horizon=0.5,
+        lyapunov(contraction_field(2), np.tile([0.1, 0.0], (8, 1)), horizon=0.5,
                  dt=0.01, transient=0.0)
 
 
 def test_lyapunov_lorenz_and_trace():
     lor = lorenz_field()
-    exps, _ = lyapunov(lor, np.array([1.0, 1.0, 20.0]), horizon=500.0,
-                       dt=1e-2, transient=20.0, seed=0)
+    exps, _ = lyapunov(lor, np.array([[1.0, 1.0, 20.0], [2.0, -1.0, 25.0]]),
+                       horizon=500.0, dt=1e-2, transient=20.0, seed=0)
     # classic largest exponent ~ 0.9056
     assert exps[0] == pytest.approx(0.9056, rel=0.05)
     # trace identity: sum of exponents ~ average divergence -(sigma+1+beta)
@@ -438,22 +446,23 @@ def test_rescale_into_ball_properties(lorenz_target):
 
 
 @pytest.mark.parametrize("seed, center, scale, tau", [
-    (1, [-0.31972211881504364, -0.5567342693273485, 24.940058396322293],
-     61.16862037875085, 0.013959062481781527),
-    (1234, [-0.18438430396162708, -0.37613126403035757, 24.792318617331976],
-     62.15769341831966, 0.013738735172111266),
+    (1, [-0.3317390432638323, -0.6459544950746476, 24.833042528792415],
+     61.79151947711712, 0.013800789563030899),
+    (1234, [-0.015538592326928224, -0.06273751236764902, 24.99344600696745],
+     62.0516737977121, 0.013820292381902485),
 ])
 def test_rescale_into_ball_affine_pinned(seed, center, scale, tau):
-    # the raw bounding run, bit for bit: every realize artifact of the
-    # Lorenz preset is computed in this map
+    # the raw bounding run over its 16 orbits, bit for bit: every realize
+    # artifact of the Lorenz preset is computed in this map
     tgt = rescale_into_ball(lorenz_field(), seed=seed)
     assert tgt.affine == {"center": center, "scale": scale, "tau": tau}
     assert tgt.cutoff_on == 0.9
 
 
 def test_rescale_into_ball_rejects_escaping_field():
-    # dX/dt = X^2 from seed 0's start X = 0.0136 blows up near t = 74,
-    # inside the 220 time units of the bounding run
+    # dX/dt = X^2 blows up at t = 1/X from a positive start X: the largest
+    # of seed 0's 16 starts, X = 0.131, near t = 7.6, inside the 32.5 time
+    # units each orbit of the bounding run takes
     raw = TargetField(p=1, D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
                       f=np.zeros(1), ball_radius=np.inf)
     with pytest.raises(RealizeError, match="escaped"):
@@ -461,10 +470,9 @@ def test_rescale_into_ball_rejects_escaping_field():
 
 
 def test_one_point_field_matches_batched(lorenz_target):
-    # 200 seeded points inside cutoff_on and 200 in the blend shell: the
-    # one-point arithmetic agrees with the batched rows to rounding, relative
-    # to each row's norm (a component that cancels to 1e-3 of its row can
-    # differ by 2e-14 of itself)
+    # 200 seeded points inside cutoff_on and 200 in the blend shell: each
+    # point alone, as a batch of one row, gives its row of the batch to
+    # rounding, relative to the row's norm
     W = lorenz_target
     rng = np.random.default_rng(11)
     for lo, hi in ((0.0, W.cutoff_on), (W.cutoff_on, 1.0)):
@@ -472,9 +480,80 @@ def test_one_point_field_matches_batched(lorenz_target):
         q *= (rng.uniform(lo, hi, 200) / np.linalg.norm(q, axis=1))[:, None]
         for f in (W, W.quad):
             batched = f(q)
-            diff = np.array([f(y) for y in q]) - batched
+            diff = np.array([f(y[None])[0] for y in q]) - batched
             assert np.all(np.linalg.norm(diff, axis=1)
                           <= 1e-14 * np.linalg.norm(batched, axis=1))
+
+
+def _rows_match(batched, lone, rtol=1e-14):
+    """Each row of a batched result against the same row computed alone,
+    relative to that row's largest entry."""
+    for b, l in zip(batched, lone):
+        assert np.max(np.abs(b - l)) <= rtol * np.max(np.abs(l))
+
+
+def test_rk4_step_rows_match_lone_rows(lorenz_target):
+    # 8 rows inside cutoff_on and 8 in the blend shell, with their frames:
+    # the blend acts per row, so a row steps as it would alone
+    W = lorenz_target
+    rng = np.random.default_rng(12)
+    q = rng.standard_normal((16, 3))
+    radii = np.r_[rng.uniform(0.0, W.cutoff_on, 8), rng.uniform(W.cutoff_on, 1.0, 8)]
+    q *= (radii / np.linalg.norm(q, axis=1))[:, None]
+    Q = np.linalg.qr(rng.standard_normal((16, 3, 3)))[0]
+    x, F = _rk4_step(W, q, 0.5, W.jac, Q)
+    lone = [_rk4_step(W, q[i:i + 1], 0.5, W.jac, Q[i:i + 1]) for i in range(16)]
+    _rows_match(x, [l[0][0] for l in lone])
+    _rows_match(F, [l[1][0] for l in lone])
+    _rows_match(_rk4_step(W, q, 0.5), [_rk4_step(W, y[None], 0.5)[0] for y in q])
+
+
+def test_etdrk4_step_rows_match_lone_rows(K9, kset3, lorenz_target):
+    sysd = build_fast_slow(lorenz_target, K9, kset3, xi=1e-3)
+    coeffs = _etdrk4_coeffs(sysd.M, 0.5)
+    rng = np.random.default_rng(13)
+    X = 0.3 * rng.standard_normal((16, kset3.N))
+    Q = np.linalg.qr(rng.standard_normal((16, kset3.N, 3)))[0]
+    x, F = _etdrk4_step(sysd, X, coeffs, Q)
+    lone = [_etdrk4_step(sysd, X[i:i + 1], coeffs, Q[i:i + 1]) for i in range(16)]
+    _rows_match(x, [l[0][0] for l in lone])
+    _rows_match(F, [l[1][0] for l in lone])
+    _rows_match(_etdrk4_step(sysd, X, coeffs),
+                [_etdrk4_step(sysd, y[None], coeffs)[0] for y in X])
+
+
+def test_lyapunov_exponents_do_not_depend_on_start_order(lorenz_target):
+    rng = np.random.default_rng(14)
+    starts = 0.2 * rng.standard_normal((8, 3))
+    perm = rng.permutation(8)
+    args = dict(horizon=8 * 100.0, dt=0.5, transient=50.0, seed=3)
+    exps, err = lyapunov(lorenz_target, starts, **args)
+    exps_p, err_p = lyapunov(lorenz_target, starts[perm], **args)
+    assert exps_p == pytest.approx(exps, rel=1e-12, abs=1e-15)
+    assert err_p == pytest.approx(err, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("starts, match", [
+    (np.array([[0.1, 0.0], [np.nan, 0.0]]), "starts must be finite"),
+    (np.array([[0.1, np.inf], [0.2, 0.0]]), "starts must be finite"),
+    (np.array([[0.1, 0.0]]), "B >= 2 starts"),
+    (np.array([0.1, 0.0]), "B >= 2 starts"),
+])
+def test_lyapunov_rejects_bad_starts(starts, match):
+    with pytest.raises(RealizeError, match=match):
+        lyapunov(contraction_field(2), starts, horizon=10.0, dt=0.01,
+                 transient=0.0)
+
+
+def test_lyapunov_rejects_a_per_orbit_horizon_with_no_renormalization():
+    # 2 orbits over a horizon of 0.19 run 9 steps each at dt = 0.01, short of
+    # the 10 a renormalization takes; a horizon of 0.2 gives each one
+    with pytest.raises(RealizeError, match=r"horizon 0\.19 over 2 orbits"):
+        lyapunov(contraction_field(2), np.array([[0.1, 0.0], [0.0, 0.1]]),
+                 horizon=0.19, dt=0.01, transient=0.0)
+    exps, _ = lyapunov(contraction_field(2), np.array([[0.1, 0.0], [0.0, 0.1]]),
+                       horizon=0.2, dt=0.01, transient=0.0)
+    assert np.allclose(exps, -1.0, atol=1e-6)
 
 
 def _inward_by_loop(field):
@@ -482,7 +561,7 @@ def _inward_by_loop(field):
     rng = np.random.default_rng(0)
     q = rng.standard_normal((10000, field.p))
     q *= field.ball_radius / np.linalg.norm(q, axis=1)[:, None]
-    return all(float(np.dot(field(qi), qi)) < 0.0 for qi in q), q
+    return all(float(np.dot(field(qi[None])[0], qi)) < 0.0 for qi in q), q
 
 
 def test_inward_on_boundary_matches_point_loop(lorenz_target):
@@ -503,18 +582,22 @@ def test_inward_on_boundary_matches_point_loop(lorenz_target):
 
 
 def test_blend_jacobian_matches_central_differences(lorenz_target):
-    # seeded points in the shell 0.9 R < |Y| < R, where the blend acts;
-    # at h = 1e-6 the measured difference error is 7.7e-9 of max|J|
+    # seeded points in the shell 0.9 R < |Y| < R, where the blend acts, and
+    # as many inside it, in one batch: each row of the batched Jacobian
+    # against central differences of the batched field; at h = 1e-6 the
+    # measured difference error is 7.7e-9 of max|J|
     W = lorenz_target
     rng = np.random.default_rng(3)
-    q = rng.standard_normal((50, 3))
-    q *= (rng.uniform(0.9, 1.0, 50) / np.linalg.norm(q, axis=1))[:, None]
+    q = rng.standard_normal((100, 3))
+    radii = np.r_[rng.uniform(0.9, 1.0, 50), rng.uniform(0.0, 0.9, 50)]
+    q *= (radii / np.linalg.norm(q, axis=1))[:, None]
     h = 1e-6
-    for y in q:
-        fd = np.column_stack([(W(y + e) - W(y - e)) / (2 * h)
-                              for e in h * np.eye(3)])
-        J = W.jac(y)
-        assert np.max(np.abs(fd - J)) < 1e-7 * np.max(np.abs(J))
+    fd = np.stack([(W(q + e) - W(q - e)) / (2 * h) for e in h * np.eye(3)],
+                  axis=-1)
+    J = W.jac(q)
+    assert J.shape == (100, 3, 3)
+    for fd_row, J_row in zip(fd, J):
+        assert np.max(np.abs(fd_row - J_row)) < 1e-7 * np.max(np.abs(J_row))
 
 
 def test_realize_contraction_end_to_end(K9, kset3):
