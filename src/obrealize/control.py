@@ -18,7 +18,7 @@ kind of problem for prescribed exponential moments of a single profile.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -86,21 +86,24 @@ def _check_sidon(base) -> None:
 class WavenumberSet:
     """Base Sidon wavenumbers plus all unordered pairwise sums.
 
-    full = base followed by the sorted sums; sumIndex maps the unordered
-    base pair (j, l) (0-based) to the index of k_j + k_l in full.
+    full = base followed by the sorted sums; p = len(base) slow and N =
+    len(full) modes in all.
     """
 
-    p: int
     base: tuple[int, ...]
     full: tuple[int, ...]
-    sum_index: dict = field(hash=False)
+
+    @property
+    def p(self) -> int:
+        return len(self.base)
 
     @property
     def N(self) -> int:
         return len(self.full)
 
     def index_of_sum(self, j: int, l: int) -> int:
-        return self.sum_index[(min(j, l), max(j, l))]
+        """The index in full of k_j + k_l, for base indices j and l (0-based)."""
+        return self.full.index(self.base[j] + self.base[l])
 
     def validate(self) -> None:
         _check_sidon(self.base)
@@ -120,12 +123,7 @@ class WavenumberSet:
 def extended_set(p: int) -> WavenumberSet:
     base = sidon_set(p)
     sums = sorted(base[j] + base[l] for j in range(p) for l in range(j, p))
-    full = tuple(base) + tuple(sums)
-    sum_index = {}
-    for j in range(p):
-        for l in range(j, p):
-            sum_index[(j, l)] = full.index(base[j] + base[l])
-    ws = WavenumberSet(p=p, base=tuple(base), full=full, sum_index=sum_index)
+    ws = WavenumberSet(base=tuple(base), full=tuple(base) + tuple(sums))
     ws.validate()
     return ws
 
@@ -155,8 +153,7 @@ def verify_decomposition(K: np.ndarray, kset: WavenumberSet,
     A = np.zeros((len(pairs), N - p))
     b = np.zeros(len(pairs))
     for row, (j, l) in enumerate(pairs):
-        for i in range(p, N):
-            A[row, i - p] = K[i, j, l]
+        A[row] = K[p:, j, l]
         b[row] = 0.5 * (rhs[j, l] + rhs[l, j])
         diag = K[kset.index_of_sum(j, l), j, l]
         if abs(diag) < 1e-12 * max(1.0, np.max(np.abs(K))):

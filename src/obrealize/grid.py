@@ -52,26 +52,18 @@ def clenshaw_curtis(n: int):
 class Grid:
     """Graded collocation grid on [0, h].
 
-    nodes are strictly increasing in [0, h]; weights are the transformed
-    Clenshaw-Curtis weights (positive, summing to h); diff is d/dy at the
-    nodes and d2 its square, computed once per grid.  i0/ih index the y=0
-    and y=h endpoints.
+    nodes are strictly increasing in [0, h], with y = 0 exactly at the
+    first node and y = h exactly at the last, so index 0 and index -1 are
+    the two walls; weights are the transformed Clenshaw-Curtis weights
+    (positive, summing to h); diff is d/dy at the nodes and d2 its square,
+    computed once per grid.
     """
 
     h: float
-    n: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     diff: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
-
-    @property
-    def i0(self) -> int:
-        return 0
-
-    @property
-    def ih(self) -> int:
-        return self.n
 
     def integrate(self, f: np.ndarray) -> float | complex:
         return (self.weights * f).sum(axis=-1)
@@ -97,4 +89,4 @@ def make_grid(h: float, n: int = 280, alpha: float = 5.0) -> Grid:
     wy = wx * np.abs(dydx)
     y[0] = 0.0
     y[-1] = h
-    return Grid(h=h, n=n, nodes=y, weights=wy, diff=Dy, d2=Dy @ Dy)
+    return Grid(h=h, nodes=y, weights=wy, diff=Dy, d2=Dy @ Dy)

@@ -81,8 +81,30 @@ class RealizeError(RuntimeError):
 # fields
 # ---------------------------------------------------------------------------
 
+class _QuadraticForm:
+    """C(X, X) and C(X) = sum_l C_ijl X_l of an (n, n, n) tensor C symmetric
+    in its last two slots, at each row of a (B, n) array: C(X, X) =
+    C(X) X, and its Jacobian is 2 C(X).  _reshape(C) keeps C, once, as
+    (n, n^2) and (n^2, n) matrices transposed for row points."""
+
+    def _reshape(self, C: np.ndarray) -> None:
+        self._CF = C.reshape(len(C), -1).T
+        self._CT = C.reshape(-1, len(C)).T
+
+    def quad_matrix(self, X: np.ndarray) -> np.ndarray:
+        """C(X) at each row of a (B, n) array."""
+        n = X.shape[-1]
+        return X.dot(self._CT).reshape(*X.shape[:-1], n, n)
+
+    def quad(self, X: np.ndarray) -> np.ndarray:
+        """C(X, X) at each row of a (B, n) array, from the outer product of
+        each row with itself."""
+        XX = (X[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], -1)
+        return XX.dot(self._CF)
+
+
 @dataclass
-class TargetField:
+class TargetField(_QuadraticForm):
     """Quadratic field W(Y) = D(Y) + R Y + f on the ball |Y| <= ball_radius.
 
     An optional absorbing blend replaces W by the inward field -Y outside
@@ -110,23 +132,15 @@ class TargetField:
         if self.f.shape != (self.p,):
             raise RealizeError("f must have length p")
         self.D = 0.5 * (self.D + np.swapaxes(self.D, 1, 2))
-        # D as (p, p^2) and (p^2, p) matrices, transposed for row points
-        self._DF = self.D.reshape(self.p, -1).T
-        self._DT = self.D.reshape(-1, self.p).T
-
-    def quad_matrix(self, Y: np.ndarray) -> np.ndarray:
-        """D(Y) = sum_l D_ijl Y_l at each row of a (B, p) array: D(Y, Y) =
-        D(Y) Y, and the bare field's Jacobian is R + 2 D(Y)."""
-        return Y.dot(self._DT).reshape(*Y.shape[:-1], self.p, self.p)
-
-    def quad(self, Y: np.ndarray) -> np.ndarray:
-        """D(Y, Y) at each row of a (B, p) array, from the outer product of
-        each row with itself."""
-        YY = (Y[..., :, None] * Y[..., None, :]).reshape(*Y.shape[:-1], -1)
-        return YY.dot(self._DF)
+        self._reshape(self.D)
 
     def bare(self, Y: np.ndarray) -> np.ndarray:
+        """The bare field D(Y, Y) + R Y + f at each row of a (B, p) array."""
         return self.quad(Y) + Y.dot(self.R.T) + self.f
+
+    def bare_jac(self, Y: np.ndarray) -> np.ndarray:
+        """R + 2 D(Y), the bare field's Jacobian, at each row of Y."""
+        return self.R + 2.0 * self.quad_matrix(Y)
 
     def _blend(self, Y: np.ndarray):
         """Each row's |Y| and its blend coordinate t = (|Y|/R - c)/(1 - c)
@@ -159,7 +173,7 @@ class TargetField:
         S'(t) = 30 t^2 (1 - t)^2; a row inside cutoff_on has t = 0 and
         keeps dv/dY exactly.
         """
-        J = self.R + 2.0 * self.quad_matrix(Y)
+        J = self.bare_jac(Y)
         blend = self._blend(Y)
         if blend is None:
             return J
@@ -191,7 +205,7 @@ class TargetField:
         q = rng.standard_normal((n_samples, self.p))
         radii = rng.uniform(0, self.ball_radius, n_samples)
         q *= (radii / np.linalg.norm(q, axis=1))[:, None]
-        J = self.R + 2.0 * np.einsum("ijl,nl->nij", self.D, q)
+        J = self.bare_jac(q)
         return float(np.linalg.norm(J, 2, axis=(1, 2)).max())
 
 
@@ -222,41 +236,30 @@ def contraction_field(p: int, ball_radius: float = 1.0) -> TargetField:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class QuadraticSystem:
-    """dX/dt = K(X) + M X + f with the fast-slow block structure built in."""
+class QuadraticSystem(_QuadraticForm):
+    """dX/dt = K(X, X) + M X + f with the fast-slow block structure built
+    in: the first p of the N = len(M) coordinates are slow, and K is
+    symmetric in its last two slots, as compute_K builds it."""
 
-    N: int
     p: int
     K: np.ndarray
     M: np.ndarray
     f: np.ndarray
     xi: float
-    T: np.ndarray
-    R: np.ndarray
 
     def __post_init__(self):
         self.K = np.asarray(self.K, dtype=float)
         self.M = np.asarray(self.M, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
-        # K as (N, N^2) and (N^2, N) matrices, transposed for row states
-        self._KF = self.K.reshape(self.N, -1).T
-        self._KT = self.K.reshape(-1, self.N).T
+        self._reshape(self.K)
+
+    @property
+    def N(self) -> int:
+        return len(self.M)
 
     def rhs(self, X: np.ndarray) -> np.ndarray:
         """The field at one state X, as scipy's adaptive integrators call it."""
         return self.quad_matrix(X).dot(X) + self.M.dot(X) + self.f
-
-    def quad_matrix(self, X: np.ndarray) -> np.ndarray:
-        """K(X) = sum_l K_ijl X_l at each row of a (B, N) array: K(X, X) =
-        K(X) X, and for K symmetric in its last two slots (as compute_K
-        builds it) the Jacobian of K(X, X) is 2 K(X)."""
-        return X.dot(self._KT).reshape(*X.shape[:-1], self.N, self.N)
-
-    def quad(self, X: np.ndarray) -> np.ndarray:
-        """K(X, X) at each row of a (B, N) array, from the outer product of
-        each row with itself."""
-        XX = (X[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], -1)
-        return XX.dot(self._KF)
 
     def kt1(self, Y: np.ndarray) -> np.ndarray:
         """Fast-block quadratic form restricted to slow arguments, at one
@@ -293,8 +296,7 @@ def build_fast_slow(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     M[p:, p:] = -np.eye(N - p) / xi
     f = np.zeros(N)
     f[:p] = target.f
-    return QuadraticSystem(N=N, p=p, K=K, M=M, f=f, xi=xi, T=T,
-                           R=np.asarray(target.R, dtype=float))
+    return QuadraticSystem(p=p, K=K, M=M, f=f, xi=xi)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +503,8 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
     at rtol = atol = tol; method='imex' is the fixed-step ETDRK4
     exponential integrator, exact in M (the stable choice for
     xi <= 1e-3), in ceil(span/dt) equal steps that end on t1 (dt defaults
-    to min(5e-3, 5% of the span)).  'auto' picks imex for xi <= 2e-3 and RK45 above.  Either
+    to min(5e-3, 5% of the span)).  'auto' picks imex for xi <= 2e-3 and
+    RK45 above; RK45 chooses its own steps and does not read dt.  Either
     raises RealizeError once |X| passes blowup_radius (default
     10 max(1, |x0|)); imex also once a state is not finite, and both
     reject a non-finite x0.  Deterministic: identical inputs give
@@ -691,8 +694,8 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
     scale = 2.0 * radius / ball_radius          # maps attractor into R/2
     # conjugated quadratic coefficients: W(Y) = (tau/s) Q(c + s Y)
     D = raw.D * scale
-    R = raw.R + 2.0 * np.einsum("ijl,l->ij", raw.D, center)
-    fvec = (raw.quad(center) + raw.R @ center + raw.f) / scale
+    R = raw.bare_jac(center)
+    fvec = raw.bare(center) / scale
     tau = 0.9 / TargetField(p=raw.p, D=D, R=R, f=fvec,
                             ball_radius=ball_radius).grad_bound()
     bare = TargetField(p=raw.p, D=D * tau, R=R * tau, f=fvec * tau,

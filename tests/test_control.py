@@ -35,6 +35,20 @@ def test_extended_set_p2():
     assert ws.full[ws.index_of_sum(0, 1)] == 8
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_index_of_sum_matches_pair_table(p):
+    """index_of_sum reads full.index(k_j + k_l); the table built pair by
+    pair from the sorted sums (full is base, then the sorted sums) holds
+    the same index, for either order of the pair."""
+    ws = extended_set(p)
+    pairs = [(j, l) for j in range(p) for l in range(j, p)]
+    sums = sorted(ws.base[j] + ws.base[l] for j, l in pairs)
+    table = {(j, l): p + sums.index(ws.base[j] + ws.base[l]) for j, l in pairs}
+    for (j, l), i in table.items():
+        assert ws.index_of_sum(j, l) == ws.index_of_sum(l, j) == i
+        assert ws.full[i] == ws.base[j] + ws.base[l]
+
+
 def test_extended_set_p3():
     ws = extended_set(3)
     assert ws.N == 9
@@ -66,8 +80,7 @@ def test_decomposition_zero_rhs(basis50, kset2, params50):
 
 def test_decomposition_mod5_guard(basis50, params50):
     K, _ = compute_K(basis50, params50.nu)
-    bad = WavenumberSet(p=2, base=(1, 5), full=(1, 5, 2, 6, 10),
-                        sum_index={(0, 0): 2, (0, 1): 3, (1, 1): 4})
+    bad = WavenumberSet(base=(1, 5), full=(1, 5, 2, 6, 10))
     with pytest.raises(ControlError):
         verify_decomposition(K, bad, np.zeros((2, 2)))
 

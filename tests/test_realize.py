@@ -30,8 +30,8 @@ def reduced_field(Y: np.ndarray, system: QuadraticSystem,
     """Leading slow field at Y and its discrepancy from the target."""
     p = system.p
     K1 = system.K[:p, :p, :p]
-    lead = (np.einsum("ijl,j,l->i", K1, Y, Y) + system.R @ Y
-            + system.T @ system.kt1(Y) + system.f[:p])
+    lead = (np.einsum("ijl,j,l->i", K1, Y, Y) + system.M[:p, :p] @ Y
+            + system.xi * system.M[:p, p:] @ system.kt1(Y) + system.f[:p])
     return lead, float(np.linalg.norm(lead - target.bare(Y)))
 
 
@@ -79,21 +79,19 @@ def test_trivial_target_zero_coupling(K9, kset3):
     target = TargetField(p=p, D=D, R=np.zeros((p, p)), f=np.zeros(p),
                          ball_radius=1.0)
     sysd = build_fast_slow(target, K9, kset3, xi=0.01)
-    assert np.max(np.abs(sysd.T)) < 1e-12
+    assert np.max(np.abs(sysd.xi * sysd.M[:3, 3:])) < 1e-12
 
 
 def test_integrator_constant_and_linear(kset3):
     N = kset3.N
-    sys0 = QuadraticSystem(N=N, p=3, K=np.zeros((N, N, N)),
-                           M=np.zeros((N, N)), f=np.zeros(N), xi=1.0,
-                           T=np.zeros((3, N - 3)), R=np.zeros((3, 3)))
+    sys0 = QuadraticSystem(p=3, K=np.zeros((N, N, N)), M=np.zeros((N, N)),
+                           f=np.zeros(N), xi=1.0)
     x0 = np.arange(1.0, N + 1.0)
     traj = integrate(sys0, x0, (0.0, 2.0), method="dopri")
     assert np.allclose(traj.X[-1], x0, atol=1e-12)
     # dX/dt = -X decays exactly
-    sys1 = QuadraticSystem(N=N, p=3, K=np.zeros((N, N, N)),
-                           M=-np.eye(N), f=np.zeros(N), xi=1.0,
-                           T=np.zeros((3, N - 3)), R=-np.eye(3))
+    sys1 = QuadraticSystem(p=3, K=np.zeros((N, N, N)), M=-np.eye(N),
+                           f=np.zeros(N), xi=1.0)
     traj = integrate(sys1, x0, (0.0, 1.0), method="dopri", tol=1e-10)
     assert np.allclose(traj.X[-1], x0 * np.exp(-1.0), rtol=1e-7)
 
@@ -132,8 +130,7 @@ def _squaring_system(kset3):
     N = kset3.N
     K = np.zeros((N, N, N))
     K[0, 0, 0] = 1.0
-    return QuadraticSystem(N=N, p=3, K=K, M=np.zeros((N, N)), f=np.zeros(N),
-                           xi=1.0, T=np.zeros((3, N - 3)), R=np.zeros((3, 3)))
+    return QuadraticSystem(p=3, K=K, M=np.zeros((N, N)), f=np.zeros(N), xi=1.0)
 
 
 def test_blowup_detection(kset3):
@@ -182,9 +179,8 @@ def test_rk45_rejections_counted_from_its_evaluations(kset3):
     # at its stability limit, where it rejects steps
     N = kset3.N
     M = -np.diag(np.r_[np.ones(3), 200.0 * np.ones(N - 3)])
-    sysd = QuadraticSystem(N=N, p=3, K=np.zeros((N, N, N)), M=M,
-                           f=np.zeros(N), xi=1.0, T=np.zeros((3, N - 3)),
-                           R=-np.eye(3))
+    sysd = QuadraticSystem(p=3, K=np.zeros((N, N, N)), M=M, f=np.zeros(N),
+                           xi=1.0)
     calls = 0
     rhs = sysd.rhs
 
@@ -208,9 +204,8 @@ def test_etdrk4_path_ends_at_t1(kset3, horizon):
     N = kset3.N
     M = -np.diag(np.linspace(0.5, 3.0, N))
     M[0, 1] = 0.7
-    sysd = QuadraticSystem(N=N, p=3, K=np.zeros((N, N, N)), M=M,
-                           f=np.zeros(N), xi=1e-3, T=np.zeros((3, N - 3)),
-                           R=M[:3, :3])
+    sysd = QuadraticSystem(p=3, K=np.zeros((N, N, N)), M=M, f=np.zeros(N),
+                           xi=1e-3)
     x0 = np.linspace(1.0, -1.0, N)
     traj = integrate(sysd, x0, (0.0, horizon), method="imex", dt=5e-3)
     assert traj.steps == math.ceil(horizon / 5e-3)
@@ -294,8 +289,8 @@ def test_lyapunov_stiff_linear_system():
     # exponents are computed.
     xi = 1e-3
     M = np.diag([-1.0, -2.0] + [-1.0 / xi] * 3)
-    sysd = QuadraticSystem(N=5, p=2, K=np.zeros((5, 5, 5)), M=M, f=np.zeros(5),
-                           xi=xi, T=np.zeros((2, 3)), R=M[:2, :2])
+    sysd = QuadraticSystem(p=2, K=np.zeros((5, 5, 5)), M=M, f=np.zeros(5),
+                           xi=xi)
     starts = np.array([[0.1, 0.05, 0.02, -0.01, 0.03],
                        [-0.2, 0.1, 0.0, 0.05, -0.02]])
     args = dict(horizon=10.0, dt=0.02, transient=20.0, seed=0)
@@ -351,9 +346,8 @@ def test_etdrk4_error_falls_16x_per_halving():
     rng = np.random.default_rng(7)
     N, p = 4, 2
     M = rng.standard_normal((N, N)) - 2.0 * np.eye(N)
-    sysd = QuadraticSystem(N=N, p=p, K=0.5 * rng.standard_normal((N, N, N)), M=M,
-                           f=0.3 * rng.standard_normal(N), xi=1.0,
-                           T=np.zeros((p, N - p)), R=M[:p, :p])
+    sysd = QuadraticSystem(p=p, K=0.5 * rng.standard_normal((N, N, N)), M=M,
+                           f=0.3 * rng.standard_normal(N), xi=1.0)
     x0 = 0.5 * rng.standard_normal(N)
     ref = solve_ivp(lambda t, x: sysd.rhs(x), (0.0, 2.0), x0, method="DOP853",
                     rtol=1e-13, atol=1e-15).y[:, -1]
@@ -375,8 +369,7 @@ def test_lyapunov_slow_columns_match_full_frame():
     M[0, 1], M[1, 0] = 0.7, -0.4
     M[:p, p:] = 0.5 * rng.standard_normal((p, N - p)) / xi
     f = np.array([0.05, -0.03, 0.0, 0.0, 0.0])
-    sysd = QuadraticSystem(N=N, p=p, K=K, M=M, f=f, xi=xi,
-                           T=xi * M[:p, p:], R=M[:p, :p])
+    sysd = QuadraticSystem(p=p, K=K, M=M, f=f, xi=xi)
     starts = np.array([[0.1, 0.05, 0.02, -0.01, 0.03],
                        [-0.2, 0.1, 0.0, 0.05, -0.02]])
     args = dict(horizon=10.0, dt=0.02, transient=20.0, seed=4)

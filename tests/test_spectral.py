@@ -53,8 +53,40 @@ def test_boundary_rows_enforced(profile30, grid30):
     assert m.boundary_residual < 1e-8
     assert m.pencil_residual < 1e-6
     Dy = grid30.diff
-    d2 = (Dy @ (Dy @ m.psi))[grid30.i0]
+    d2 = (Dy @ (Dy @ m.psi))[0]
     assert d2 == pytest.approx(2.0, rel=1e-9)
+
+
+def _index_array_pencil(k, profile, grid, G):
+    """T and Ared rebuilt from explicit index arrays: the walls are found as
+    the nodes at y = 0 and y = h, the interior is every other index, the
+    blocks are np.ix_ copies and the Robin rows use unit rows np.eye(1, m, i)."""
+    y, Dy, params = grid.nodes, grid.diff, profile.params
+    m = len(y)
+    i0, ih = np.flatnonzero(y == 0.0)[0], np.flatnonzero(y == params.h)[0]
+    rows = np.array([i0, ih])
+    interior = np.array([i for i in range(m) if i != i0 and i != ih])
+    L = grid.d2 - (k * k) * np.eye(m)
+    Aop = L - ((k * k) * profile.u_y(y))[:, None] * G
+    Bc = np.array([Dy[i0] - params.beta * np.eye(1, m, i0)[0],
+                   Dy[ih] - params.beta1 * np.eye(1, m, ih)[0]])
+    T = -np.linalg.solve(Bc[:, rows], Bc[:, interior])
+    Ared = Aop[np.ix_(interior, interior)] + Aop[np.ix_(interior, rows)] @ T
+    return T, Ared
+
+
+@pytest.mark.parametrize("b", [30.0, 80.0])
+def test_wall_slices_match_index_arrays(b):
+    """assemble_pencil's wall slices [0, -1] and [1:-1] build T and Ared bit
+    for bit as explicit index arrays do."""
+    from obrealize import derive_scales, designed_profile
+    prof = designed_profile(derive_scales(b), [1, 7])
+    grid = default_grid(prof)
+    for k in (1, 7, 14):
+        pen = assemble_pencil(k, prof, grid)
+        T, Ared = _index_array_pencil(k, prof, grid, pen.G)
+        assert np.array_equal(pen.T, T)
+        assert np.array_equal(pen.Ared, Ared)
 
 
 def test_mode_residual_bounds_enforced(profile30, grid30):
@@ -89,7 +121,7 @@ def test_conjugate_is_weighted_adjoint_eigenvector(profile30, grid30):
         pen = assemble_pencil(k, profile30, grid30)
         scale = np.linalg.norm(pen.Ared, 2)
         cm = solve_conjugate_modes(pen, solve_modes(pen))
-        u = grid30.weights[pen.interior] * cm.wtilde[pen.interior]
+        u = grid30.weights[1:-1] * cm.wtilde[1:-1]
         r = pen.Ared.T @ u - cm.lam * u
         assert np.linalg.norm(r) < 1e-12 * scale * np.linalg.norm(u)
 
