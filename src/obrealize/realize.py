@@ -16,22 +16,23 @@ leading field equals any prescribed quadratic target.  Diagnostics:
 manifold residuals, empirical field discrepancy, and Benettin-style
 Lyapunov spectra.
 
-Each kind of system has one stepper, and each steps a (B, n) stack of
-states, one orbit per row, with an optional (B, n, k) stack of tangent
-frames.  A QuadraticSystem takes the Cox-Matthews ETDRK4 step of
-_etdrk4_step, exact in the whole constant linear part M (the stiff fast
-diagonal -1/xi and the coupling T/xi alike) and fourth order in
-K(X, X) + f; its e^{hM} and phi-functions come once per (system, step)
-from one augmented matrix exponential each.  integrate drives its one
-orbit with that step as a stack of one row, and lyapunov drives an
-ensemble of orbits and, by the derivative of the same step, their frames.
-A TargetField takes the classic RK4 step of _rk4_step; lyapunov carries
-its frames by the derivative of that step, and rescale_into_ball uses it
-for the bounding run.  Non-stiff fast-slow systems (xi > 2e-3) are
-integrated by scipy's adaptive RK45, and realize_target evaluates the
-target's reference orbit at its sample times by scipy's DOP853, each
-through the field at one point (QuadraticSystem.rhs, and a TargetField on
-a stack of one row).
+Each kind of system has one stepper.  A QuadraticSystem takes the
+Cox-Matthews ETDRK4 step of _etdrk4_step, exact in the whole constant
+linear part M (the stiff fast diagonal -1/xi and the coupling T/xi alike)
+and fourth order in K(X, X) + f.  Its e^{hM} and phi-functions come once
+per (system, step) from one augmented matrix exponential each, and each
+stage's K(X, X) is only ever multiplied by fixed weights, so those weights
+are folded into K once, and a stage costs two products with no outer
+product.  integrate drives one orbit with that step as a 1-D state, and
+lyapunov drives a (B, N) stack of orbits and, by the derivative of the
+same step, their (B, N, k) stack of tangent frames.  A TargetField takes
+the classic RK4 step of _rk4_step on a (B, p) stack; lyapunov carries its
+frames by the derivative of that step, and rescale_into_ball uses it for
+the bounding run.  Non-stiff fast-slow systems (xi > 2e-3) are integrated
+by scipy's adaptive RK45 through QuadraticSystem.rhs at one point, behind
+an escape check in the field, and realize_target evaluates the target's
+reference orbit at its sample times by scipy's DOP853, through a
+TargetField on a stack of one row.
 
 The long loops run on ensembles of _ORBITS orbits.  Their states are 3- to
 9-vectors, where numpy's per-call overhead, not arithmetic, is the cost of
@@ -82,25 +83,18 @@ class RealizeError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class _QuadraticForm:
-    """C(X, X) and C(X) = sum_l C_ijl X_l of an (n, n, n) tensor C symmetric
-    in its last two slots, at each row of a (B, n) array: C(X, X) =
-    C(X) X, and its Jacobian is 2 C(X).  _reshape(C) keeps C, once, as
-    (n, n^2) and (n^2, n) matrices transposed for row points."""
+    """C(X) = sum_l C_ijl X_l of an (n, n, n) tensor C symmetric in its last
+    two slots, at each row of a (B, n) array: C(X, X) = C(X) X, and its
+    Jacobian is 2 C(X).  _reshape(C) keeps C, once, as an (n^2, n) matrix
+    transposed for row points."""
 
     def _reshape(self, C: np.ndarray) -> None:
-        self._CF = C.reshape(len(C), -1).T
         self._CT = C.reshape(-1, len(C)).T
 
     def quad_matrix(self, X: np.ndarray) -> np.ndarray:
         """C(X) at each row of a (B, n) array."""
         n = X.shape[-1]
         return X.dot(self._CT).reshape(*X.shape[:-1], n, n)
-
-    def quad(self, X: np.ndarray) -> np.ndarray:
-        """C(X, X) at each row of a (B, n) array, from the outer product of
-        each row with itself."""
-        XX = (X[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], -1)
-        return XX.dot(self._CF)
 
 
 @dataclass
@@ -133,6 +127,13 @@ class TargetField(_QuadraticForm):
             raise RealizeError("f must have length p")
         self.D = 0.5 * (self.D + np.swapaxes(self.D, 1, 2))
         self._reshape(self.D)
+        self._DF = self.D.reshape(self.p, -1).T
+
+    def quad(self, Y: np.ndarray) -> np.ndarray:
+        """D(Y, Y) at each row of a (B, p) array, from the outer product of
+        each row with itself."""
+        YY = (Y[..., :, None] * Y[..., None, :]).reshape(*Y.shape[:-1], -1)
+        return YY.dot(self._DF)
 
     def bare(self, Y: np.ndarray) -> np.ndarray:
         """The bare field D(Y, Y) + R Y + f at each row of a (B, p) array."""
@@ -259,7 +260,8 @@ class QuadraticSystem(_QuadraticForm):
 
     def rhs(self, X: np.ndarray) -> np.ndarray:
         """The field at one state X, as scipy's adaptive integrators call it."""
-        return self.quad_matrix(X).dot(X) + self.M.dot(X) + self.f
+        n = len(X)
+        return X.dot(self._CT).reshape(n, n).dot(X) + self.M.dot(X) + self.f
 
     def kt1(self, Y: np.ndarray) -> np.ndarray:
         """Fast-block quadratic form restricted to slow arguments, at one
@@ -340,61 +342,94 @@ def _phi_functions(Z):
     return tuple(top[:, k * n:(k + 1) * n] for k in range(4))
 
 
-def _etdrk4_coeffs(L, h):
-    """The matrices of one Cox-Matthews ETDRK4 step of size h with linear part L.
+def _etdrk4_coeffs(system: QuadraticSystem, h):
+    """The fixed arrays of one Cox-Matthews ETDRK4 step of size h for system.
 
-    (E, E2, P, B1, B2, B4): E = e^{hL}, E2 = e^{hL/2}, P = (h/2) phi1(hL/2),
-    and the weights of the four stage nonlinearities, B1 = h (phi1 - 3 phi2
-    + 4 phi3), B2 = h (2 phi2 - 4 phi3) for the two midpoint stages and
-    B4 = h (4 phi3 - phi2), all of hL.  Each is returned transposed, so a
-    stack of row vectors V steps as V.dot(E).
+    With E = e^{hM}, E2 = e^{hM/2}, P = (h/2) phi1(hM/2), the weights
+    B1 = h (phi1 - 3 phi2 + 4 phi3), B2 = h (2 phi2 - 4 phi3) and
+    B4 = h (4 phi3 - phi2) of hM, and N(v) = K(v, v) + f, the step from u is
+
+        a = E2 u + P N(u),    b = E2 u + P N(a),
+        c = E2 a + P (2 N(b) - N(u)) = E u + (E2 P - P) N(u) + 2 P N(b),
+        u' = E u + B1 N(u) + B2 (N(a) + N(b)) + B4 N(c).
+
+    Each K(v, v) is only ever multiplied by fixed weights, so they are
+    folded into K once: for weights W stacked row-wise into an (m, n)
+    matrix, T_W[j, l, r] = sum_i K_ilj W_ri, kept as an (n, n m) matrix.
+    Then v.dot(v.dot(T_W).reshape(n, m)) is W K(v, v), and
+    q.dot(v.dot(T_W).reshape(n, m)) is W K(q, v).
+
+    Returns (L, g, Tu, Ta, Tb, Tc), transposed for row states.  L stacks
+    [E2; E2; E; E], g the forcing terms [P f; P f; (B1 + 2 B2 + B4) f;
+    (E2 P + P) f], and Tu weights K(u, u) by [P; 0; B1; E2 P - P], so that
+    their sum at u holds side by side a, and the parts of b, u' and c that
+    come before K(a, a), K(b, b) and K(c, c).  Ta weights K(a, a) by
+    [P; B2], Tb weights K(b, b) by [2 P; B2] and Tc weights K(c, c) by B4.
     """
-    E, p1, p2, p3 = _phi_functions(h * L)
-    E2, q1 = _phi_functions(0.5 * h * L)[:2]
-    return tuple(np.ascontiguousarray(C.T) for C in (
-        E, E2, 0.5 * h * q1, h * (p1 - 3.0 * p2 + 4.0 * p3),
-        h * (2.0 * p2 - 4.0 * p3), h * (4.0 * p3 - p2)))
+    n, K, f = system.N, system.K, system.f
+    E, p1, p2, p3 = _phi_functions(h * system.M)
+    E2, q1 = _phi_functions(0.5 * h * system.M)[:2]
+    P = 0.5 * h * q1
+    B1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
+    B2 = h * (2.0 * p2 - 4.0 * p3)
+    B4 = h * (4.0 * p3 - p2)
+    E2P = E2 @ P
+
+    def fold(*W):
+        W = np.concatenate(W).T
+        return np.tensordot(K, W, (0, 0)).transpose(1, 0, 2).reshape(n, -1)
+
+    L = np.concatenate([E2, E2, E, E]).T
+    g = np.concatenate([P @ f, P @ f, (B1 + 2.0 * B2 + B4) @ f, (E2P + P) @ f])
+    return (np.ascontiguousarray(L), g, fold(P, np.zeros((n, n)), B1, E2P - P),
+            fold(P, B2), fold(2.0 * P, B2), fold(B4))
 
 
-def _etdrk4_step(system: QuadraticSystem, x, coeffs, Q=None):
-    """One ETDRK4 step of dX/dt = M X + K(X, X) + f, exact in M, for each
-    row of a (B, N) stack of states.
+def _etdrk4_step(x, coeffs, Q=None):
+    """One ETDRK4 step of dX/dt = M X + K(X, X) + f, exact in M, of one
+    state x, or of each row of a (B, N) stack of states x with its (B, N, k)
+    tangent frame Q.
 
-    With a (B, N, k) stack of tangent frames Q, also returns the frames
-    carried by the derivative of the same step: each stage's Jacobian
-    2 K(stage) applied to that stage's frame.  The frame then rides as k
-    more rows under each state, so one product applies each linear
-    operator to states and frames alike, and one batched matmul per stage
-    applies K(stage) to the state (giving K(X, X)) and to twice the frame
-    (giving the Jacobian product).
+    With Q, also returns the frames carried by the derivative of the same
+    step: each stage's Jacobian 2 K(., stage) applied to that stage's frame.
+    The frame then rides as k more rows under each state, so one product
+    applies each linear operator to states and frames alike, and one
+    batched matmul per stage applies the folded K(., stage) to the state
+    (giving K(X, X)) and to twice the frame (giving the Jacobian product).
     """
-    E, E2, P, B1, B2, B4 = coeffs
-    B, n = x.shape
+    L, g, Tu, Ta, Tb, Tc = coeffs
+    n = len(L)
     if Q is None:
-        def nonlinear(u):
-            return system.quad(u) + system.f
+        m = 1
+
+        def weighted(u, T):
+            return u.dot(u.dot(T).reshape(n, -1))
         V = x
     else:
-        m = 1 + Q.shape[2]
+        B, m = len(x), 1 + Q.shape[2]
         scale = np.full((m, 1), 2.0)
         scale[0] = 1.0
-        forcing = np.zeros((m, n))
-        forcing[0] = system.f
 
-        def nonlinear(U):
+        def weighted(U, T):
             U = U.reshape(B, m, n)
-            KU = np.matmul(U, system.quad_matrix(U[:, 0]).transpose(0, 2, 1))
-            return (KU * scale + forcing).reshape(B * m, n)
+            KU = np.matmul(U, U[:, 0].dot(T).reshape(B, n, -1))
+            KU *= scale
+            return KU.reshape(B * m, -1)
         V = np.concatenate([x[:, None], Q.transpose(0, 2, 1)],
                            axis=1).reshape(B * m, n)
-    Nu = nonlinear(V)
-    E2V = V.dot(E2)
-    a = E2V + Nu.dot(P)
-    Na = nonlinear(a)
-    b = E2V + Na.dot(P)
-    Nb = nonlinear(b)
-    c = a.dot(E2) + (2.0 * Nb - Nu).dot(P)
-    Vn = V.dot(E) + Nu.dot(B1) + (Na + Nb).dot(B2) + nonlinear(c).dot(B4)
+    # the forcing moves states, not frames, and joins the small stage terms
+    # before the linear part: added to a state alone, its part below the
+    # state's last digit would round the same way on every step, and the
+    # orbit would drift by that much per step
+    r = weighted(V, Tu)
+    r[::m] += g
+    r += V.dot(L)
+    a = r[..., :n]
+    Ka = weighted(a, Ta)
+    b = r[..., n:2 * n] + Ka[..., :n]
+    Kb = weighted(b, Tb)
+    c = r[..., 3 * n:] + Kb[..., :n]
+    Vn = r[..., 2 * n:3 * n] + Ka[..., n:] + Kb[..., n:] + weighted(c, Tc)
     if Q is None:
         return Vn
     Vn = Vn.reshape(B, m, n)
@@ -427,8 +462,8 @@ def _rk4_step(rhs, x, h, jac=None, Q=None):
 
 
 def _fill_checked(step, x, xs, radius):
-    """Fill xs[i], a (B, n) stack of states, with the stack after i + 1
-    steps from x.
+    """Fill xs[i], one state or a (B, n) stack of states, with x after
+    i + 1 steps.
 
     Each block of _RENORM_EVERY steps is checked once it is filled, not
     each step.  Returns the index of the first step at which some row is
@@ -459,35 +494,38 @@ def _integrate_etdrk4(system: QuadraticSystem, x0, t0, t1, dt, blowup):
     path ends at t1; the step is dt itself wherever dt divides the span."""
     nsteps = int(np.ceil((t1 - t0) / dt))
     ts = np.linspace(t0, t1, nsteps + 1)
-    coeffs = _etdrk4_coeffs(system.M, (t1 - t0) / nsteps)
+    coeffs = _etdrk4_coeffs(system, (t1 - t0) / nsteps)
     xs = np.empty((nsteps + 1, len(x0)))
     xs[0] = x0
-    # the one orbit as a stack of one row
-    i = _fill_checked(lambda x: _etdrk4_step(system, x, coeffs), x0[None],
-                      xs[1:, None], blowup)
+    i = _fill_checked(lambda x: _etdrk4_step(x, coeffs), x0, xs[1:], blowup)
     if i is not None:
         raise RealizeError(f"trajectory blow-up at t={ts[i + 1]:.4g}")
     return ts, xs, nsteps, 0
 
 
 def _integrate_rk45(system: QuadraticSystem, x0, t0, t1, tol, blowup):
-    """scipy's RK45 at rtol = atol = tol, max step min(xi/4, 1/4), stopped
-    by a terminal event where |X| reaches blowup.
+    """scipy's RK45 at rtol = atol = tol, max step min(xi/4, 1/4).
+
+    The field handed to solve_ivp raises RealizeError at the first point it
+    is evaluated at with |X| > blowup, a stage of an attempted step among
+    them, and names that point's time and |X|.  Where no point passes the
+    radius, the path is that of solve_ivp on system.rhs alone.
 
     RK45 makes two evaluations before its first step (the field at t0 and
     one to choose the step) and six on each attempted step, so the
     rejected attempts are (nfev - 2)/6 - steps.
     """
-    def escape(t, x):
-        return np.linalg.norm(x) - blowup
-    escape.terminal = True
+    rhs, r2 = system.rhs, blowup * blowup
 
-    sol = solve_ivp(lambda t, x: system.rhs(x), (t0, t1), x0, method="RK45",
-                    rtol=tol, atol=tol, max_step=min(0.25 * system.xi, 0.25),
-                    events=escape)
-    if sol.status == 1:
-        raise RealizeError(f"trajectory blow-up at t={sol.t[-1]:.4g}: "
-                           f"|X| = {np.linalg.norm(sol.y[:, -1]):.3g}")
+    def field(t, x):
+        xx = x.dot(x)
+        if xx > r2:
+            raise RealizeError(f"trajectory blow-up at t={t:.4g}: "
+                               f"|X| = {np.sqrt(xx):.3g}")
+        return rhs(x)
+
+    sol = solve_ivp(field, (t0, t1), x0, method="RK45", rtol=tol, atol=tol,
+                    max_step=min(0.25 * system.xi, 0.25))
     if not sol.success:
         raise RealizeError(sol.message)
     steps = len(sol.t) - 1
@@ -501,9 +539,9 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
 
     method='dopri' is scipy's adaptive RK45 (the Dormand-Prince 5(4) pair)
     at rtol = atol = tol; method='imex' is the fixed-step ETDRK4
-    exponential integrator, exact in M (the stable choice for
-    xi <= 1e-3), in ceil(span/dt) equal steps that end on t1 (dt defaults
-    to min(5e-3, 5% of the span)).  'auto' picks imex for xi <= 2e-3 and
+    exponential integrator, exact in M (the stable choice for stiff xi),
+    in ceil(span/dt) equal steps that end on t1 (dt defaults to
+    min(5e-3, 5% of the span)).  'auto' picks imex for xi <= 2e-3 and
     RK45 above; RK45 chooses its own steps and does not read dt.  Either
     raises RealizeError once |X| passes blowup_radius (default
     10 max(1, |x0|)); imex also once a state is not finite, and both
@@ -625,10 +663,10 @@ def lyapunov(flow, starts, horizon: float, dt: float = 1e-2,
     Q = np.repeat(Q[None], B, axis=0)
 
     if isinstance(flow, QuadraticSystem):
-        coeffs = _etdrk4_coeffs(flow.M, dt)
+        coeffs = _etdrk4_coeffs(flow, dt)
 
         def step(x, Q):
-            return _etdrk4_step(flow, x, coeffs, Q)
+            return _etdrk4_step(x, coeffs, Q)
     else:
         def step(x, Q):
             return _rk4_step(flow, x, dt, flow.jac, Q)

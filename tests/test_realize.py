@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,11 +135,39 @@ def _squaring_system(kset3):
 
 
 def test_blowup_detection(kset3):
+    # X0 = 5/(1 - 5t) passes 20 at t = 0.15; the field stops RK45 at the
+    # first point it is evaluated at past the radius, and names it
     x0 = np.zeros(kset3.N)
     x0[0] = 5.0
-    with pytest.raises(RealizeError):
+    with pytest.raises(RealizeError) as err:
         integrate(_squaring_system(kset3), x0, (0.0, 10.0), method="dopri",
                   blowup_radius=20.0)
+    found = re.fullmatch(r"trajectory blow-up at t=(\S+): \|X\| = (\S+)",
+                         str(err.value))
+    assert found
+    assert float(found[1]) >= 0.15 and float(found[2]) >= 20.0
+
+
+def test_rk45_path_is_solve_ivp_of_rhs(K9, kset3, lorenz_target):
+    # the escape check in the field leaves the steps of an orbit that stays
+    # inside the radius as solve_ivp takes them on the bare field
+    xi = 1e-2
+    sysd = build_fast_slow(lorenz_target, K9, kset3, xi=xi)
+    y0 = np.array([0.05, 0.02, 0.1])
+    x0 = np.r_[y0, xi * sysd.kt1(y0)]
+    traj = integrate(sysd, x0, (0.0, 5.0), method="dopri")
+    sol = solve_ivp(lambda t, x: sysd.rhs(x), (0.0, 5.0), x0, method="RK45",
+                    rtol=1e-8, atol=1e-8, max_step=0.25 * xi)
+    assert np.array_equal(traj.t, sol.t)
+    assert np.array_equal(traj.X, sol.y.T)
+
+
+def test_rhs_matches_the_quadratic_form_at_a_row(K9, kset3, lorenz_target):
+    sysd = build_fast_slow(lorenz_target, K9, kset3, xi=1e-3)
+    rng = np.random.default_rng(15)
+    for X in 0.3 * rng.standard_normal((100, kset3.N)):
+        assert np.array_equal(sysd.rhs(X), sysd.quad_matrix(X[None])[0].dot(X)
+                              + sysd.M.dot(X) + sysd.f)
 
 
 @pytest.mark.parametrize("dt, t_escape", [(1e-3, "0.151"), (5e-3, "0.155"),
@@ -306,7 +335,7 @@ def _full_frame_spectrum(system, starts, horizon, dt, transient, seed):
     """Oracle: each start alone, all N tangent columns, QR on every step
     over the orbit's share of the horizon; all N exponents, averaged over
     the orbits."""
-    coeffs = _etdrk4_coeffs(system.M, dt)
+    coeffs = _etdrk4_coeffs(system, dt)
     rng = np.random.default_rng(seed)
     Q0 = np.linalg.qr(rng.standard_normal((system.N, system.N)))[0]
     nburn, nsteps = int(transient / dt), int(horizon / len(starts) / dt)
@@ -315,7 +344,7 @@ def _full_frame_spectrum(system, starts, horizon, dt, transient, seed):
         x, Q = np.array([x0], dtype=float), Q0[None]
         sums = np.zeros(system.N)
         for i in range(nburn + nsteps):
-            x, Q = _etdrk4_step(system, x, coeffs, Q)
+            x, Q = _etdrk4_step(x, coeffs, Q)
             Q, Rm = np.linalg.qr(Q[0])
             Q = Q[None]
             if i >= nburn:
@@ -356,6 +385,69 @@ def test_etdrk4_error_falls_16x_per_halving():
             for dt in (1 / 8, 1 / 16, 1 / 32)]
     for coarse, fine in zip(errs, errs[1:]):
         assert 14.0 < coarse / fine < 18.0
+
+
+def _full_system():
+    """The non-stiff system of test_etdrk4_error_falls_16x_per_halving: a full
+    M, a K not symmetric in its last two slots, and a forcing."""
+    rng = np.random.default_rng(7)
+    N, p = 4, 2
+    M = rng.standard_normal((N, N)) - 2.0 * np.eye(N)
+    return QuadraticSystem(p=p, K=0.5 * rng.standard_normal((N, N, N)), M=M,
+                           f=0.3 * rng.standard_normal(N), xi=1.0)
+
+
+def _unfolded_etdrk4_step(system, x, h, Q=None):
+    """Oracle: the Cox-Matthews stages as written, for one state x and its
+    (N, k) frame Q, each N(v) = K(v, v) + f and each frame term
+    2 K(F, v) formed and then multiplied by its weight."""
+    M, K, f = system.M, system.K, system.f
+    E, p1, p2, p3 = _phi_functions(h * M)
+    E2, q1 = _phi_functions(0.5 * h * M)[:2]
+    P = 0.5 * h * q1
+    B1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
+    B2 = h * (2.0 * p2 - 4.0 * p3)
+    B4 = h * (4.0 * p3 - p2)
+
+    def N(v):
+        return np.einsum("ijl,j,l->i", K, v, v) + f
+    a = E2 @ x + P @ N(x)
+    b = E2 @ x + P @ N(a)
+    c = E2 @ a + P @ (2.0 * N(b) - N(x))
+    xn = E @ x + B1 @ N(x) + B2 @ (N(a) + N(b)) + B4 @ N(c)
+    if Q is None:
+        return xn
+
+    def J(v, F):
+        return 2.0 * np.einsum("ijl,jk,l->ik", K, F, v)
+    Qa = E2 @ Q + P @ J(x, Q)
+    Qb = E2 @ Q + P @ J(a, Qa)
+    Qc = E2 @ Qa + P @ (2.0 * J(b, Qb) - J(x, Q))
+    Qn = (E @ Q + B1 @ J(x, Q) + B2 @ (J(a, Qa) + J(b, Qb))
+          + B4 @ J(c, Qc))
+    return xn, Qn
+
+
+@pytest.mark.parametrize("case, h", [("stiff", 5e-3), ("stiff", 0.5),
+                                     ("full", 0.25)])
+def test_folded_etdrk4_step_matches_unfolded_stages(K9, kset3, lorenz_target,
+                                                    case, h):
+    # the stage weights folded into K give the stages as written, for one
+    # state and for a stack of states with their frames
+    if case == "stiff":
+        sysd = build_fast_slow(lorenz_target, K9, kset3, xi=1e-3)
+    else:
+        sysd = _full_system()
+    coeffs = _etdrk4_coeffs(sysd, h)
+    rng = np.random.default_rng(16)
+    X = 0.3 * rng.standard_normal((4, sysd.N))
+    Q = np.linalg.qr(rng.standard_normal((4, sysd.N, 2)))[0]
+    x, F = _etdrk4_step(X, coeffs, Q)
+    for i in range(4):
+        xn, Qn = _unfolded_etdrk4_step(sysd, X[i], h, Q[i])
+        for got, want in ((_etdrk4_step(X[i], coeffs), xn), (x[i], xn),
+                          (F[i], Qn)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_lyapunov_slow_columns_match_full_frame():
@@ -503,16 +595,16 @@ def test_rk4_step_rows_match_lone_rows(lorenz_target):
 
 def test_etdrk4_step_rows_match_lone_rows(K9, kset3, lorenz_target):
     sysd = build_fast_slow(lorenz_target, K9, kset3, xi=1e-3)
-    coeffs = _etdrk4_coeffs(sysd.M, 0.5)
+    coeffs = _etdrk4_coeffs(sysd, 0.5)
     rng = np.random.default_rng(13)
     X = 0.3 * rng.standard_normal((16, kset3.N))
     Q = np.linalg.qr(rng.standard_normal((16, kset3.N, 3)))[0]
-    x, F = _etdrk4_step(sysd, X, coeffs, Q)
-    lone = [_etdrk4_step(sysd, X[i:i + 1], coeffs, Q[i:i + 1]) for i in range(16)]
+    x, F = _etdrk4_step(X, coeffs, Q)
+    lone = [_etdrk4_step(X[i:i + 1], coeffs, Q[i:i + 1]) for i in range(16)]
     _rows_match(x, [l[0][0] for l in lone])
     _rows_match(F, [l[1][0] for l in lone])
-    _rows_match(_etdrk4_step(sysd, X, coeffs),
-                [_etdrk4_step(sysd, y[None], coeffs)[0] for y in X])
+    # the one orbit of integrate, a lone 1-D state, steps as its row does
+    _rows_match(x, [_etdrk4_step(y, coeffs) for y in X])
 
 
 def test_lyapunov_exponents_do_not_depend_on_start_order(lorenz_target):
