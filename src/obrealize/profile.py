@@ -9,7 +9,11 @@ with all scales derived from a single large parameter b.  The polynomial
 P is built from a target polynomial in 1/k so that a chosen set of
 wavenumbers is pinned at the critical point of the associated scalar
 eigenvalue equation while every other wavenumber is pushed strictly into
-the stable half plane (see the scalar module).
+the stable half plane (see the scalar module).  The target has a double
+zero at each 1/k_j; one offset, d_1, pins k_1 = 1 exactly, and the double
+zero holds every other kernel wavenumber under the 1e-6 contract (below
+1.6e-7 in lambda units at p = 2 for b from 1.5 to 1e4), so d_2 ... d_p
+are 0.
 
 Conventions: beta = r b with r = b^{-s0} is the lower Robin coefficient,
 mu = b^{-s2} the polynomial amplitude, and 3 C_U = -8(1 - 1/nu)/(1 + r).
@@ -22,6 +26,7 @@ from functools import cache
 from math import factorial
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "ScaleParams",
@@ -142,7 +147,7 @@ def kernel_target_coeffs(wavenumbers, offsets):
     each kernel wavenumber; the positive overall sign makes the polynomial
     perturbation damp every non-kernel mode (see scalar.design_y).
     """
-    c = np.array([1.0], dtype=complex if np.iscomplexobj(offsets) else float)
+    c = np.array([1.0])
     for kj, dj in zip(wavenumbers, offsets):
         root = 1.0 / (kj + dj)
         c = np.convolve(c, np.array([-root, 1.0]))
@@ -166,103 +171,54 @@ def perturbation_response(k: float, poly: DesignPolynomial, beta: float):
     This is the quantity that feeds the eigenvalue perturbation; it is held
     in closed form (the factorials are exact integers).
     """
-    return _curvature(k, poly.coeffs, beta)
-
-
-def _curvature(k: float, coeffs, beta: float):
-    """perturbation_response over the coefficients r_n; complex-safe."""
     s = 0.0
-    for n, rn in enumerate(coeffs):
+    for n, rn in enumerate(poly.coeffs):
         br = (factorial(n + 5) / 4.0 + factorial(n + 4) / 2.0
               + k * factorial(n + 3) / (beta + k))
         s += rn * (2.0 * k) ** (-(n + 6)) * k * br
     return -s
 
 
-def _kernel_response(k: float, wavenumbers, d, beta: float):
-    """perturbation_response for the squared-product target at offsets d.
-
-    Complex-safe in d so the calibration Jacobian can use complex-step
-    differentiation.
-    """
-    q = kernel_target_coeffs(wavenumbers, d)
-    return _curvature(k, [qn * _r_per_q(n) for n, qn in enumerate(q)], beta)
+def _kernel_lambda(k: int, wavenumbers, d, params: ScaleParams) -> float:
+    """Signed kernel residual of the design equation in lambda units,
+    k^2 (z^2 - 1) with z = sqrt(4 + Y_k) - 1, for the squared-product
+    target at offsets d."""
+    poly = design_polynomial(kernel_target_coeffs(wavenumbers, d))
+    y = 2.0 * params.mu * perturbation_response(k, poly, params.beta)
+    z = np.sqrt(max(4.0 + y, 0.0)) - 1.0
+    return k * k * (z * z - 1.0)
 
 
 def calibrate_offsets(wavenumbers, params: ScaleParams):
-    """Solve the kernel conditions for the offsets d.
+    """Offsets d that pin the kernel wavenumbers at criticality.
 
-    The calibrated polynomial must make the designed eigenvalue
-    perturbation vanish at every kernel wavenumber.  The equations (carried
-    in lambda units, k^2 mu times the response) are driven to zero by damped
-    Gauss-Newton with complex-step Jacobian; the squared-product structure
-    leaves the highest wavenumber's equation with a small positive floor,
-    so convergence is declared either at 1e-13 or at a stationary point of
-    the least-squares objective (at most 200 iterations).  The result must
-    leave every kernel eigenvalue of the design equation below 1e-6 (in
-    lambda units), and every |d_j| below 1/10; otherwise the calibration
-    fails loudly.
+    Only the first wavenumber's equation has a root: d_1 comes from
+    Brent's method on k_1's residual over [0, 1/10], and d_2 ... d_p stay
+    0.  A zero offset keeps the target's exact double zero at 1/k_j, and
+    that leaves each other kernel residual at a floor of one sign, under
+    the contract, that no offset in the |d| < 1/10 regime removes (for
+    k = 7 at p = 2 and b = 30, -1.26e-7 to -1.42e-7 in lambda units over
+    every d_2; -1.30e-7 at d_2 = 0).  The result must leave every kernel
+    eigenvalue of the design equation below 1e-6 (in lambda units), and
+    every |d_j| below 1/10; otherwise, or when k_1's residual keeps one
+    sign over the bracket, the calibration fails loudly.
     """
     ks = [int(k) for k in wavenumbers]
     if len(set(ks)) != len(ks) or any(k < 1 for k in ks):
         raise ProfileError("kernel wavenumbers must be distinct positive integers")
-    beta = params.beta
-    N = len(ks)
-    d = np.zeros(N)
-    # residuals carried in lambda units: |lambda_kj| ~ k^2 mu |W(kj)|
-    lam_w = np.array([k * k * params.mu for k in ks])
+    d = np.zeros(len(ks))
 
-    def residual(dv):
-        return lam_w * np.array([_kernel_response(kj, ks, dv, beta) for kj in ks])
+    def first(d1):
+        d[0] = d1
+        return _kernel_lambda(ks[0], ks, d, params)
 
-    def jacobian(dv):
-        J = np.empty((N, N))
-        hstep = 1e-30
-        for l in range(N):
-            dc = dv.astype(complex)
-            dc[l] += 1j * hstep
-            col = np.array([_kernel_response(kj, ks, dc, beta) for kj in ks]).imag
-            J[:, l] = lam_w * col / hstep
-        return J
-
-    f = residual(d)
-    lm = 0.0
-    box = 0.095                        # keep iterates inside the |d| < 1/10 regime
-    for _ in range(200):
-        if np.max(np.abs(f)) < 1e-13:
-            break
-        J = jacobian(d)
-        g = J.T @ f
-        H = J.T @ J
-        try:
-            step = np.linalg.solve(H + lm * np.eye(N), -g)
-        except np.linalg.LinAlgError:   # singular J^T J: damp as after a failed step
-            step = None
-        t = 1.0
-        improved = False
-        while step is not None and t > 1e-13:
-            dn = np.clip(d + t * step, -box, box)
-            fn = residual(dn)
-            if np.linalg.norm(fn) < np.linalg.norm(f) - 1e-18:
-                d, f = dn, fn
-                improved = True
-                break
-            t *= 0.5
-        if improved:
-            lm *= 0.1
-        elif lm == 0.0:
-            lm = 1e-10
-        elif lm > 1e6:
-            break                       # converged to the structural floor
-        else:
-            lm *= 30.0
+    try:
+        d[0] = brentq(first, 0.0, 0.1)
+    except ValueError:                 # no sign change over the bracket
+        raise ProfileError(f"offset calibration: k={ks[0]}'s residual keeps "
+                           "one sign over d_1 in [0, 1/10]") from None
     # the binding contract: kernel eigenvalues of the design equation
-    poly = design_polynomial(kernel_target_coeffs(ks, d))
-    worst = 0.0
-    for kj in ks:
-        y = 2.0 * params.mu * perturbation_response(kj, poly, beta)
-        z = np.sqrt(max(4.0 + y, 0.0)) - 1.0
-        worst = max(worst, abs(kj * kj * (z * z - 1.0)))
+    worst = max(abs(_kernel_lambda(kj, ks, d, params)) for kj in ks)
     if worst > 1e-6:
         raise ProfileError(
             f"offset calibration left a kernel eigenvalue at {worst:.3e}")

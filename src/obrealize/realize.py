@@ -239,8 +239,9 @@ def contraction_field(p: int, ball_radius: float = 1.0) -> TargetField:
 @dataclass
 class QuadraticSystem(_QuadraticForm):
     """dX/dt = K(X, X) + M X + f with the fast-slow block structure built
-    in: the first p of the N = len(M) coordinates are slow, and K is
-    symmetric in its last two slots, as compute_K builds it."""
+    in: the first p of the N = len(M) coordinates are slow.  K is kept
+    symmetric in its last two slots (bit for bit the K compute_K builds),
+    so 2 K(., X) is the Jacobian of K(X, X) that carries tangent frames."""
 
     p: int
     K: np.ndarray
@@ -249,7 +250,8 @@ class QuadraticSystem(_QuadraticForm):
     xi: float
 
     def __post_init__(self):
-        self.K = np.asarray(self.K, dtype=float)
+        K = np.asarray(self.K, dtype=float)
+        self.K = 0.5 * (K + np.swapaxes(K, 1, 2))
         self.M = np.asarray(self.M, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
         self._reshape(self.K)

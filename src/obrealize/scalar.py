@@ -10,8 +10,9 @@ condition.  Each regime has one form:
       (z+1)^2 = 4 + Y_k(d),
 
   where Y_k collects the polynomial perturbation.  The calibrated
-  offsets d make Y vanish at the kernel wavenumbers, so z = 1 (lambda = 0)
-  exactly, and push Y < 0 (hence Re lambda < 0) everywhere else.
+  offset d_1 makes Y vanish at k = 1, so z = 1 (lambda = 0) there; the
+  target's double zeros hold Y at the other kernel wavenumbers under the
+  1e-6 contract; and Y < 0 (hence Re lambda < 0) everywhere else.
 
 * finite-b form: the exact layer-transfer hierarchy, whose leading root
   is TransferHierarchy.leading_lambda.  The wall curvature of the stream
@@ -263,9 +264,11 @@ class TransferHierarchy:
 def find_root_z(k: int, params: ScaleParams, poly: DesignPolynomial) -> complex:
     """Root of the design equation near z = 1.
 
-    (z+1)^2 = 4 + Y_k has the closed-form root z = sqrt(4 + Y) - 1; with
-    calibrated offsets Y(k in kernel) = 0 so z = 1 to machine precision,
-    and Y < 0 gives Re z < 1 off the kernel.  The finite-b root is
+    (z+1)^2 = 4 + Y_k has the closed-form root z = sqrt(4 + Y) - 1.  The
+    calibrated offset d_1 gives Y = 0 at k = 1, so z = 1 to machine
+    precision; at the other kernel wavenumbers the target's double zero
+    leaves lambda within the 1e-6 contract (below 1.6e-7 at p = 2); and
+    Y < 0 gives Re z < 1 off the kernel.  The finite-b root is
     TransferHierarchy.leading_lambda.
     """
     if k > kbar_bound(params):

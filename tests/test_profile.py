@@ -3,10 +3,12 @@ import pytest
 from fractions import Fraction
 from math import factorial
 
-from obrealize.profile import (DesignPolynomial, ProfileError, build_profile,
-                               calibrate_offsets, compute_beta1, derive_scales,
-                               design_polynomial, designed_profile,
-                               kernel_target_coeffs, perturbation_response)
+from obrealize.control import sidon_set
+from obrealize.profile import (DesignPolynomial, ProfileError, _kernel_lambda,
+                               build_profile, calibrate_offsets, compute_beta1,
+                               derive_scales, design_polynomial,
+                               designed_profile, kernel_target_coeffs,
+                               perturbation_response)
 
 
 def tilde_coefficient(n: int) -> Fraction:
@@ -189,27 +191,45 @@ def test_kernel_target_vanishes_at_kernel_points():
         assert val == pytest.approx(0.0, abs=1e-14)
 
 
-def test_calibration_jacobian_invertible(params30):
-    from obrealize.profile import _kernel_response
-    d = np.array([0.01, -0.02])
-    J = np.empty((2, 2))
-    for l in range(2):
-        dc = d.astype(complex)
-        dc[l] += 1e-30j
-        J[:, l] = np.array([_kernel_response(kj, [1, 7], dc, params30.beta)
-                            for kj in (1, 7)]).imag / 1e-30
-    assert np.linalg.cond(J) < 1e12
-
-
 def test_calibrated_offsets_small(profile30):
     assert max(abs(d) for d in profile30.poly.offsets) < 0.1
 
 
 def test_calibration_survives_singular_first_step(params30):
-    # J^T J is singular at d = 0 for this kernel; the undamped first
-    # Gauss-Newton step cannot be solved
+    # the kernel equations of {1, 7, 17, 37} have a singular Jacobian at
+    # d = 0; the calibration solves k = 1's scalar equation and needs none
     d = calibrate_offsets([1, 7, 17, 37], params30)
     assert np.max(np.abs(d)) < 0.1
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("b", [3.0, 30.0, 1000.0])
+def test_calibration_pins_first_offset_only(p, b):
+    # d_1 is the one root; d_2 ... d_p stay 0, and the target's double
+    # zero at 1/k_j holds every other kernel residual under the contract
+    params = derive_scales(b)
+    ks = sidon_set(p)
+    d = calibrate_offsets(ks, params)
+    assert 0.0 < d[0] < 0.1
+    assert np.all(d[1:] == 0.0)
+    for kj in ks:
+        assert abs(_kernel_lambda(kj, ks, d, params)) < 1e-6
+
+
+def test_second_kernel_residual_keeps_its_sign(params30):
+    # why d_2 is not solved for: at p = 2, b = 30, the k = 7 residual has
+    # one sign for every d_2 in the |d| < 1/10 regime, so no d_2 zeroes it
+    d1 = calibrate_offsets([1, 7], params30)[0]
+    res = np.array([_kernel_lambda(7, [1, 7], [d1, d2], params30)
+                    for d2 in np.linspace(-0.095, 0.095, 39)])
+    assert np.all(res < 0.0)
+    assert np.all(np.abs(res) < 1.5e-7)
+
+
+def test_calibration_without_a_sign_change_fails_loudly(params30):
+    # k = 7's own equation has no root for d_1 in [0, 1/10]
+    with pytest.raises(ProfileError, match="one sign"):
+        calibrate_offsets([7], params30)
 
 
 @pytest.mark.xfail(reason="the squared-product target filtered through the "
