@@ -70,7 +70,10 @@ def _leaves(doc: dict, prefix: str = ""):
             yield f"{prefix}{k}", v
 
 
-def load_config(path: str | None, overrides) -> dict:
+def load_config(path: str | None, overrides, stage: str = "all") -> dict:
+    """The config for stage: the defaults, then the file at path, then the
+    overrides, each key checked, then the rules of _validate that stage's
+    keys meet."""
     flat = {key: default for key, (default, _) in CONFIG_KEYS.items()
             if default is not None}
     if path:
@@ -90,7 +93,7 @@ def load_config(path: str | None, overrides) -> dict:
     for key, value in flat.items():
         section, _, leaf = key.rpartition(".")
         (cfg.setdefault(section, {}) if section else cfg)[leaf] = value
-    _validate(cfg)
+    _validate(cfg, stage)
     return cfg
 
 
@@ -122,22 +125,24 @@ def _scales(cfg: dict, b: float):
     return derive_scales(b, s["s0"], s["s2"], gamma=s["gamma"])
 
 
-def _validate(cfg: dict) -> None:
-    """The rules that read more than one key, or that a constructor enforces."""
+def _validate(cfg: dict, stage: str) -> None:
+    """The rules that read more than one key, or that a constructor enforces.
+    The grid and survey rules bind only the stages that read spectrum.*."""
     for key, b in (("scales.b", cfg["scales"]["b"]), ("reduce.b", cfg["reduce"]["b"])):
         try:
             _scales(cfg, b)
         except ProfileError as exc:
             raise SystemExit(f"invalid scales for {key} = {b}: {exc}") from None
-    b, n = cfg["scales"]["b"], cfg["spectrum"]["grid_n"]
-    if n and not resolves_layer(scale_grid(_scales(cfg, b), n), b):
-        raise SystemExit(f"invalid spectrum.grid_n: {n} intervals do not resolve "
-                         f"the 1/(4b) boundary layer at scales.b = {b}")
-    try:
-        check_survey(extended_set(cfg["wavenumbers"]["p"]).base,
-                     cfg["spectrum"]["kmax"], _scales(cfg, b))
-    except SpectralError as exc:
-        raise SystemExit(f"invalid spectrum.kmax or scales.b: {exc}") from None
+    if stage in ("spectrum", "all"):
+        b, n = cfg["scales"]["b"], cfg["spectrum"]["grid_n"]
+        if n and not resolves_layer(scale_grid(_scales(cfg, b), n), b):
+            raise SystemExit(f"invalid spectrum.grid_n: {n} intervals do not resolve "
+                             f"the 1/(4b) boundary layer at scales.b = {b}")
+        try:
+            check_survey(extended_set(cfg["wavenumbers"]["p"]).base,
+                         cfg["spectrum"]["kmax"], _scales(cfg, b))
+        except SpectralError as exc:
+            raise SystemExit(f"invalid spectrum.kmax or scales.b: {exc}") from None
     r = cfg["realize"]
     if r["preset"] == "explicit":
         if not {"D", "R", "f"} <= r.keys():
@@ -331,7 +336,7 @@ def main(argv=None) -> int:
     overrides = (args.overrides or []) + (
         [] if args.seed is None else [f"seed={args.seed}"])
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides, args.stage)
     except (OSError, json.JSONDecodeError, SystemExit) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

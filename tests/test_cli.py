@@ -186,6 +186,21 @@ def test_survey_rule_has_the_words_of_spectrum_report(tmp_path, capsys, override
     assert f"invalid spectrum.kmax or scales.b: {exc.value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage, overrides, code", [
+    ("reduce", ["wavenumbers.p=4"], 0),         # kernel k = 37 past kmax 21
+    ("control", ["wavenumbers.p=4"], 0),
+    ("spectrum", ["wavenumbers.p=4"], 2),
+    ("reduce", ["spectrum.grid_n=10"], 0),      # too coarse at b = 30
+    ("spectrum", ["spectrum.grid_n=10"], 2),
+])
+def test_spectrum_rules_bind_only_the_stages_that_read_them(tmp_path, stage,
+                                                            overrides, code):
+    # the survey and grid rules read spectrum.*, which reduce and control
+    # never read; all runs spectrum, so it keeps both rules
+    args = [a for ov in overrides for a in ("--set", ov)]
+    assert main([stage, "--out", str(tmp_path)] + args) == code
+
+
 @pytest.mark.parametrize("stage, calls", [
     ("spectrum", 1), ("reduce", 0), ("control", 1), ("realize", 0)])
 def test_stage_designs_profile_only_where_read(tmp_path, monkeypatch, stage, calls):

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from obrealize.control import extended_set
 from obrealize.realize import (QuadraticSystem, RealizeError, TargetField,
                                _etdrk4_coeffs, _etdrk4_step, _phi_functions,
-                               _rk4_step, build_fast_slow, contraction_field,
+                               build_fast_slow, contraction_field,
                                empirical_field_error, integrate, lorenz_field,
                                lyapunov, manifold_residual, realize_target,
                                rescale_into_ball)
@@ -301,6 +301,31 @@ def test_lyapunov_linear_contraction():
     assert np.allclose(exps, -1.0, atol=1e-3)
 
 
+def test_lyapunov_contraction_is_exact_in_the_linear_part():
+    # ETDRK4 steps -Y by e^{-h} exactly, so even at dt = 0.5 the exponents
+    # are -1 to rounding (RK4's Taylor polynomial of e^{-h} gave -0.99921)
+    exps, _ = lyapunov(contraction_field(3),
+                       np.array([[0.1, 0.05, -0.08], [-0.2, 0.1, 0.03]]),
+                       horizon=50.0, dt=0.5, transient=1.0)
+    assert np.allclose(exps, -1.0, rtol=0.0, atol=1e-12)
+
+
+def test_lyapunov_refuses_an_orbit_in_the_blend(lorenz_target):
+    # a TargetField is stepped as its bare form, which is not its field past
+    # cutoff_on * ball_radius: a start in the blend shell is refused, and so
+    # is an orbit that leaves for it (Y' = Y from 0.2 passes 0.9 near
+    # t = 1.5), though the blend would have turned both inward
+    past = np.array([[0.0, 0.0, 0.92], [0.1, 0.0, 0.0]])
+    with pytest.raises(RealizeError, match="past radius 0.9"):
+        lyapunov(lorenz_target, past, horizon=10.0, dt=0.02, transient=0.0)
+    growing = TargetField(p=1, D=np.zeros((1, 1, 1)), R=np.eye(1), f=np.zeros(1),
+                          cutoff_on=0.9)
+    assert growing.inward_on_boundary()
+    with pytest.raises(RealizeError, match="past radius 0.9"):
+        lyapunov(growing, np.array([[0.1], [0.2]]), horizon=10.0, dt=0.01,
+                 transient=0.0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lyapunov_transient_aligns_frame(seed):
     # distinct rates: over a horizon of 10 the average is this close only
@@ -335,7 +360,7 @@ def _full_frame_spectrum(system, starts, horizon, dt, transient, seed):
     """Oracle: each start alone, all N tangent columns, QR on every step
     over the orbit's share of the horizon; all N exponents, averaged over
     the orbits."""
-    coeffs = _etdrk4_coeffs(system, dt)
+    coeffs = _etdrk4_coeffs(*system.form, dt)
     rng = np.random.default_rng(seed)
     Q0 = np.linalg.qr(rng.standard_normal((system.N, system.N)))[0]
     nburn, nsteps = int(transient / dt), int(horizon / len(starts) / dt)
@@ -438,7 +463,7 @@ def test_folded_etdrk4_step_matches_unfolded_stages(K9, kset3, lorenz_target,
         sysd = build_fast_slow(lorenz_target, K9, kset3, xi=1e-3)
     else:
         sysd = _full_system()
-    coeffs = _etdrk4_coeffs(sysd, h)
+    coeffs = _etdrk4_coeffs(*sysd.form, h)
     rng = np.random.default_rng(16)
     X = 0.3 * rng.standard_normal((4, sysd.N))
     Q = np.linalg.qr(rng.standard_normal((4, sysd.N, 2)))[0]
@@ -456,7 +481,7 @@ def test_etdrk4_frame_is_the_step_derivative_for_unsymmetric_K():
     # of its state step: against central differences at h = 1e-6 they
     # differ by 5.0e-11 of max|fd|
     sysd = _full_system()
-    coeffs = _etdrk4_coeffs(sysd, 0.25)
+    coeffs = _etdrk4_coeffs(*sysd.form, 0.25)
     rng = np.random.default_rng(11)
     x = 0.3 * rng.standard_normal(sysd.N)
     _, F = _etdrk4_step(x[None], coeffs, np.eye(sysd.N)[None])
@@ -488,14 +513,14 @@ def test_lyapunov_slow_columns_match_full_frame():
 
 
 def test_lyapunov_target_exponents_pinned(lorenz_target):
-    # the batched RK4 state step and its derivative on the frames, on the
-    # blended Lorenz target, bit for bit as the stacked QR and stage
-    # Jacobians give it for two orbits past the default transient
+    # the ETDRK4 step of the Lorenz target's bare form and its derivative
+    # on the frames, bit for bit as the stacked QR gives it for two orbits
+    # past the default transient
     tgt = lorenz_target
     exps, stderr = lyapunov(tgt, np.array([[0.05, 0.02, 0.1], [-0.1, 0.05, 0.0]]),
                             horizon=50.0, dt=0.02)
-    assert exps == pytest.approx([0.00032000529337517826, -0.005648148951183028,
-                                  -0.18328264703633057], rel=1e-15, abs=0.0)
+    assert exps == pytest.approx([0.007824814948709728, -0.010212268034326429,
+                                  -0.18663898369177884], rel=1e-15, abs=0.0)
     assert np.all(np.isfinite(stderr)) and np.all(stderr > 0.0)
 
 
@@ -547,10 +572,10 @@ def test_rescale_into_ball_properties(lorenz_target):
 
 
 @pytest.mark.parametrize("seed, center, scale, tau", [
-    (1, [-0.3317390432638323, -0.6459544950746476, 24.833042528792415],
-     61.79151947711712, 0.013800789563030899),
-    (1234, [-0.015538592326928224, -0.06273751236764902, 24.99344600696745],
-     62.0516737977121, 0.013820292381902485),
+    pytest.param(1, [-0.2119486014557861, -0.414338210004507, 24.884389822735663],
+                 61.77680161356157, 0.013831202691020224, id="1"),
+    pytest.param(1234, [0.35715820356919714, 0.6617004752804885, 24.652634341887506],
+                 62.164728143233035, 0.013702905210929666, id="1234"),
 ])
 def test_rescale_into_ball_affine_pinned(seed, center, scale, tau):
     # the raw bounding run over its 16 orbits, bit for bit: every realize
@@ -558,6 +583,31 @@ def test_rescale_into_ball_affine_pinned(seed, center, scale, tau):
     tgt = rescale_into_ball(lorenz_field(), seed=seed)
     assert tgt.affine == {"center": center, "scale": scale, "tau": tau}
     assert tgt.cutoff_on == 0.9
+
+
+@pytest.fixture(scope="module")
+def raw_lorenz_orbit():
+    """Raw Lorenz from (1, 1, 20) by DOP853, sampled every 0.005 time units
+    past a transient of 20, over 100 time units."""
+    lor = lorenz_field()
+    sol = solve_ivp(lambda t, x: lor.bare(x[None])[0], (0.0, 120.0),
+                    [1.0, 1.0, 20.0], method="DOP853", rtol=1e-9, atol=1e-9,
+                    t_eval=np.linspace(20.0, 120.0, 20001))
+    assert sol.success
+    return sol.y.T
+
+
+@pytest.mark.parametrize("seed", [1, 17, 101, 1234])
+def test_rescale_into_ball_maps_the_attractor_into_the_ball(raw_lorenz_orbit,
+                                                            seed):
+    # the bounding run's contract, whatever steps it: an orbit it never saw,
+    # mapped by Y = (X - c)/s, keeps inside the ball and inside cutoff_on,
+    # where the target is its bare form (it reads 0.505-0.517 here)
+    tgt = rescale_into_ball(lorenz_field(), seed=seed)
+    Y = (raw_lorenz_orbit - np.array(tgt.affine["center"])) / tgt.affine["scale"]
+    r = np.linalg.norm(Y, axis=1).max()
+    assert r < tgt.bare_radius < tgt.ball_radius
+    assert r > 0.45         # the box is about R/2, not a loose overestimate
 
 
 def test_rescale_into_ball_rejects_escaping_field():
@@ -593,25 +643,9 @@ def _rows_match(batched, lone, rtol=1e-14):
         assert np.max(np.abs(b - l)) <= rtol * np.max(np.abs(l))
 
 
-def test_rk4_step_rows_match_lone_rows(lorenz_target):
-    # 8 rows inside cutoff_on and 8 in the blend shell, with their frames:
-    # the blend acts per row, so a row steps as it would alone
-    W = lorenz_target
-    rng = np.random.default_rng(12)
-    q = rng.standard_normal((16, 3))
-    radii = np.r_[rng.uniform(0.0, W.cutoff_on, 8), rng.uniform(W.cutoff_on, 1.0, 8)]
-    q *= (radii / np.linalg.norm(q, axis=1))[:, None]
-    Q = np.linalg.qr(rng.standard_normal((16, 3, 3)))[0]
-    x, F = _rk4_step(W, q, 0.5, W.jac, Q)
-    lone = [_rk4_step(W, q[i:i + 1], 0.5, W.jac, Q[i:i + 1]) for i in range(16)]
-    _rows_match(x, [l[0][0] for l in lone])
-    _rows_match(F, [l[1][0] for l in lone])
-    _rows_match(_rk4_step(W, q, 0.5), [_rk4_step(W, y[None], 0.5)[0] for y in q])
-
-
 def test_etdrk4_step_rows_match_lone_rows(K9, kset3, lorenz_target):
     sysd = build_fast_slow(lorenz_target, K9, kset3, xi=1e-3)
-    coeffs = _etdrk4_coeffs(sysd, 0.5)
+    coeffs = _etdrk4_coeffs(*sysd.form, 0.5)
     rng = np.random.default_rng(13)
     X = 0.3 * rng.standard_normal((16, kset3.N))
     Q = np.linalg.qr(rng.standard_normal((16, kset3.N, 3)))[0]
@@ -680,25 +714,6 @@ def test_inward_on_boundary_matches_point_loop(lorenz_target):
     for field, verdict in ((bare, False), (blended, True), (one_bad, False)):
         assert field.inward_on_boundary() is verdict
         assert _inward_by_loop(field)[0] is verdict
-
-
-def test_blend_jacobian_matches_central_differences(lorenz_target):
-    # seeded points in the shell 0.9 R < |Y| < R, where the blend acts, and
-    # as many inside it, in one batch: each row of the batched Jacobian
-    # against central differences of the batched field; at h = 1e-6 the
-    # measured difference error is 7.7e-9 of max|J|
-    W = lorenz_target
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal((100, 3))
-    radii = np.r_[rng.uniform(0.9, 1.0, 50), rng.uniform(0.0, 0.9, 50)]
-    q *= (radii / np.linalg.norm(q, axis=1))[:, None]
-    h = 1e-6
-    fd = np.stack([(W(q + e) - W(q - e)) / (2 * h) for e in h * np.eye(3)],
-                  axis=-1)
-    J = W.jac(q)
-    assert J.shape == (100, 3, 3)
-    for fd_row, J_row in zip(fd, J):
-        assert np.max(np.abs(fd_row - J_row)) < 1e-7 * np.max(np.abs(J_row))
 
 
 def test_realize_contraction_end_to_end(K9, kset3):
