@@ -127,7 +127,9 @@ def _scales(cfg: dict, b: float):
 
 def _validate(cfg: dict, stage: str) -> None:
     """The rules that read more than one key, or that a constructor enforces.
-    The grid and survey rules bind only the stages that read spectrum.*."""
+    Each binds only the stages that read its keys: the grid and survey
+    rules spectrum and all, the explicit-preset rule realize and all, and
+    the control-target rule control and all."""
     for key, b in (("scales.b", cfg["scales"]["b"]), ("reduce.b", cfg["reduce"]["b"])):
         try:
             _scales(cfg, b)
@@ -144,7 +146,7 @@ def _validate(cfg: dict, stage: str) -> None:
         except SpectralError as exc:
             raise SystemExit(f"invalid spectrum.kmax or scales.b: {exc}") from None
     r = cfg["realize"]
-    if r["preset"] == "explicit":
+    if stage in ("realize", "all") and r["preset"] == "explicit":
         if not {"D", "R", "f"} <= r.keys():
             raise SystemExit("the explicit preset needs realize.D, realize.R and realize.f")
         try:
@@ -153,7 +155,7 @@ def _validate(cfg: dict, stage: str) -> None:
             raise SystemExit("the explicit preset needs realize.D p x p x p, "
                              "realize.R p x p and realize.f of length p") from None
     target = cfg["control"]["target"]
-    if target != "random":
+    if stage in ("control", "all") and target != "random":
         N = extended_set(cfg["wavenumbers"]["p"]).N
         try:
             shape = np.asarray(target, dtype=float).shape

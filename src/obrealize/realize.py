@@ -35,6 +35,14 @@ and realize_target evaluates the target's reference orbit, blend and
 all, at its sample times by scipy's DOP853, through a TargetField on a
 stack of one row.
 
+Since ETDRK4 is exact in M, the step of a stiff orbit is set by the slow
+dynamics, not by xi.  realize_target steps its orbit in s equal steps of
+at most _ORBIT_STEP = 0.025 between consecutive sample times, so each
+sample time is a node and the sup error reads the path there, not
+through interpolation between nodes; the field error evaluates the
+realized field itself at the nodes, so it carries no truncation error
+of the step.
+
 The long loops run on ensembles of _ORBITS orbits.  Their states are 3- to
 9-vectors, where numpy's per-call overhead, not arithmetic, is the cost of
 a step, so one call that steps every orbit shares that cost: the Benettin
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import json
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -304,6 +313,8 @@ def build_fast_slow(target: TargetField, K: np.ndarray, kset: WavenumberSet,
 # steps between the escape checks of integrate and rescale_into_ball, and
 # between the QR renormalizations of lyapunov
 _RENORM_EVERY = 10
+# the largest xi that integrate's 'auto' steps by ETDRK4 (RK45 above)
+_IMEX_XI = 2e-3
 
 @dataclass
 class Trajectory:
@@ -465,8 +476,10 @@ def _fill_checked(step, x, xs, radius):
 
 def _integrate_etdrk4(system: QuadraticSystem, x0, t0, t1, dt, blowup):
     """ETDRK4 over [t0, t1] in n = ceil((t1 - t0)/dt) equal steps, so the
-    path ends at t1; the step is dt itself wherever dt divides the span."""
-    nsteps = int(np.ceil((t1 - t0) / dt))
+    path ends at t1; the step is dt itself wherever dt divides the span.
+    A quotient within 1e-12 relative above an integer counts as that
+    integer, so a dt computed as span/n takes n steps, not n + 1."""
+    nsteps = int(np.ceil((t1 - t0) / dt * (1.0 - 1e-12)))
     ts = np.linspace(t0, t1, nsteps + 1)
     coeffs = _etdrk4_coeffs(*system.form, (t1 - t0) / nsteps)
     xs = np.empty((nsteps + 1, len(x0)))
@@ -514,7 +527,8 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
     method='dopri' is scipy's adaptive RK45 (the Dormand-Prince 5(4) pair)
     at rtol = atol = tol; method='imex' is the fixed-step ETDRK4
     exponential integrator, exact in M (the stable choice for stiff xi),
-    in ceil(span/dt) equal steps that end on t1 (dt defaults to
+    in ceil(span/dt) equal steps that end on t1, span/dt rounded down to
+    an integer it passes by 1e-12 relative or less (dt defaults to
     min(5e-3, 5% of the span)).  'auto' picks imex for xi <= 2e-3 and
     RK45 above; RK45 chooses its own steps and does not read dt.  Either
     raises RealizeError once |X| passes blowup_radius (default
@@ -529,7 +543,7 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
     if blowup_radius is None:
         blowup_radius = 10.0 * max(1.0, np.linalg.norm(x0))
     if method == "auto":
-        method = "imex" if system.xi <= 2e-3 else "dopri"
+        method = "imex" if system.xi <= _IMEX_XI else "dopri"
     if method == "dopri":
         ts, xs, steps, rej = _integrate_rk45(system, x0, t0, t1, tol,
                                              blowup_radius)
@@ -563,19 +577,20 @@ def manifold_residual(traj: Trajectory, system: QuadraticSystem,
 def empirical_field_error(traj: Trajectory, system: QuadraticSystem,
                           target: TargetField) -> float:
     """Sup over the trajectory tail (past the first quarter) of
-    |dY/dt - W_target(Y)| by central differences of the sampled slow path.
+    |dY/dt - W_target(Y)|, with dY/dt the realized system's slow rows
+    K[:p](X, X) + M[:p] X + f[:p] at each tail node.
 
-    Raises RealizeError when the tail has no node with a neighbour on
-    each side, rather than report 0 for a discrepancy it never measured.
+    The value is the field's own discrepancy along the orbit, free of the
+    truncation error a difference of the stepped path would add.  K(X, X)
+    is taken one slow row at a time, so no (nodes, N, N) array is formed.
     """
-    t, Y = traj.t, traj.X[:, :system.p]
-    i0 = max(np.searchsorted(t, t[0] + 0.25 * (t[-1] - t[0])), 1)
-    if i0 >= len(t) - 1:
-        raise RealizeError("the orbit's tail holds no interior node to "
-                           "difference; take a longer span or a smaller step")
-    G = Y[i0 + 1:] - Y[i0 - 1:-2]
-    G /= (t[i0 + 1:] - t[i0 - 1:-2])[:, None]
-    G -= target(Y[i0:-1])
+    p = system.p
+    t = traj.t
+    X = traj.X[np.searchsorted(t, t[0] + 0.25 * (t[-1] - t[0])):]
+    G = X.dot(system.M[:p].T) + system.f[:p]
+    for i in range(p):
+        G[:, i] += np.einsum("nj,nj->n", X.dot(system.K[i]), X)
+    G -= target(X[:, :p])
     return float(np.sqrt(np.max(np.einsum("ni,ni->n", G, G))))
 
 
@@ -726,6 +741,11 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
 # end-to-end report
 # ---------------------------------------------------------------------------
 
+# the largest ETDRK4 step of realize_target's orbit, which takes equal
+# steps from one sample time of its sup error to the next
+_ORBIT_STEP = 0.025
+
+
 @dataclass
 class RealizationReport:
     """The gates realize_target measured, and the realized orbit they were
@@ -766,14 +786,19 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
 
     Integrates the realized system and the target from matched initial
     data and reports the sup error of the slow path at 400 equally spaced
-    times of the horizon, manifold residual statistics, the empirical field
-    discrepancy, and the Lyapunov spectra of both dynamics with their
-    standard errors (None without with_lyapunov).  The realized slow path
-    is interpolated between its nodes; the target is evaluated at the
-    sample times themselves by DOP853 at rtol 1e-10, atol 1e-12, a method
+    times of the horizon, manifold residual statistics, the discrepancy of
+    the realized slow field from the target at the nodes of the orbit's
+    tail (empirical_field_error), and the Lyapunov spectra of both
+    dynamics with their standard errors (None without with_lyapunov).
+    For xi <= 2e-3 the
+    realized orbit is the ETDRK4 path in s = ceil(spacing / 0.025) equal
+    steps per sample interval (spacing = horizon / 399: at the default
+    horizon of 50, s = 6 and 2394 steps of 0.0209), and the sup error reads
+    it at every s-th node, each a sample time; above, it is the RK45 path,
+    interpolated between its nodes.  The target is evaluated at the sample
+    times themselves by DOP853 at rtol 1e-10, atol 1e-12, a method
     independent of the realized system's ETDRK4 and RK45.  The report
-    carries the realized trajectory: the ETDRK4 path at dt = 5e-3 for
-    xi <= 2e-3, the RK45 path above.
+    carries the realized trajectory.
 
     The Benettin runs step _ORBITS orbits each, from starts drawn after y0
     and as y0 is drawn (y0 is drawn even when given, so the starts depend
@@ -800,13 +825,18 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     x0 = np.zeros(kset.N)
     x0[:p] = y0
     x0[p:] = xi * system.kt1(y0)
-    traj = integrate(system, x0, (0.0, horizon), method="auto", dt=5e-3)
     samples = np.linspace(0.0, horizon, 400)
+    s = math.ceil(horizon / 399 / _ORBIT_STEP)      # steps per sample interval
+    traj = integrate(system, x0, (0.0, horizon), method="auto",
+                     dt=horizon / (399 * s))
     ref = solve_ivp(lambda t, y: target(y[None])[0], (0.0, horizon), y0,
                     method="DOP853", t_eval=samples, rtol=1e-10, atol=1e-12)
     if not ref.success:
         raise RealizeError(ref.message)
-    realized_Y = traj.sample(samples)[:, :p]
+    if xi <= _IMEX_XI:          # the ETDRK4 path: every s-th node is a sample
+        realized_Y = traj.X[::s, :p]
+    else:                       # RK45 chose its own nodes
+        realized_Y = traj.sample(samples)[:, :p]
     sup_err = float(np.max(np.linalg.norm(realized_Y - ref.y.T, axis=1)))
     man = manifold_residual(traj, system)
     c0 = empirical_field_error(traj, system, target)

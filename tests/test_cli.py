@@ -201,6 +201,20 @@ def test_spectrum_rules_bind_only_the_stages_that_read_them(tmp_path, stage,
     assert main([stage, "--out", str(tmp_path)] + args) == code
 
 
+@pytest.mark.parametrize("stage, override, code", [
+    ("reduce", "realize.preset=explicit", 0),   # no realize.D, R or f
+    ("reduce", "control.target=[[1.0]]", 0),    # not N x N
+    ("realize", "realize.preset=explicit", 2),
+    ("control", "control.target=[[1.0]]", 2),
+    ("all", "realize.preset=explicit", 2),
+    ("all", "control.target=[[1.0]]", 2),
+])
+def test_target_rules_bind_only_the_stages_that_read_them(tmp_path, stage,
+                                                         override, code):
+    # reduce reads neither the realize preset nor the control target
+    assert main([stage, "--out", str(tmp_path), "--set", override]) == code
+
+
 @pytest.mark.parametrize("stage, calls", [
     ("spectrum", 1), ("reduce", 0), ("control", 1), ("realize", 0)])
 def test_stage_designs_profile_only_where_read(tmp_path, monkeypatch, stage, calls):

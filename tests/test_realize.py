@@ -7,12 +7,16 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from obrealize.control import extended_set
+from obrealize.profile import derive_scales
 from obrealize.realize import (QuadraticSystem, RealizeError, TargetField,
-                               _etdrk4_coeffs, _etdrk4_step, _phi_functions,
-                               build_fast_slow, contraction_field,
-                               empirical_field_error, integrate, lorenz_field,
-                               lyapunov, manifold_residual, realize_target,
+                               Trajectory, _etdrk4_coeffs, _etdrk4_step,
+                               _phi_functions, build_fast_slow,
+                               contraction_field, empirical_field_error,
+                               integrate, lorenz_field, lyapunov,
+                               manifold_residual, realize_target,
                                rescale_into_ball)
+from obrealize.reduction import asymptotic_basis, compute_K
+from obrealize.spectral import scale_grid
 
 
 def check_blocks(system: QuadraticSystem) -> dict:
@@ -243,12 +247,70 @@ def test_etdrk4_path_ends_at_t1(kset3, horizon):
     assert np.allclose(traj.X[-1], expm(horizon * M) @ x0, rtol=0, atol=1e-12)
 
 
-def test_field_error_refuses_an_orbit_with_no_tail(K9, kset3):
-    # one ETDRK4 step leaves no interior node to difference; the report
-    # must not read 0 for a discrepancy it never measured
-    with pytest.raises(RealizeError, match="no interior node"):
-        realize_target(contraction_field(3), K9, kset3, xi=1e-3,
-                       horizon=0.004, with_lyapunov=False)
+def test_etdrk4_takes_n_steps_of_a_dt_computed_as_span_over_n(kset3):
+    # 1/(1/49) rounds to just above 49, so ceil alone would add a step
+    assert 1.0 / (1.0 / 49) > 49
+    N = kset3.N
+    sysd = QuadraticSystem(p=3, K=np.zeros((N, N, N)), M=-np.eye(N),
+                           f=np.zeros(N), xi=1e-3)
+    traj = integrate(sysd, np.ones(N), (0.0, 1.0), method="imex", dt=1.0 / 49)
+    assert traj.steps == 49
+    assert traj.t[-1] == 1.0
+
+
+@pytest.mark.parametrize("horizon, s", [
+    (0.004, 1), (1.0, 1), (12.3456, 2), (50.0, 6), (500.0, 51), (1000.0, 101)])
+def test_realized_orbit_steps_onto_the_sample_times(K9, kset3, horizon, s):
+    # s = ceil(spacing / 0.025) equal steps per interval between the 400
+    # sample times, so every s-th node is a sample time
+    rep = realize_target(contraction_field(3), K9, kset3, xi=1e-3,
+                         horizon=horizon, with_lyapunov=False)
+    t = rep.trajectory.t
+    assert rep.trajectory.steps == len(t) - 1 == 399 * s
+    assert np.diff(t).max() <= 0.025
+    assert np.allclose(t[::s], np.linspace(0.0, horizon, 400), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", [1234, 101, 17])
+def test_realized_path_error_at_the_samples_is_below_a_thousandth_of_sup_error(seed):
+    # the CLI's Lorenz realization at xi = 1e-3: the step's own path error
+    # at the sample times, against 40 steps per sample interval, moves the
+    # sup error it is part of by under 0.1% (it reads 3e-4 to 5.4e-4 of it
+    # at these seeds)
+    kset = extended_set(3)
+    params = derive_scales(50.0)
+    K, _ = compute_K(asymptotic_basis(kset.full, params, scale_grid(params)),
+                     params.nu)
+    target = rescale_into_ball(lorenz_field(), seed=seed)
+    rep = realize_target(target, K, kset, xi=1e-3, seed=seed,
+                         with_lyapunov=False)
+    system = build_fast_slow(target, K, kset, 1e-3)
+    ref = integrate(system, rep.trajectory.X[0], (0.0, 50.0), method="imex",
+                    dt=50.0 / (399 * 40))
+    assert ref.steps == 399 * 40
+    err = np.linalg.norm(rep.trajectory.X[::6, :3] - ref.X[::40, :3], axis=1)
+    assert err.max() < 1e-3 * rep.sup_error
+
+
+def _field_error_by_loop(traj, system, target):
+    p, t = system.p, traj.t
+    tail = t >= t[0] + 0.25 * (t[-1] - t[0])
+    return max(np.linalg.norm(system.rhs(x)[:p] - target(x[None, :p])[0])
+               for x in traj.X[tail])
+
+
+def test_field_error_is_the_realized_field_at_each_tail_node(K9, kset3,
+                                                            lorenz_target):
+    N = kset3.N
+    rng = np.random.default_rng(3)
+    traj = Trajectory(t=np.linspace(0.0, 1.0, 41),
+                      X=0.3 * rng.standard_normal((41, N)), steps=40, rejected=0)
+    M, f = rng.standard_normal((N, N)), rng.standard_normal(N)
+    for K, rtol in ((np.zeros((N, N, N)), 1e-14), (K9, 1e-13)):
+        sysd = QuadraticSystem(p=3, K=K, M=M, f=f, xi=1e-3)
+        got = empirical_field_error(traj, sysd, lorenz_target)
+        assert got == pytest.approx(_field_error_by_loop(traj, sysd, lorenz_target),
+                                    rel=rtol, abs=0)
 
 
 def test_sup_error_is_measured_at_the_sample_times(K9, kset3, lorenz_target):
