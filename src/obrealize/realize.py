@@ -37,11 +37,10 @@ stack of one row.
 
 Since ETDRK4 is exact in M, the step of a stiff orbit is set by the slow
 dynamics, not by xi.  realize_target steps its orbit in s equal steps of
-at most _ORBIT_STEP = 0.025 between consecutive sample times, so each
-sample time is a node and the sup error reads the path there, not
-through interpolation between nodes; the field error evaluates the
-realized field itself at the nodes, so it carries no truncation error
-of the step.
+at most _ORBIT_STEP = 0.009 between consecutive sample times, so each
+sample time is a node, where the interpolation of Trajectory.sample
+adds no error; the field error evaluates the realized field itself at
+the nodes, so it carries no truncation error of the step.
 
 The long loops run on ensembles of _ORBITS orbits.  Their states are 3- to
 9-vectors, where numpy's per-call overhead, not arithmetic, is the cost of
@@ -313,8 +312,6 @@ def build_fast_slow(target: TargetField, K: np.ndarray, kset: WavenumberSet,
 # steps between the escape checks of integrate and rescale_into_ball, and
 # between the QR renormalizations of lyapunov
 _RENORM_EVERY = 10
-# the largest xi that integrate's 'auto' steps by ETDRK4 (RK45 above)
-_IMEX_XI = 2e-3
 
 @dataclass
 class Trajectory:
@@ -543,7 +540,7 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
     if blowup_radius is None:
         blowup_radius = 10.0 * max(1.0, np.linalg.norm(x0))
     if method == "auto":
-        method = "imex" if system.xi <= _IMEX_XI else "dopri"
+        method = "imex" if system.xi <= 2e-3 else "dopri"
     if method == "dopri":
         ts, xs, steps, rej = _integrate_rk45(system, x0, t0, t1, tol,
                                              blowup_radius)
@@ -742,8 +739,14 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
 # ---------------------------------------------------------------------------
 
 # the largest ETDRK4 step of realize_target's orbit, which takes equal
-# steps from one sample time of its sup error to the next
-_ORBIT_STEP = 0.025
+# steps from one sample time of its sup error to the next.  ETDRK4 loses
+# order at this stiffness (its path error at the samples falls about 3x
+# per halving of the step at xi = 1e-3, not 16x), so the step is set by
+# accuracy: 0.009 (14 steps per interval at the default horizon) keeps
+# the path error at the samples of the CLI's Lorenz realization below
+# that of the 5e-3 path read through interpolation at seeds 1234, 101
+# and 17; 0.025 (6 per interval) read 3.2x that at seed 1234
+_ORBIT_STEP = 0.009
 
 
 @dataclass
@@ -790,15 +793,14 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     the realized slow field from the target at the nodes of the orbit's
     tail (empirical_field_error), and the Lyapunov spectra of both
     dynamics with their standard errors (None without with_lyapunov).
-    For xi <= 2e-3 the
-    realized orbit is the ETDRK4 path in s = ceil(spacing / 0.025) equal
-    steps per sample interval (spacing = horizon / 399: at the default
-    horizon of 50, s = 6 and 2394 steps of 0.0209), and the sup error reads
-    it at every s-th node, each a sample time; above, it is the RK45 path,
-    interpolated between its nodes.  The target is evaluated at the sample
-    times themselves by DOP853 at rtol 1e-10, atol 1e-12, a method
-    independent of the realized system's ETDRK4 and RK45.  The report
-    carries the realized trajectory.
+    For xi <= 2e-3 the realized orbit is the ETDRK4 path in
+    s = ceil(spacing / _ORBIT_STEP) equal steps per sample interval
+    (spacing = horizon / 399: at the default horizon of 50, s = 14 and
+    5586 steps of 0.00895), so each sample time is a node; above, it is
+    the RK45 path, interpolated between its nodes.  The target is
+    evaluated at the sample times themselves by DOP853 at rtol 1e-10,
+    atol 1e-12, a method independent of the realized system's ETDRK4 and
+    RK45.  The report carries the realized trajectory.
 
     The Benettin runs step _ORBITS orbits each, from starts drawn after y0
     and as y0 is drawn (y0 is drawn even when given, so the starts depend
@@ -833,10 +835,7 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
                     method="DOP853", t_eval=samples, rtol=1e-10, atol=1e-12)
     if not ref.success:
         raise RealizeError(ref.message)
-    if xi <= _IMEX_XI:          # the ETDRK4 path: every s-th node is a sample
-        realized_Y = traj.X[::s, :p]
-    else:                       # RK45 chose its own nodes
-        realized_Y = traj.sample(samples)[:, :p]
+    realized_Y = traj.sample(samples)[:, :p]
     sup_err = float(np.max(np.linalg.norm(realized_Y - ref.y.T, axis=1)))
     man = manifold_residual(traj, system)
     c0 = empirical_field_error(traj, system, target)

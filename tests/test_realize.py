@@ -259,24 +259,25 @@ def test_etdrk4_takes_n_steps_of_a_dt_computed_as_span_over_n(kset3):
 
 
 @pytest.mark.parametrize("horizon, s", [
-    (0.004, 1), (1.0, 1), (12.3456, 2), (50.0, 6), (500.0, 51), (1000.0, 101)])
+    (0.004, 1), (1.0, 1), (12.3456, 4), (50.0, 14), (500.0, 140), (1000.0, 279)])
 def test_realized_orbit_steps_onto_the_sample_times(K9, kset3, horizon, s):
-    # s = ceil(spacing / 0.025) equal steps per interval between the 400
+    # s = ceil(spacing / 0.009) equal steps per interval between the 400
     # sample times, so every s-th node is a sample time
     rep = realize_target(contraction_field(3), K9, kset3, xi=1e-3,
                          horizon=horizon, with_lyapunov=False)
     t = rep.trajectory.t
     assert rep.trajectory.steps == len(t) - 1 == 399 * s
-    assert np.diff(t).max() <= 0.025
+    assert np.diff(t).max() <= 0.009
     assert np.allclose(t[::s], np.linspace(0.0, horizon, 400), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("seed", [1234, 101, 17])
-def test_realized_path_error_at_the_samples_is_below_a_thousandth_of_sup_error(seed):
-    # the CLI's Lorenz realization at xi = 1e-3: the step's own path error
-    # at the sample times, against 40 steps per sample interval, moves the
-    # sup error it is part of by under 0.1% (it reads 3e-4 to 5.4e-4 of it
-    # at these seeds)
+@pytest.mark.parametrize("seed, bound", [(1234, 3.56e-8), (101, 1.07e-8),
+                                         (17, 2.20e-8)])
+def test_realized_path_at_the_samples_is_no_less_accurate_than_a_5e3_step(seed, bound):
+    # the CLI's Lorenz realization at xi = 1e-3: the bound is the path
+    # error at the sample times of the orbit's former 5e-3 steps read
+    # through interpolation, against the same 80 steps per sample interval;
+    # the sample-aligned path reads 2.97e-8, 1.85e-9 and 5.97e-9
     kset = extended_set(3)
     params = derive_scales(50.0)
     K, _ = compute_K(asymptotic_basis(kset.full, params, scale_grid(params)),
@@ -286,10 +287,12 @@ def test_realized_path_error_at_the_samples_is_below_a_thousandth_of_sup_error(s
                          with_lyapunov=False)
     system = build_fast_slow(target, K, kset, 1e-3)
     ref = integrate(system, rep.trajectory.X[0], (0.0, 50.0), method="imex",
-                    dt=50.0 / (399 * 40))
-    assert ref.steps == 399 * 40
-    err = np.linalg.norm(rep.trajectory.X[::6, :3] - ref.X[::40, :3], axis=1)
-    assert err.max() < 1e-3 * rep.sup_error
+                    dt=50.0 / (399 * 80))
+    assert ref.steps == 399 * 80
+    samples = np.linspace(0.0, 50.0, 400)
+    err = np.linalg.norm(rep.trajectory.sample(samples)[:, :3] - ref.X[::80, :3],
+                         axis=1)
+    assert err.max() < bound
 
 
 def _field_error_by_loop(traj, system, target):
