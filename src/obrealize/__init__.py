@@ -44,9 +44,9 @@ from .spectral import (EigenMode, ModeBasis, Pencil, SpectrumReport,
                        assemble_pencil, biorthogonalize, default_grid,
                        semigroup_decay, solve_conjugate_modes, solve_modes,
                        spectrum_report)
-from .reduction import (FourierProfileSet, ReducedSystem, asymptotic_basis,
-                        asymptotic_profiles, compute_K, compute_M, compute_f,
-                        numeric_basis, zeta_profiles)
+from .reduction import (FourierProfileSet, asymptotic_basis, asymptotic_profiles,
+                        compute_K, compute_M, compute_f, numeric_basis,
+                        zeta_profiles)
 from .control import (ControlSolution, WavenumberSet, control_solve,
                       extended_set, g1_from_u1, moment_profile, sidon_set,
                       verify_decomposition)

@@ -3,7 +3,9 @@
 Single binary with subcommands; configuration is a JSON document whose
 keys can be overridden on the command line with dotted paths
 (--set scales.b=50); an unknown key is rejected.  All randomness flows
-from one seed; outputs are byte-deterministic.
+from one seed; outputs are byte-deterministic.  The stages return
+records, and this module alone turns them into files: each stage's
+command builds its JSON documents and CSV rows here.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .control import extended_set, control_solve, g1_from_u1
 from .profile import ProfileError, derive_scales, designed_profile
 from .realize import (contraction_field, lorenz_field, realize_target,
                       rescale_into_ball, RealizeError, TargetField)
-from .reduction import ReducedSystem, asymptotic_basis, compute_K
+from .reduction import asymptotic_basis, compute_K
 from .spectral import (SpectralError, check_survey, default_grid, resolves_layer,
                        scale_grid, spectrum_report)
 
@@ -176,6 +178,15 @@ def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
 
 
+def _write_csv(outdir: Path, name: str, header: str, rows) -> None:
+    """The header line, then one line per formatted row."""
+    _write(outdir, name, "\n".join([header, *rows]) + "\n")
+
+
+def _write_json(outdir: Path, name: str, doc: dict) -> None:
+    _write(outdir, name, json.dumps(doc, sort_keys=True))
+
+
 def _svg_polyline(series, labels) -> str:
     """Minimal deterministic 640 x 400 SVG: one polyline per (x, y) series."""
     width, height = 640, 400
@@ -220,13 +231,19 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     rep = spectrum_report(kset.base, cfg["spectrum"]["kmax"], params,
                           profile.poly, profile, grid=grid,
                           pencil_kmax=cfg["spectrum"]["pencil_kmax"])
-    _write(outdir, "spectrum.csv", rep.to_csv())
+    _write_csv(outdir, "spectrum.csv", "k,Re_lambda,Im_lambda,method,in_kernel_set",
+               (f"{r.k},{np.real(lam):.12g},{np.imag(lam):.12g},"
+                f"{m},{int(r.in_kernel)}"
+                for r in rep.records
+                for lam, m in ((r.lam_design, "design"), (r.lam_finite, "finite"),
+                               (r.lam_pencil, "pencil"))
+                if lam is not None))
     calib = {"kernel": list(kset.base),
              "offsets": list(profile.poly.offsets),
              "coeffs": list(profile.poly.coeffs),
              "kernel_residual": rep.kernel_residual,
              "gap": rep.gap, "passed": rep.passed}
-    _write(outdir, "calibration.json", json.dumps(calib, sort_keys=True))
+    _write_json(outdir, "calibration.json", calib)
     ks = [r.k for r in rep.records if r.lam_design is not None]
     ld = [float(np.real(r.lam_design)) for r in rep.records
           if r.lam_design is not None]
@@ -252,11 +269,13 @@ def _reduce_basis(cfg: dict, p: int):
 def cmd_reduce(cfg: dict, outdir: Path) -> int:
     kset, params, basis = _reduce_basis(cfg, cfg["wavenumbers"]["p"])
     K, info = compute_K(basis, params.nu)
-    sysd = ReducedSystem(N=kset.N, K=K, M=np.zeros((kset.N, kset.N)),
-                         f=np.zeros(kset.N), kset=kset.full, R0=cfg["reduce"]["R0"])
-    _write(outdir, "reduced_system.json", sysd.to_json())
-    _write(outdir, "reduction_info.json", json.dumps(info, sort_keys=True))
-    print(f"reduce: N={sysd.N} max_resonant={info['max_resonant']:.4e} "
+    N = kset.N
+    # dX/dt = K(X, X) + M X + f, with no control or forcing yet: M, f = 0
+    _write_json(outdir, "reduced_system.json",
+                {"N": N, "kset": list(kset.full), "K": K.tolist(),
+                 "M": [[0.0] * N] * N, "f": [0.0] * N, "R0": cfg["reduce"]["R0"]})
+    _write_json(outdir, "reduction_info.json", info)
+    print(f"reduce: N={N} max_resonant={info['max_resonant']:.4e} "
           f"max_nonresonant={info['max_nonresonant']:.2e} "
           f"sparsity_ok={info['sparsity_ok']}")
     return 0
@@ -273,21 +292,25 @@ def cmd_control(cfg: dict, outdir: Path) -> int:
         T = np.asarray(cfg["control"]["target"], dtype=float)
     sol = control_solve(T, basis, kset, profile)
     err = np.linalg.norm(sol.achieved - T) / max(np.linalg.norm(T), 1e-300)
-    _write(outdir, "control_solution.json", sol.to_json(basis.grid))
-    _write(outdir, "control_report.json",
-           json.dumps({"rel_frobenius_error": float(err),
-                       "condition_number": sol.condition_number,
-                       "sup_abs_u1": sol.sup_abs_u1}, sort_keys=True))
+    nodes = basis.grid.nodes
+    _write_json(outdir, "control_solution.json",
+                {"T": T.tolist(), "u0": sol.u0, "gamma": sol.gamma,
+                 "achieved_M": sol.achieved.tolist(),
+                 "profiles": {str(n): [[float(y), float(v)]
+                                       for y, v in zip(nodes, vals)]
+                              for n, vals in sol.profiles.entries.items()}})
+    _write_json(outdir, "control_report.json",
+                {"rel_frobenius_error": float(err),
+                 "condition_number": sol.condition_number,
+                 "sup_abs_u1": sol.sup_abs_u1})
     g1 = g1_from_u1(sol.profiles, basis.grid, profile, sol.u0, sol.gamma)
     xs = np.linspace(0.0, np.pi, 33)
-    u1v = sol.profiles.at(xs, len(basis.grid.nodes))
+    u1v = sol.profiles.at(xs, len(nodes))
     g1v = np.atleast_2d(g1(xs))
     for name, fldv in (("u1_grid.csv", u1v), ("g1_grid.csv", g1v)):
-        lines = ["x,y,value"]
-        for i, xv in enumerate(xs):
-            for yv, vv in zip(basis.grid.nodes, fldv[i]):
-                lines.append(f"{xv:.10g},{yv:.10g},{vv:.10g}")
-        _write(outdir, name, "\n".join(lines) + "\n")
+        _write_csv(outdir, name, "x,y,value",
+                   (f"{xv:.10g},{yv:.10g},{vv:.10g}"
+                    for xv, row in zip(xs, fldv) for yv, vv in zip(nodes, row)))
     print(f"control: rel_frobenius_error={err:.3e}")
     return 0 if err < 0.05 else 3
 
@@ -306,12 +329,28 @@ def cmd_realize(cfg: dict, outdir: Path) -> int:
     report = realize_target(target, K, kset, xi=rcfg["xi"],
                             horizon=rcfg["horizon"], seed=cfg["seed"],
                             with_lyapunov=rcfg["lyapunov"])
-    _write(outdir, "realization_report.json", report.to_json())
     # the orbit the report's gates were measured on
     traj = report.trajectory
+
+    def listed(a):
+        return None if a is None else a.tolist()
+
+    _write_json(outdir, "realization_report.json",
+                {"supError": report.sup_error,
+                 "manifoldResidual": report.manifold,
+                 "fieldC0Error": report.field_c0_error,
+                 "lyapunovTarget": listed(report.lyap_target),
+                 "lyapunovRealized": listed(report.lyap_realized),
+                 "lyapunovTargetStderr": listed(report.lyap_target_stderr),
+                 "lyapunovRealizedStderr": listed(report.lyap_realized_stderr),
+                 "xi": rcfg["xi"], "p": target.p, "N": kset.N,
+                 "trajectory_steps": traj.steps})
     _write(outdir, "phase_portrait.svg",
            _svg_polyline([(traj.X[:, 0], traj.X[:, 1])], ["(Y1, Y2) projection"]))
-    _write(outdir, "trajectory.csv", traj.to_csv())
+    _write_csv(outdir, "trajectory.csv",
+               "t," + ",".join(f"X{i+1}" for i in range(traj.X.shape[1])),
+               (f"{ti:.12g}," + ",".join(f"{v:.12g}" for v in x)
+                for ti, x in zip(traj.t, traj.X)))
     lle = "LLE off"
     if report.lyap_target is not None:
         lle = (f"LLE target={report.lyap_target[0]:.5f}"

@@ -19,7 +19,6 @@ kind of problem for prescribed exponential moments of a single profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -247,7 +246,6 @@ def eval_profile(coeffs: np.ndarray, h: float, y) -> np.ndarray:
 
 @dataclass
 class ControlSolution:
-    target: np.ndarray
     profiles: FourierProfileSet
     u0: float
     gamma: float
@@ -262,15 +260,6 @@ class ControlSolution:
         x = np.linspace(0.0, np.pi, 4 * max(entries, default=0) + 2)
         size = len(next(iter(entries.values()), ()))
         return float(np.max(np.abs(self.profiles.at(x, size)), initial=0.0))
-
-    def to_json(self, grid: Grid) -> str:
-        prof = {str(n): [[float(y), float(v)] for y, v in
-                         zip(grid.nodes, vals)]
-                for n, vals in self.profiles.entries.items()}
-        doc = {"T": self.target.tolist(), "profiles": prof,
-               "u0": self.u0, "gamma": self.gamma,
-               "achieved_M": self.achieved.tolist()}
-        return json.dumps(doc, sort_keys=True)
 
 
 def g1_from_u1(u1: FourierProfileSet, grid: Grid, profile: TemperatureProfile,
@@ -321,7 +310,7 @@ def control_solve(T: np.ndarray, basis: ModeBasis, kset: WavenumberSet,
     profiles = FourierProfileSet(
         {n: eval_profile(c[_SLOT_BASIS * s:_SLOT_BASIS * (s + 1)], g.h, g.nodes)
          for s, n in enumerate(slots)})
-    return ControlSolution(target=T, profiles=profiles,
+    return ControlSolution(profiles=profiles,
                            u0=float(2.0 * profile.sup_abs_u() + 1.0),
                            gamma=float(profile.params.gamma),
                            achieved=compute_M(profiles, basis),

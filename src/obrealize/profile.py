@@ -11,9 +11,9 @@ wavenumbers is pinned at the critical point of the associated scalar
 eigenvalue equation while every other wavenumber is pushed strictly into
 the stable half plane (see the scalar module).  The target has a double
 zero at each 1/k_j; one offset, d_1, pins k_1 = 1 exactly, and the double
-zero holds every other kernel wavenumber under the 1e-6 contract (below
-1.6e-7 in lambda units at p = 2 for b from 1.5 to 1e4), so d_2 ... d_p
-are 0.
+zero holds every other kernel wavenumber under the KERNEL_TOL = 1e-6
+contract (below 1.6e-7 in lambda units at p = 2 for b from 1.5 to 1e4),
+so d_2 ... d_p are 0.
 
 Conventions: beta = r b with r = b^{-s0} is the lower Robin coefficient,
 mu = b^{-s2} the polynomial amplitude, and 3 C_U = -8(1 - 1/nu)/(1 + r).
@@ -41,6 +41,12 @@ __all__ = [
     "kernel_target_coeffs",
     "perturbation_response",
 ]
+
+
+# the kernel contract: every kernel eigenvalue of the design equation is at
+# most KERNEL_TOL in lambda units.  calibrate_offsets refuses offsets past
+# it, and a spectrum report passes only within it
+KERNEL_TOL = 1e-6
 
 
 class ProfileError(ValueError):
@@ -199,9 +205,9 @@ def calibrate_offsets(wavenumbers, params: ScaleParams):
     the contract, that no offset in the |d| < 1/10 regime removes (for
     k = 7 at p = 2 and b = 30, -1.26e-7 to -1.42e-7 in lambda units over
     every d_2; -1.30e-7 at d_2 = 0).  The result must leave every kernel
-    eigenvalue of the design equation below 1e-6 (in lambda units), and
-    every |d_j| below 1/10; otherwise, or when k_1's residual keeps one
-    sign over the bracket, the calibration fails loudly.
+    eigenvalue of the design equation within KERNEL_TOL (in lambda
+    units), and every |d_j| below 1/10; otherwise, or when k_1's residual
+    keeps one sign over the bracket, the calibration fails loudly.
     """
     ks = [int(k) for k in wavenumbers]
     if len(set(ks)) != len(ks) or any(k < 1 for k in ks):
@@ -217,9 +223,10 @@ def calibrate_offsets(wavenumbers, params: ScaleParams):
     except ValueError:                 # no sign change over the bracket
         raise ProfileError(f"offset calibration: k={ks[0]}'s residual keeps "
                            "one sign over d_1 in [0, 1/10]") from None
-    # the binding contract: kernel eigenvalues of the design equation
+    # the binding contract: kernel eigenvalues of the design equation, by
+    # SpectrumReport.passed's comparison, which a NaN fails
     worst = max(abs(_kernel_lambda(kj, ks, d, params)) for kj in ks)
-    if worst > 1e-6:
+    if not worst <= KERNEL_TOL:
         raise ProfileError(
             f"offset calibration left a kernel eigenvalue at {worst:.3e}")
     if np.max(np.abs(d)) >= 0.1:

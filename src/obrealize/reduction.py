@@ -25,7 +25,6 @@ resonant_slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .spectral import (ModeBasis, _map_cores, assemble_pencil, biorthogonalize,
 
 __all__ = [
     "FourierProfileSet",
-    "ReducedSystem",
     "asymptotic_profiles",
     "asymptotic_basis",
     "numeric_basis",
@@ -214,32 +212,3 @@ def eta_for_f(f_target: np.ndarray, basis: ModeBasis) -> FourierProfileSet:
     for k, prof in zip(basis.wavenumbers, (np.asarray(f_target) / norms)[:, None] * ts):
         out[k] = prof
     return out
-
-
-# ---------------------------------------------------------------------------
-# reduced system container
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ReducedSystem:
-    """The quadratic ODE data dX/dt = K(X) + M X + f over N modes."""
-
-    N: int
-    K: np.ndarray
-    M: np.ndarray
-    f: np.ndarray
-    kset: tuple[int, ...]
-    R0: float = 1.0
-
-    def validate(self):
-        if self.K.shape != (self.N, self.N, self.N):
-            raise ValueError("K must be N x N x N")
-        if not np.allclose(self.K, np.swapaxes(self.K, 1, 2), atol=1e-12):
-            raise ValueError("K must be symmetric in its last two indices")
-
-    def to_json(self) -> str:
-        self.validate()
-        doc = {"N": self.N, "kset": list(self.kset),
-               "K": self.K.tolist(), "M": self.M.tolist(),
-               "f": self.f.tolist(), "R0": self.R0}
-        return json.dumps(doc, sort_keys=True)

@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .grid import Grid, make_grid
-from .profile import ScaleParams, TemperatureProfile
+from .profile import KERNEL_TOL, ScaleParams, TemperatureProfile
 from .scalar import (ScalarError, TransferHierarchy, find_root_z, kbar_bound,
                      lambda_from_z)
 
@@ -465,18 +465,7 @@ class SpectrumReport:
 
     @property
     def passed(self) -> bool:
-        return self.kernel_residual < 1e-6 and self.gap > 0.0
-
-    def to_csv(self) -> str:
-        lines = ["k,Re_lambda,Im_lambda,method,in_kernel_set"]
-        for r in self.records:
-            for lam, m in ((r.lam_design, "design"), (r.lam_finite, "finite"),
-                           (r.lam_pencil, "pencil")):
-                if lam is None:
-                    continue
-                lines.append(f"{r.k},{np.real(lam):.12g},{np.imag(lam):.12g},"
-                             f"{m},{int(r.in_kernel)}")
-        return "\n".join(lines) + "\n"
+        return self.kernel_residual <= KERNEL_TOL and self.gap > 0.0
 
 
 def _cores() -> int:

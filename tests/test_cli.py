@@ -9,6 +9,7 @@ import pytest
 
 import obrealize
 from obrealize.cli import load_config, main
+from obrealize.control import extended_set
 from obrealize.profile import derive_scales, designed_profile
 from obrealize.spectral import SpectralError, check_survey
 
@@ -278,6 +279,118 @@ def test_realize_writes_the_certified_orbit(tmp_path, monkeypatch):
     assert rows[0] == "0," + ",".join(f"{v:.12g}" for v in starts[0])
     rep = json.loads((tmp_path / "realization_report.json").read_text())
     assert len(rows) == rep["trajectory_steps"] + 1
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """The files of one `all` run at a small config, and what the stages
+    returned to the CLI on it: each recorded name maps to the (args,
+    result) of its first call.  The orbit is the ETDRK4 path, whose step
+    10/1197 shows the t column's digits."""
+    import obrealize.cli as cli
+    out = tmp_path_factory.mktemp("all")
+    seen = {}
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen.setdefault(name, (args, result))
+            return result
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("spectrum_report", "compute_K", "control_solve",
+                     "g1_from_u1", "realize_target"):
+            mp.setattr(cli, name, recording(name, getattr(cli, name)))
+        args = ["--set", "spectrum.kmax=7", "--set", "spectrum.pencil_kmax=2",
+                "--set", "realize.preset=contraction",
+                "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
+        assert main(["all", "--out", str(out)] + args) == 0
+    return out, seen
+
+
+def _lines(out: Path, name: str) -> list[str]:
+    return (out / name).read_text().splitlines()
+
+
+@pytest.mark.parametrize("name, header", [
+    ("spectrum.csv", "k,Re_lambda,Im_lambda,method,in_kernel_set"),
+    ("u1_grid.csv", "x,y,value"),
+    ("g1_grid.csv", "x,y,value"),
+    ("trajectory.csv", "t,X1,X2,X3,X4,X5"),
+])
+def test_csv_header(artifacts, name, header):
+    assert _lines(artifacts[0], name)[0] == header
+
+
+def test_csv_number_formats(artifacts):
+    # one row of each CSV against the value the stage returned: 12
+    # significant digits for the spectrum and the orbit, 10 for the fields
+    out, seen = artifacts
+    r = seen["spectrum_report"][1].records[0]
+    assert _lines(out, "spectrum.csv")[1] == (
+        f"{r.k},{r.lam_design.real:.12g},{r.lam_design.imag:.12g},design,"
+        f"{int(r.in_kernel)}")
+    traj = seen["realize_target"][1].trajectory
+    assert _lines(out, "trajectory.csv")[2] == (
+        f"{traj.t[1]:.12g}," + ",".join(f"{v:.12g}" for v in traj.X[1]))
+    nodes = seen["control_solve"][0][1].grid.nodes
+    xs = np.linspace(0.0, np.pi, 33)
+    fields = {"u1_grid.csv": seen["control_solve"][1].profiles.at(xs, len(nodes)),
+              "g1_grid.csv": seen["g1_from_u1"][1](xs)}
+    for name, values in fields.items():
+        # the second x, at the second y-node
+        row = _lines(out, name)[1 + len(nodes) + 1]
+        assert row == f"{xs[1]:.10g},{nodes[1]:.10g},{values[1, 1]:.10g}", name
+
+
+def test_spectrum_csv_writes_complex_eigenvalues(tmp_path, monkeypatch):
+    # every eigenvalue of the default survey is real, so its Im column
+    # reads 0 at any precision; a complex one shows the column's format
+    import obrealize.cli as cli
+    from obrealize.spectral import SpectrumRecord, SpectrumReport
+    lam = complex(-1 / 3, 2 / 7)
+    rep = SpectrumReport([SpectrumRecord(k=2, lam_design=1e-7, lam_finite=lam,
+                                         lam_pencil=lam.conjugate(), in_kernel=False)],
+                         kernel_residual=0.0, gap=1.0)
+    monkeypatch.setattr(cli, "spectrum_report", lambda *args, **kwargs: rep)
+    assert main(["spectrum", "--out", str(tmp_path)]) == 0
+    assert _lines(tmp_path, "spectrum.csv")[1:] == [
+        "2,1e-07,0,design,0", "2,-0.333333333333,0.285714285714,finite,0",
+        "2,-0.333333333333,-0.285714285714,pencil,0"]
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("calibration.json", {"coeffs", "gap", "kernel", "kernel_residual",
+                          "offsets", "passed"}),
+    ("reduced_system.json", {"K", "M", "N", "R0", "f", "kset"}),
+    ("reduction_info.json", {"max_nonresonant", "max_resonant", "sparsity_ok"}),
+    ("control_solution.json", {"T", "achieved_M", "gamma", "profiles", "u0"}),
+    ("control_report.json", {"condition_number", "rel_frobenius_error",
+                             "sup_abs_u1"}),
+    ("realization_report.json", {
+        "N", "fieldC0Error", "lyapunovRealized", "lyapunovRealizedStderr",
+        "lyapunovTarget", "lyapunovTargetStderr", "manifoldResidual", "p",
+        "supError", "trajectory_steps", "xi"}),
+])
+def test_json_keys(artifacts, name, keys):
+    text = (artifacts[0] / name).read_text()
+    doc = json.loads(text)
+    assert set(doc) == keys
+    # sorted keys, json's default separators, no trailing newline
+    assert text == json.dumps(doc, sort_keys=True)
+
+
+def test_reduced_system_json_roundtrip(artifacts):
+    out, seen = artifacts
+    doc = json.loads((out / "reduced_system.json").read_text())
+    K = seen["compute_K"][1][0]
+    assert np.allclose(np.array(doc["K"]), K)
+    assert tuple(doc["kset"]) == extended_set(2).full
+    # no control or forcing yet
+    assert doc["N"] == 5 and doc["R0"] == 1.0
+    assert np.array_equal(doc["M"], np.zeros((5, 5)))
+    assert np.array_equal(doc["f"], np.zeros(5))
 
 
 def test_plot_flag_is_gone(tmp_path, capsys):

@@ -756,6 +756,14 @@ def test_lyapunov_rejects_a_per_orbit_horizon_with_no_renormalization():
     assert np.allclose(exps, -1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("seed", [1, 1234])
+def test_lorenz_preset_target_is_inward_on_its_boundary(seed):
+    # rescale_into_ball attaches the blend only when the bare field fails
+    # the inward condition, and does not check the blended field again
+    target = rescale_into_ball(lorenz_field(), ball_radius=1.0, seed=seed)
+    assert target.inward_on_boundary()
+
+
 def _inward_by_loop(field):
     """inward_on_boundary's verdict point by point, on its seeded points."""
     rng = np.random.default_rng(0)

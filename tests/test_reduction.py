@@ -1,15 +1,13 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
 from obrealize import extended_set
 from obrealize.grid import make_grid
-from obrealize.reduction import (FourierProfileSet, ReducedSystem,
-                                 asymptotic_basis, asymptotic_profiles,
-                                 compute_K, compute_M, compute_f,
-                                 eta_for_f, numeric_basis, zeta_profiles)
+from obrealize.reduction import (FourierProfileSet, asymptotic_basis,
+                                 asymptotic_profiles, compute_K, compute_M,
+                                 compute_f, eta_for_f, numeric_basis,
+                                 zeta_profiles)
 from obrealize.spectral import ModeBasis
 
 
@@ -270,15 +268,6 @@ def test_quadratures_match_loop_oracles(name, request):
     assert np.array_equal(M, _loop_M(u1, basis))
     assert np.array_equal(K, _loop_K(basis))
     assert np.array_equal(f, _loop_f(eta1, basis))
-
-
-def test_reduced_system_json_roundtrip(basis50, kset2):
-    K, _ = compute_K(basis50, 50.0**10)
-    sysd = ReducedSystem(N=5, K=K, M=np.zeros((5, 5)), f=np.zeros(5),
-                         kset=kset2.full, R0=1.0)
-    doc = json.loads(sysd.to_json())
-    assert np.allclose(np.array(doc["K"]), K)
-    assert tuple(doc["kset"]) == kset2.full
 
 
 def test_numeric_basis_assembles_once(profile30, grid30, monkeypatch):
