@@ -45,11 +45,8 @@ CONFIG_KEYS = {
     "spectrum.kmax": (21, (lambda v: v >= 1, ">= 1")),
     "spectrum.grid_n": (0, (lambda v: v == 0 or v >= 2,
                             "0 (the default grid) or >= 2")),
-    "spectrum.pencil_kmax": (64, (lambda v: v >= 0, ">= 0")),
     "reduce.b": (50.0, None),
-    "reduce.R0": (1.0, None),
     "control.target": ("random", None),
-    "control.seed_scale": (1.0, None),
     "realize.preset": ("lorenz", _PRESET),
     "realize.xi": (1e-3, _ABOVE_0),
     "realize.horizon": (50.0, _ABOVE_0),
@@ -153,7 +150,7 @@ def _validate(cfg: dict, stage: str) -> None:
             raise SystemExit("the explicit preset needs realize.D, realize.R and realize.f")
         try:
             _explicit_target(r)
-        except (TypeError, ValueError, IndexError, RealizeError):
+        except (TypeError, ValueError, RealizeError):
             raise SystemExit("the explicit preset needs realize.D p x p x p, "
                              "realize.R p x p and realize.f of length p") from None
     target = cfg["control"]["target"]
@@ -168,9 +165,7 @@ def _validate(cfg: dict, stage: str) -> None:
 
 
 def _explicit_target(r: dict) -> TargetField:
-    D = np.asarray(r["D"], dtype=float)
-    return TargetField(p=D.shape[0], D=D, R=r["R"], f=r["f"],
-                       ball_radius=r["ball_radius"])
+    return TargetField(D=r["D"], R=r["R"], f=r["f"], ball_radius=r["ball_radius"])
 
 
 def _write(outdir: Path, name: str, text: str) -> None:
@@ -229,8 +224,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     n = cfg["spectrum"]["grid_n"] or None
     grid = default_grid(profile, n=n)
     rep = spectrum_report(kset.base, cfg["spectrum"]["kmax"], params,
-                          profile.poly, profile, grid=grid,
-                          pencil_kmax=cfg["spectrum"]["pencil_kmax"])
+                          profile.poly, profile, grid=grid)
     _write_csv(outdir, "spectrum.csv", "k,Re_lambda,Im_lambda,method,in_kernel_set",
                (f"{r.k},{np.real(lam):.12g},{np.imag(lam):.12g},"
                 f"{m},{int(r.in_kernel)}"
@@ -269,13 +263,10 @@ def _reduce_basis(cfg: dict, p: int):
 def cmd_reduce(cfg: dict, outdir: Path) -> int:
     kset, params, basis = _reduce_basis(cfg, cfg["wavenumbers"]["p"])
     K, info = compute_K(basis, params.nu)
-    N = kset.N
-    # dX/dt = K(X, X) + M X + f, with no control or forcing yet: M, f = 0
     _write_json(outdir, "reduced_system.json",
-                {"N": N, "kset": list(kset.full), "K": K.tolist(),
-                 "M": [[0.0] * N] * N, "f": [0.0] * N, "R0": cfg["reduce"]["R0"]})
+                {"N": kset.N, "kset": list(kset.full), "K": K.tolist()})
     _write_json(outdir, "reduction_info.json", info)
-    print(f"reduce: N={N} max_resonant={info['max_resonant']:.4e} "
+    print(f"reduce: N={kset.N} max_resonant={info['max_resonant']:.4e} "
           f"max_nonresonant={info['max_nonresonant']:.2e} "
           f"sparsity_ok={info['sparsity_ok']}")
     return 0
@@ -287,14 +278,14 @@ def cmd_control(cfg: dict, outdir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     N = kset.N
     if cfg["control"]["target"] == "random":
-        T = cfg["control"]["seed_scale"] * rng.standard_normal((N, N))
+        T = rng.standard_normal((N, N))
     else:
         T = np.asarray(cfg["control"]["target"], dtype=float)
     sol = control_solve(T, basis, kset, profile)
     err = np.linalg.norm(sol.achieved - T) / max(np.linalg.norm(T), 1e-300)
     nodes = basis.grid.nodes
     _write_json(outdir, "control_solution.json",
-                {"T": T.tolist(), "u0": sol.u0, "gamma": sol.gamma,
+                {"T": T.tolist(), "u0": sol.u0, "gamma": float(params.gamma),
                  "achieved_M": sol.achieved.tolist(),
                  "profiles": {str(n): [[float(y), float(v)]
                                        for y, v in zip(nodes, vals)]
@@ -303,7 +294,7 @@ def cmd_control(cfg: dict, outdir: Path) -> int:
                 {"rel_frobenius_error": float(err),
                  "condition_number": sol.condition_number,
                  "sup_abs_u1": sol.sup_abs_u1})
-    g1 = g1_from_u1(sol.profiles, basis.grid, profile, sol.u0, sol.gamma)
+    g1 = g1_from_u1(sol.profiles, basis.grid, profile, sol.u0)
     xs = np.linspace(0.0, np.pi, 33)
     u1v = sol.profiles.at(xs, len(nodes))
     g1v = np.atleast_2d(g1(xs))
@@ -369,15 +360,11 @@ def main(argv=None) -> int:
                                       "realize", "all"])
     ap.add_argument("--config", type=str, default=None)
     ap.add_argument("--out", type=str, default="out")
-    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--set", dest="overrides", action="append", metavar="KEY=VAL")
     ap.add_argument("--version", action="version", version=__version__)
     args = ap.parse_args(argv)
-    # --seed is the last override, so it is validated like the others
-    overrides = (args.overrides or []) + (
-        [] if args.seed is None else [f"seed={args.seed}"])
     try:
-        cfg = load_config(args.config, overrides, args.stage)
+        cfg = load_config(args.config, args.overrides, args.stage)
     except (OSError, json.JSONDecodeError, SystemExit) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -53,6 +53,7 @@ def sidon_set(p: int) -> list[int]:
 
     Inductive rule: seed {1, 7}; extend by the smallest odd integer that
     exceeds every existing pairwise sum and is not a multiple of 5.
+    extended_set checks the result (WavenumberSet.validate).
     """
     if p < 1:
         raise ControlError("p must be a positive integer")
@@ -64,8 +65,6 @@ def sidon_set(p: int) -> list[int]:
         while cand % 5 == 0:
             cand += 2
         base.append(cand)
-        _check_sidon(base)
-    _check_sidon(base)
     return base
 
 
@@ -248,7 +247,6 @@ def eval_profile(coeffs: np.ndarray, h: float, y) -> np.ndarray:
 class ControlSolution:
     profiles: FourierProfileSet
     u0: float
-    gamma: float
     achieved: np.ndarray
     condition_number: float
 
@@ -263,8 +261,9 @@ class ControlSolution:
 
 
 def g1_from_u1(u1: FourierProfileSet, grid: Grid, profile: TemperatureProfile,
-               u0: float, gamma: float):
-    """Exact inversion g1 = -u1 / ((U - u0) + gamma u1).
+               u0: float):
+    """Exact inversion g1 = -u1 / ((U - u0) + gamma u1), gamma =
+    profile.params.gamma.
 
     Returns a sampler g1(x) -> values on the grid nodes (x scalar or
     array); requires u0 > sup |U| so the denominator stays away from zero.
@@ -273,6 +272,7 @@ def g1_from_u1(u1: FourierProfileSet, grid: Grid, profile: TemperatureProfile,
     if u0 <= sup_u:
         raise ControlError("need u0 > sup |U|")
     uy = profile.u(grid.nodes)
+    gamma = profile.params.gamma
 
     def g1(x):
         u1v = u1.at(x, len(grid.nodes))
@@ -290,8 +290,8 @@ def control_solve(T: np.ndarray, basis: ModeBasis, kset: WavenumberSet,
 
     One row per entry M_ij, one column per bump-Legendre member of each
     slot that some entry reads.  kset is not read: the wavenumbers are the
-    basis's.  The g1 inversion data come from the profile: u0 = 2 sup|U| + 1
-    and gamma = params.gamma.
+    basis's.  The g1 inversion's u0 = 2 sup|U| + 1 comes from the profile,
+    as its gamma does in g1_from_u1.
     """
     T = np.asarray(T, dtype=float)
     N = basis.size
@@ -312,6 +312,5 @@ def control_solve(T: np.ndarray, basis: ModeBasis, kset: WavenumberSet,
          for s, n in enumerate(slots)})
     return ControlSolution(profiles=profiles,
                            u0=float(2.0 * profile.sup_abs_u() + 1.0),
-                           gamma=float(profile.params.gamma),
                            achieved=compute_M(profiles, basis),
                            condition_number=cond)

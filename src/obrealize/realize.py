@@ -122,9 +122,9 @@ class TargetField(_QuadraticForm):
     cutoff_on * ball_radius (smoothly), guaranteeing the inward boundary
     condition without touching the dynamics on the attractor.  affine is
     the conjugacy rescale_into_ball built the field by (center, scale, tau).
+    The dimension p is read off D.
     """
 
-    p: int
     D: np.ndarray
     R: np.ndarray
     f: np.ndarray
@@ -136,15 +136,20 @@ class TargetField(_QuadraticForm):
         self.D = np.asarray(self.D, dtype=float)
         self.R = np.asarray(self.R, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
-        if self.D.shape != (self.p, self.p, self.p):
+        p = self.D.shape[0] if self.D.ndim else 0
+        if self.D.shape != (p, p, p):
             raise RealizeError("D must be p x p x p")
-        if self.R.shape != (self.p, self.p):
+        if self.R.shape != (p, p):
             raise RealizeError("R must be p x p")
-        if self.f.shape != (self.p,):
+        if self.f.shape != (p,):
             raise RealizeError("f must have length p")
         self.D = 0.5 * (self.D + np.swapaxes(self.D, 1, 2))
         self._reshape(self.D)
-        self._DF = self.D.reshape(self.p, -1).T
+        self._DF = self.D.reshape(p, -1).T
+
+    @property
+    def p(self) -> int:
+        return len(self.D)
 
     def quad(self, Y: np.ndarray) -> np.ndarray:
         """D(Y, Y) at each row of a (B, p) array, from the outer product of
@@ -223,12 +228,12 @@ def lorenz_field() -> TargetField:
     D[1, 0, 2] = D[1, 2, 0] = -0.5
     D[2, 0, 1] = D[2, 1, 0] = 0.5
     R = np.array([[-sigma, sigma, 0.0], [rho, -1.0, 0.0], [0.0, 0.0, -beta]])
-    return TargetField(p=3, D=D, R=R, f=np.zeros(3), ball_radius=np.inf)
+    return TargetField(D=D, R=R, f=np.zeros(3), ball_radius=np.inf)
 
 
 def contraction_field(p: int, ball_radius: float = 1.0) -> TargetField:
     """The linear field W(Y) = -Y on the ball |Y| <= ball_radius."""
-    return TargetField(p=p, D=np.zeros((p, p, p)), R=-np.eye(p),
+    return TargetField(D=np.zeros((p, p, p)), R=-np.eye(p),
                        f=np.zeros(p), ball_radius=ball_radius)
 
 
@@ -319,8 +324,12 @@ _RENORM_EVERY = 10
 class Trajectory:
     t: np.ndarray
     X: np.ndarray
-    steps: int
     rejected: int
+
+    @property
+    def steps(self) -> int:
+        """The accepted steps: one per node after the first."""
+        return len(self.t) - 1
 
     def sample(self, times) -> np.ndarray:
         times = np.atleast_1d(times)
@@ -479,7 +488,7 @@ def _integrate_etdrk4(system: QuadraticSystem, x0, t0, t1, dt, blowup):
     i = _fill_checked(lambda x: _etdrk4_step(x, coeffs), x0, xs[1:], blowup)
     if i is not None:
         raise RealizeError(f"trajectory blow-up at t={ts[i + 1]:.4g}")
-    return ts, xs, nsteps, 0
+    return ts, xs, 0
 
 
 def _integrate_rk45(system: QuadraticSystem, x0, t0, t1, tol, blowup):
@@ -507,8 +516,7 @@ def _integrate_rk45(system: QuadraticSystem, x0, t0, t1, tol, blowup):
                     max_step=min(0.25 * system.xi, 0.25))
     if not sol.success:
         raise RealizeError(sol.message)
-    steps = len(sol.t) - 1
-    return sol.t, sol.y.T, steps, (sol.nfev - 2) // 6 - steps
+    return sol.t, sol.y.T, (sol.nfev - 2) // 6 - (len(sol.t) - 1)
 
 
 def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
@@ -537,24 +545,26 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
     if method == "auto":
         method = "imex" if system.xi <= 2e-3 else "dopri"
     if method == "dopri":
-        ts, xs, steps, rej = _integrate_rk45(system, x0, t0, t1, tol,
-                                             blowup_radius)
+        ts, xs, rej = _integrate_rk45(system, x0, t0, t1, tol, blowup_radius)
     elif method == "imex":
         if dt is None:
             dt = min(5e-3, 0.05 * (t1 - t0))
-        ts, xs, steps, rej = _integrate_etdrk4(system, x0, t0, t1, dt,
-                                               blowup_radius)
+        ts, xs, rej = _integrate_etdrk4(system, x0, t0, t1, dt, blowup_radius)
     else:
         raise RealizeError(f"unknown method {method!r}")
-    return Trajectory(t=ts, X=xs, steps=steps, rejected=rej)
+    return Trajectory(t=ts, X=xs, rejected=rej)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
+# the diagnostics read an orbit past this share of its span
+_TAIL_FROM = 0.25
+
+
 def manifold_residual(traj: Trajectory, system: QuadraticSystem,
-                      transient: float = 0.25) -> dict:
+                      transient: float = _TAIL_FROM) -> dict:
     """Empirical |W| = sup ||Z/xi - Kt1(Y)|| past the fast transient."""
     p, xi = system.p, system.xi
     t0 = traj.t[0] + transient * (traj.t[-1] - traj.t[0])
@@ -578,7 +588,7 @@ def empirical_field_error(traj: Trajectory, system: QuadraticSystem,
     """
     p = system.p
     t = traj.t
-    X = traj.X[np.searchsorted(t, t[0] + 0.25 * (t[-1] - t[0])):]
+    X = traj.X[np.searchsorted(t, t[0] + _TAIL_FROM * (t[-1] - t[0])):]
     G = X.dot(system.M[:p].T) + system.f[:p]
     for i in range(p):
         G[:, i] += np.einsum("nj,nj->n", X.dot(system.K[i]), X)
@@ -717,10 +727,8 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
     D = raw.D * scale
     R = raw.bare_jac(center)
     fvec = raw.bare(center) / scale
-    tau = 0.9 / TargetField(p=raw.p, D=D, R=R, f=fvec,
-                            ball_radius=ball_radius).grad_bound()
-    bare = TargetField(p=raw.p, D=D * tau, R=R * tau, f=fvec * tau,
-                       ball_radius=ball_radius)
+    tau = 0.9 / TargetField(D=D, R=R, f=fvec, ball_radius=ball_radius).grad_bound()
+    bare = TargetField(D=D * tau, R=R * tau, f=fvec * tau, ball_radius=ball_radius)
     # the blend is -Y on the sphere (its smoothstep is 1 there to an ulp),
     # so a blended field is inward there by construction
     cutoff_on = None if bare.inward_on_boundary() else 0.9

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import obrealize
-from obrealize.cli import load_config, main
+from obrealize.cli import CONFIG_KEYS, load_config, main
 from obrealize.control import extended_set
 from obrealize.profile import derive_scales, designed_profile
 from obrealize.spectral import SpectralError, check_survey
@@ -41,13 +41,14 @@ def test_invalid_scales_rejected(tmp_path):
         load_config(str(path), None)
     with pytest.raises(SystemExit, match="threads"):
         load_config(None, ["threads=2"])
+    for ov in ("reduce.R0=1", "control.seed_scale=1", "spectrum.pencil_kmax=3"):
+        with pytest.raises(SystemExit, match="unknown config key"):
+            load_config(None, [ov])
 
 
 def test_spectrum_stage_writes_artifacts(tmp_path):
     out = tmp_path / "run"
-    code = run_cli(["spectrum", "--out", str(out),
-                    "--set", "spectrum.kmax=8",
-                    "--set", "spectrum.pencil_kmax=3"])
+    code = run_cli(["spectrum", "--out", str(out), "--set", "spectrum.kmax=8"])
     assert code == 0
     assert (out / "spectrum.csv").exists()
     calib = json.loads((out / "calibration.json").read_text())
@@ -57,7 +58,7 @@ def test_spectrum_stage_writes_artifacts(tmp_path):
 
 def test_spectrum_determinism(tmp_path):
     o1, o2 = tmp_path / "a", tmp_path / "b"
-    args = ["--set", "spectrum.kmax=7", "--set", "spectrum.pencil_kmax=2"]
+    args = ["--set", "spectrum.kmax=7"]
     assert run_cli(["spectrum", "--out", str(o1)] + args) == 0
     assert run_cli(["spectrum", "--out", str(o2)] + args) == 0
     assert (o1 / "spectrum.csv").read_bytes() == (o2 / "spectrum.csv").read_bytes()
@@ -77,7 +78,7 @@ def test_reduce_stage(tmp_path):
 
 def test_control_stage(tmp_path):
     out = tmp_path / "c"
-    code = run_cli(["control", "--out", str(out), "--seed", "7"])
+    code = run_cli(["control", "--out", str(out), "--set", "seed=7"])
     assert code == 0
     rep = json.loads((out / "control_report.json").read_text())
     assert rep["rel_frobenius_error"] < 0.05
@@ -129,7 +130,7 @@ def test_unknown_preset_rejected():
 
 @pytest.mark.parametrize("overrides", [
     ["scales.bb=3"],                            # unknown key
-    ["reduce.R0=NaN"],
+    ["reduce.b=NaN"],
     ["scales.gamma=Infinity"],
     ["realize.f=[0.0, NaN]"],                   # inside a list
     ["control.target=[[1, 0], [0, -Infinity]]"],
@@ -146,12 +147,10 @@ def test_unknown_preset_rejected():
     ["spectrum.grid_n=1"],
     ["spectrum.grid_n=-300"],
     ["spectrum.grid_n=\"auto\""],
-    ["spectrum.pencil_kmax=-1"],
-    ["spectrum.pencil_kmax=true"],
     ["realize.lyapunov=no"],                    # a string, not a boolean
     ["realize.lyapunov=1"],
-    ["control.seed_scale=big"],
-    ["reduce.R0=[1.0]"],
+    ["scales.s0=\"big\""],
+    ["scales.s2=[0.05]"],
     ["scales.gamma=true"],
     ["seed=1.5"],
     ["seed=-1"],
@@ -229,20 +228,16 @@ def test_stage_designs_profile_only_where_read(tmp_path, monkeypatch, stage, cal
         return designed_profile(*args, **kwargs)
 
     monkeypatch.setattr(cli, "designed_profile", counting)
-    args = ["--set", "spectrum.kmax=7", "--set", "spectrum.pencil_kmax=2",
+    args = ["--set", "spectrum.kmax=7",
             "--set", "realize.preset=contraction", "--set", "realize.xi=0.01",
             "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
     assert main([stage, "--out", str(tmp_path)] + args) == 0
     assert len(seen) == calls
 
 
-def test_negative_seed_flag_exits_2(tmp_path):
-    assert main(["all", "--out", str(tmp_path), "--seed", "-1"]) == 2
-
-
 def test_all_runs_every_stage(tmp_path):
     # every stage writes its figures, and a rerun writes the same bytes
-    args = ["--set", "spectrum.kmax=7", "--set", "spectrum.pencil_kmax=2",
+    args = ["--set", "spectrum.kmax=7",
             "--set", "realize.preset=contraction", "--set", "realize.xi=0.01",
             "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
     o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -281,15 +276,32 @@ def test_realize_writes_the_certified_orbit(tmp_path, monkeypatch):
     assert len(rows) == rep["trajectory_steps"] + 1
 
 
+class _Reads(dict):
+    """A config section that adds the dotted key of each leaf read to seen."""
+
+    def __init__(self, doc: dict, seen: set, prefix: str = ""):
+        super().__init__((k, _Reads(v, seen, f"{prefix}{k}.") if isinstance(v, dict)
+                          else v) for k, v in doc.items())
+        self.seen, self.prefix = seen, prefix
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if not isinstance(value, _Reads):
+            self.seen.add(self.prefix + key)
+        return value
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """The files of one `all` run at a small config, and what the stages
-    returned to the CLI on it: each recorded name maps to the (args,
-    result) of its first call.  The orbit is the ETDRK4 path, whose step
-    10/1197 shows the t column's digits."""
+    """The files of one `all` run at a small config, what the stages
+    returned to the CLI on it, and the config keys it read.  Each recorded
+    name maps to the (args, result) of its first call; a key counts as
+    read when load_config's rules or a stage reads it.  The target is the
+    explicit p = 2 field, so N = 5, and the orbit is the ETDRK4 path,
+    whose step 10/1197 shows the t column's digits."""
     import obrealize.cli as cli
     out = tmp_path_factory.mktemp("all")
-    seen = {}
+    seen, reads = {}, set()
 
     def recording(name, fn):
         def call(*args, **kwargs):
@@ -298,15 +310,24 @@ def artifacts(tmp_path_factory):
             return result
         return call
 
+    validate, load = cli._validate, cli.load_config
     with pytest.MonkeyPatch.context() as mp:
         for name in ("spectrum_report", "compute_K", "control_solve",
                      "g1_from_u1", "realize_target"):
             mp.setattr(cli, name, recording(name, getattr(cli, name)))
-        args = ["--set", "spectrum.kmax=7", "--set", "spectrum.pencil_kmax=2",
-                "--set", "realize.preset=contraction",
+        mp.setattr(cli, "_validate", lambda cfg, stage: validate(_Reads(cfg, reads), stage))
+        mp.setattr(cli, "load_config", lambda *args: _Reads(load(*args), reads))
+        args = ["--set", "spectrum.kmax=7", "--set", "realize.preset=explicit",
+                "--set", "realize.D=[[[0,0],[0,0.2]],[[0,0],[0,0]]]",
+                "--set", "realize.R=[[-1,0],[0,-1]]", "--set", "realize.f=[0.3,0]",
                 "--set", "realize.horizon=10", "--set", "realize.lyapunov=false"]
         assert main(["all", "--out", str(out)] + args) == 0
-    return out, seen
+    return out, seen, reads
+
+
+def test_every_config_key_is_read(artifacts):
+    # no key of the table is only carried: one all run reads each of them
+    assert artifacts[2] == set(CONFIG_KEYS)
 
 
 def _lines(out: Path, name: str) -> list[str]:
@@ -326,7 +347,7 @@ def test_csv_header(artifacts, name, header):
 def test_csv_number_formats(artifacts):
     # one row of each CSV against the value the stage returned: 12
     # significant digits for the spectrum and the orbit, 10 for the fields
-    out, seen = artifacts
+    out, seen, _ = artifacts
     r = seen["spectrum_report"][1].records[0]
     assert _lines(out, "spectrum.csv")[1] == (
         f"{r.k},{r.lam_design.real:.12g},{r.lam_design.imag:.12g},design,"
@@ -363,7 +384,7 @@ def test_spectrum_csv_writes_complex_eigenvalues(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name, keys", [
     ("calibration.json", {"coeffs", "gap", "kernel", "kernel_residual",
                           "offsets", "passed"}),
-    ("reduced_system.json", {"K", "M", "N", "R0", "f", "kset"}),
+    ("reduced_system.json", {"K", "N", "kset"}),
     ("reduction_info.json", {"max_nonresonant", "max_resonant", "sparsity_ok"}),
     ("control_solution.json", {"T", "achieved_M", "gamma", "profiles", "u0"}),
     ("control_report.json", {"condition_number", "rel_frobenius_error",
@@ -382,25 +403,25 @@ def test_json_keys(artifacts, name, keys):
 
 
 def test_reduced_system_json_roundtrip(artifacts):
-    out, seen = artifacts
+    out, seen, _ = artifacts
     doc = json.loads((out / "reduced_system.json").read_text())
     K = seen["compute_K"][1][0]
     assert np.allclose(np.array(doc["K"]), K)
     assert tuple(doc["kset"]) == extended_set(2).full
-    # no control or forcing yet
-    assert doc["N"] == 5 and doc["R0"] == 1.0
-    assert np.array_equal(doc["M"], np.zeros((5, 5)))
-    assert np.array_equal(doc["f"], np.zeros(5))
+    assert doc["N"] == 5
 
 
 def test_plot_flag_is_gone(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["realize", "--out", str(tmp_path), "--plot"])
-    assert exc.value.code == 2
+    # so is --seed: the seed is set once, as the config key seed
+    for flag in (["--plot"], ["--seed", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["realize", "--out", str(tmp_path)] + flag)
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "--plot" not in capsys.readouterr().out
+    help_text = capsys.readouterr().out
+    assert "--plot" not in help_text and "--seed" not in help_text
 
 
 def test_console_entrypoint():

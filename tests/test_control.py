@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,7 +145,7 @@ def test_g1_inversion_limits(profile50):
     g = make_grid(profile50.params.h, 200, 3.0)
     u1 = FourierProfileSet({1: np.zeros(len(g.nodes))})
     u0 = 2 * profile50.sup_abs_u() + 1.0
-    g1 = g1_from_u1(u1, g, profile50, u0, gamma=1e-3)
+    g1 = g1_from_u1(u1, g, profile50, u0)
     assert np.max(np.abs(g1(0.3))) == 0.0
 
 
@@ -154,8 +156,8 @@ def test_g1_round_trip_random(profile50, seed):
     rng = np.random.default_rng(seed)
     u1 = FourierProfileSet({2: rng.standard_normal(len(g.nodes))})
     u0 = 2 * profile50.sup_abs_u() + 1.0
-    gamma = 1e-3
-    g1 = g1_from_u1(u1, g, profile50, u0, gamma)
+    gamma = profile50.params.gamma
+    g1 = g1_from_u1(u1, g, profile50, u0)
     x = np.linspace(0.0, np.pi, 5)
     g1v = np.atleast_2d(g1(x))
     u1v = u1.at(x, len(g.nodes))
@@ -167,7 +169,8 @@ def test_g1_gamma_zero_limit(profile50):
     g = make_grid(profile50.params.h, 120, 3.0)
     u1 = FourierProfileSet({1: np.sin(g.nodes)})
     u0 = 2 * profile50.sup_abs_u() + 1.0
-    g1 = g1_from_u1(u1, g, profile50, u0, gamma=0.0)
+    flat = replace(profile50, params=replace(profile50.params, gamma=0.0))
+    g1 = g1_from_u1(u1, g, flat, u0)
     expected = -np.cos(1 * 0.0) * np.sin(g.nodes) / (profile50.u(g.nodes) - u0)
     assert np.allclose(g1(0.0), expected, rtol=1e-12)
 
@@ -176,4 +179,4 @@ def test_g1_requires_large_u0(profile50):
     g = make_grid(profile50.params.h, 60, 3.0)
     u1 = FourierProfileSet({1: np.ones(len(g.nodes))})
     with pytest.raises(ControlError):
-        g1_from_u1(u1, g, profile50, u0=0.0, gamma=1e-3)
+        g1_from_u1(u1, g, profile50, u0=0.0)

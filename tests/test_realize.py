@@ -81,7 +81,7 @@ def test_trivial_target_zero_coupling(K9, kset3):
     # target equal to the intrinsic slow field needs no coupling
     p = kset3.p
     D = K9[:p, :p, :p].copy()
-    target = TargetField(p=p, D=D, R=np.zeros((p, p)), f=np.zeros(p),
+    target = TargetField(D=D, R=np.zeros((p, p)), f=np.zeros(p),
                          ball_radius=1.0)
     sysd = build_fast_slow(target, K9, kset3, xi=0.01)
     assert np.max(np.abs(sysd.xi * sysd.M[:3, 3:])) < 1e-12
@@ -127,7 +127,7 @@ def test_fast_block_entry_time(K9, kset3):
 ])
 def test_target_field_rejects_mismatched_R_and_f(R, f, match):
     with pytest.raises(RealizeError, match=match):
-        TargetField(p=2, D=np.zeros((2, 2, 2)), R=R, f=f)
+        TargetField(D=np.zeros((2, 2, 2)), R=R, f=f)
 
 
 def _squaring_system(kset3):
@@ -307,7 +307,7 @@ def test_field_error_is_the_realized_field_at_each_tail_node(K9, kset3,
     N = kset3.N
     rng = np.random.default_rng(3)
     traj = Trajectory(t=np.linspace(0.0, 1.0, 41),
-                      X=0.3 * rng.standard_normal((41, N)), steps=40, rejected=0)
+                      X=0.3 * rng.standard_normal((41, N)), rejected=0)
     M, f = rng.standard_normal((N, N)), rng.standard_normal(N)
     for K, rtol in ((np.zeros((N, N, N)), 1e-14), (K9, 1e-13)):
         sysd = QuadraticSystem(p=3, K=K, M=M, f=f, xi=1e-3)
@@ -329,7 +329,7 @@ def test_sup_error_is_measured_at_the_sample_times(K9, kset3, lorenz_target):
 
 
 def test_manifold_residual_ladder(K9, kset3):
-    target = TargetField(p=3, D=np.zeros((3, 3, 3)), R=-0.5 * np.eye(3),
+    target = TargetField(D=np.zeros((3, 3, 3)), R=-0.5 * np.eye(3),
                          f=np.zeros(3))
     rng = np.random.default_rng(2)
     y0 = np.array([0.3, -0.2, 0.25])
@@ -346,7 +346,7 @@ def test_manifold_residual_ladder(K9, kset3):
 
 def test_manifold_local_invariance(K9, kset3):
     xi = 1e-2
-    target = TargetField(p=3, D=np.zeros((3, 3, 3)), R=-0.5 * np.eye(3),
+    target = TargetField(D=np.zeros((3, 3, 3)), R=-0.5 * np.eye(3),
                          f=np.zeros(3))
     sysd = build_fast_slow(target, K9, kset3, xi=xi)
     y0 = np.array([0.3, -0.2, 0.25])
@@ -383,7 +383,7 @@ def test_lyapunov_refuses_an_orbit_in_the_blend(lorenz_target):
     past = np.array([[0.0, 0.0, 0.92], [0.1, 0.0, 0.0]])
     with pytest.raises(RealizeError, match="past radius 0.9"):
         lyapunov(lorenz_target, past, horizon=10.0, dt=0.02, transient=0.0)
-    growing = TargetField(p=1, D=np.zeros((1, 1, 1)), R=np.eye(1), f=np.zeros(1),
+    growing = TargetField(D=np.zeros((1, 1, 1)), R=np.eye(1), f=np.zeros(1),
                           cutoff_on=0.9)
     assert growing.inward_on_boundary()
     with pytest.raises(RealizeError, match="past radius 0.9"):
@@ -395,7 +395,7 @@ def test_lyapunov_refuses_an_orbit_in_the_blend(lorenz_target):
 def test_lyapunov_transient_aligns_frame(seed):
     # distinct rates: over a horizon of 10 the average is this close only
     # if the transient has already turned the random frame onto the axes
-    field = TargetField(p=3, D=np.zeros((3, 3, 3)), R=np.diag([-1.0, -2.0, -3.0]),
+    field = TargetField(D=np.zeros((3, 3, 3)), R=np.diag([-1.0, -2.0, -3.0]),
                         f=np.zeros(3))
     exps, _ = lyapunov(field, np.array([[0.1, 0.05, -0.08], [-0.2, 0.1, 0.03]]),
                        horizon=10.0, dt=1e-2, transient=20.0, seed=seed)
@@ -592,7 +592,7 @@ def test_lyapunov_target_exponents_pinned(lorenz_target):
 def test_lyapunov_rejects_blowup_and_short_horizon(kset3):
     # dX0/dt = X0^2 from X0 = 5 leaves every bound before t = 0.2; the
     # state is checked at each renormalization, not at each step
-    blowup = TargetField(p=1, D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
+    blowup = TargetField(D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
                          f=np.zeros(1), ball_radius=np.inf)
     x0 = np.zeros((2, kset3.N))
     x0[:, 0] = 5.0
@@ -679,7 +679,7 @@ def test_rescale_into_ball_rejects_escaping_field():
     # dX/dt = X^2 blows up at t = 1/X from a positive start X: the largest
     # of seed 0's 16 starts, X = 0.131, near t = 7.6, inside the 32.5 time
     # units each orbit of the bounding run takes
-    raw = TargetField(p=1, D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
+    raw = TargetField(D=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
                       f=np.zeros(1), ball_radius=np.inf)
     with pytest.raises(RealizeError, match="escaped"):
         rescale_into_ball(raw, seed=0)
@@ -775,7 +775,7 @@ def _inward_by_loop(field):
 def test_inward_on_boundary_matches_point_loop(lorenz_target):
     blended = lorenz_target
     assert blended.cutoff_on is not None
-    bare = TargetField(p=3, D=blended.D, R=blended.R, f=blended.f,
+    bare = TargetField(D=blended.D, R=blended.R, f=blended.f,
                        ball_radius=blended.ball_radius)
     # -q + f with f along the first sample point, just long enough to turn
     # the field outward there and nowhere else among the samples
