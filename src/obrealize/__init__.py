@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 
 from .grid import Grid, make_grid
 from .profile import (DesignPolynomial, ScaleParams, TemperatureProfile,
-                      build_profile, calibrate_offsets, compute_beta1,
-                      derive_scales, design_polynomial, designed_profile)
+                      build_profile, calibrate_offsets, derive_scales,
+                      design_polynomial, designed_profile)
 from .green import green_closed, green_numeric
 from .scalar import TransferHierarchy, design_y, find_root_z
 from .spectral import (EigenMode, ModeBasis, Pencil, SpectrumReport,

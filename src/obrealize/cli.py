@@ -76,8 +76,11 @@ def load_config(path: str | None, overrides, stage: str = "all") -> dict:
     flat = {key: default for key, (default, _) in CONFIG_KEYS.items()
             if default is not None}
     if path:
-        with open(path) as fh:
-            flat.update(_leaves(json.load(fh)))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise SystemExit(f"{path}: the top level must be a JSON object")
+        flat.update(_leaves(doc))
     for ov in overrides or []:
         key, eq, value = ov.partition("=")
         if not eq:
@@ -365,7 +368,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides, args.stage)
-    except (OSError, json.JSONDecodeError, SystemExit) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SystemExit) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.out)

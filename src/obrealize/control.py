@@ -89,7 +89,11 @@ class WavenumberSet:
     """
 
     base: tuple[int, ...]
-    full: tuple[int, ...]
+
+    @property
+    def full(self) -> tuple[int, ...]:
+        base = self.base
+        return base + tuple(sorted(k + l for i, k in enumerate(base) for l in base[i:]))
 
     @property
     def p(self) -> int:
@@ -105,23 +109,18 @@ class WavenumberSet:
 
     def validate(self) -> None:
         _check_sidon(self.base)
-        if len(set(self.full)) != len(self.full):
-            raise ControlError("extended set has repeated entries")
-        if self.N != self.p + self.p * (self.p + 1) // 2:
-            raise ControlError("wrong extended-set size")
-        pair_map = {}
-        for i in range(self.N):
-            for j in range(i, self.N):
-                key = (abs(self.full[j] - self.full[i]), self.full[i] + self.full[j])
+        full = self.full
+        pair_map = {}       # a repeated entry full[i] = full[j] puts (i, i), (i, j) on one key
+        for i in range(len(full)):
+            for j in range(i, len(full)):
+                key = (abs(full[j] - full[i]), full[i] + full[j])
                 if key in pair_map:
                     raise ControlError("pair map (|k_j-k_i|, k_j+k_i) not injective")
                 pair_map[key] = (i, j)
 
 
 def extended_set(p: int) -> WavenumberSet:
-    base = sidon_set(p)
-    sums = sorted(base[j] + base[l] for j in range(p) for l in range(j, p))
-    ws = WavenumberSet(base=tuple(base), full=tuple(base) + tuple(sums))
+    ws = WavenumberSet(base=tuple(sidon_set(p)))
     ws.validate()
     return ws
 

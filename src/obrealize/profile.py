@@ -15,12 +15,14 @@ zero holds every other kernel wavenumber under the KERNEL_TOL = 1e-6
 contract (below 1.6e-7 in lambda units at p = 2 for b from 1.5 to 1e4),
 so d_2 ... d_p are 0.
 
-Conventions: beta = r b with r = b^{-s0} is the lower Robin coefficient,
-mu = b^{-s2} the polynomial amplitude, and 3 C_U = -8(1 - 1/nu)/(1 + r).
+Conventions: ScaleParams holds (b, s0, s2, gamma) and derives the rest:
+beta = r b with r = b^{-s0} is the lower Robin coefficient, mu = b^{-s2} the
+polynomial amplitude, and 3 C_U = -8(1 - 1/nu)/(1 + r).  The profile holds
+the upper Robin coefficient beta1 = U_y(h)/U(h).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -34,7 +36,6 @@ __all__ = [
     "TemperatureProfile",
     "derive_scales",
     "build_profile",
-    "compute_beta1",
     "design_polynomial",
     "designed_profile",
     "calibrate_offsets",
@@ -55,42 +56,42 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class ScaleParams:
-    """All b-derived scalars governing the profile and spectral regime."""
+    """The regime's inputs (b, s0, s2, gamma); the other scales are derived
+    from (b, s0, s2) once, at construction, with nu exactly b^10."""
 
     b: float
-    r: float
-    beta: float
-    beta1: float
-    mu: float
-    h: float
-    nu: float
-    C_U: float
-    Cbar_U: float
+    s0: float
+    s2: float
     gamma: float
+    r: float = field(init=False)
+    beta: float = field(init=False)
+    mu: float = field(init=False)
+    h: float = field(init=False)
+    nu: float = field(init=False)
+    C_U: float = field(init=False)
+    Cbar_U: float = field(init=False)
+
+    def __post_init__(self):
+        b = self.b
+        if b <= 1.0:
+            raise ProfileError("b must exceed 1")
+        for name in ("s0", "s2"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ProfileError(f"{name} must lie in (0, 1)")
+        r = b ** (-self.s0)
+        beta = r * b
+        nu = b ** 10.0
+        C_U = -8.0 * (1.0 - 1.0 / nu) / (3.0 * (1.0 + r))
+        derived = dict(r=r, beta=beta, mu=b ** (-self.s2), h=10.0 * np.log(b),
+                       nu=nu, C_U=C_U, Cbar_U=C_U * r * b**4 / beta)   # = C_U b^3
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def derive_scales(b: float, s0: float = 0.95, s2: float = 0.05,
                   gamma: float = 1e-3) -> ScaleParams:
-    """Derive every profile scale from (b, s0, s2).
-
-    nu is exactly b^10.  beta1 here is the pure-exponential-profile value;
-    compute_beta1 refreshes it once a polynomial is attached.
-    """
-    if b <= 1.0:
-        raise ProfileError("b must exceed 1")
-    if not (0.0 < s0 < 1.0):
-        raise ProfileError("s0 must lie in (0, 1)")
-    if not (0.0 < s2 < 1.0):
-        raise ProfileError("s2 must lie in (0, 1)")
-    r = b ** (-s0)
-    beta = r * b
-    mu = b ** (-s2)
-    h = 10.0 * np.log(b)
-    nu = b ** 10.0
-    C_U = -8.0 * (1.0 - 1.0 / nu) / (3.0 * (1.0 + r))
-    Cbar_U = C_U * r * b**4 / beta        # = C_U b^3
-    return ScaleParams(b=b, r=r, beta=beta, beta1=0.0, mu=mu, h=h, nu=nu,
-                       C_U=C_U, Cbar_U=Cbar_U, gamma=gamma)
+    """The scales at (b, s0, s2) and gain gamma, b > 1 and s0, s2 in (0, 1)."""
+    return ScaleParams(b=b, s0=s0, s2=s2, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def kernel_target_coeffs(wavenumbers, offsets):
 
     The squared-product form puts a double zero of the stabilizing term at
     each kernel wavenumber; the positive overall sign makes the polynomial
-    perturbation damp every non-kernel mode (see scalar.design_y).
+    perturbation damp every non-kernel mode (see design_y).
     """
     c = np.array([1.0])
     for kj, dj in zip(wavenumbers, offsets):
@@ -185,14 +186,27 @@ def perturbation_response(k: float, poly: DesignPolynomial, beta: float):
     return -s
 
 
+def design_y(k: int, params: ScaleParams, poly: DesignPolynomial) -> float:
+    """Polynomial perturbation of the design equation at z = 1.
+
+    Y_k = 2 mu Psi0''(0) with Psi0 the stream response of the design
+    boundary-value problem; the factor 2 converts wall curvature into the
+    (z+1)^2-normalized residual at z = 1.
+    """
+    return 2.0 * params.mu * perturbation_response(k, poly, params.beta)
+
+
+def lambda_from_z(z, k: int):
+    return k * k * (z * z - 1.0)
+
+
 def _kernel_lambda(k: int, wavenumbers, d, params: ScaleParams) -> float:
     """Signed kernel residual of the design equation in lambda units,
     k^2 (z^2 - 1) with z = sqrt(4 + Y_k) - 1, for the squared-product
     target at offsets d."""
     poly = design_polynomial(kernel_target_coeffs(wavenumbers, d))
-    y = 2.0 * params.mu * perturbation_response(k, poly, params.beta)
-    z = np.sqrt(max(4.0 + y, 0.0)) - 1.0
-    return k * k * (z * z - 1.0)
+    z = np.sqrt(max(4.0 + design_y(k, params, poly), 0.0)) - 1.0
+    return lambda_from_z(z, k)
 
 
 def calibrate_offsets(wavenumbers, params: ScaleParams):
@@ -240,10 +254,18 @@ def calibrate_offsets(wavenumbers, params: ScaleParams):
 
 @dataclass(frozen=True)
 class TemperatureProfile:
-    """Closed-form U(y) and U_y(y) for given scales and design polynomial."""
+    """Closed-form U(y) and U_y(y) for given scales and design polynomial,
+    and beta1 = U_y(h)/U(h), so that the upper Robin identity holds exactly."""
 
     params: ScaleParams
     poly: DesignPolynomial
+    beta1: float = field(init=False)
+
+    def __post_init__(self):
+        uh = float(self.u(self.params.h))
+        if abs(uh) < 1e-200:
+            raise ProfileError("degenerate profile: U(h) ~ 0")
+        object.__setattr__(self, "beta1", float(self.u_y(self.params.h)) / uh)
 
     def u(self, y):
         p = self.params
@@ -262,21 +284,11 @@ class TemperatureProfile:
         return float(np.max(np.abs(self.u(y))))
 
 
-def compute_beta1(params: ScaleParams, poly: DesignPolynomial) -> float:
-    """beta1 = U_y(h)/U(h) so the upper Robin identity holds exactly."""
-    probe = TemperatureProfile(params=params, poly=poly)
-    uh = float(probe.u(params.h))
-    if abs(uh) < 1e-200:
-        raise ProfileError("degenerate profile: U(h) ~ 0")
-    return float(probe.u_y(params.h)) / uh
-
-
 def build_profile(params: ScaleParams, poly: DesignPolynomial) -> TemperatureProfile:
-    """Attach the polynomial and refresh beta1 from the Robin identity."""
+    """Attach the polynomial to the scales."""
     if not all(np.isfinite(poly.coeffs)):
         raise ProfileError("polynomial coefficients must be finite")
-    beta1 = compute_beta1(params, poly)
-    return TemperatureProfile(params=replace(params, beta1=beta1), poly=poly)
+    return TemperatureProfile(params=params, poly=poly)
 
 
 def designed_profile(params: ScaleParams, wavenumbers) -> TemperatureProfile:

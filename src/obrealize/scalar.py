@@ -28,7 +28,7 @@ from math import comb, factorial
 import numpy as np
 from scipy.optimize import brentq
 
-from .profile import (DesignPolynomial, ScaleParams, perturbation_response)
+from .profile import DesignPolynomial, ScaleParams, design_y, lambda_from_z
 
 __all__ = [
     "design_y",
@@ -44,23 +44,9 @@ class ScalarError(ValueError):
     pass
 
 
-def lambda_from_z(z, k: int):
-    return k * k * (z * z - 1.0)
-
-
 def kbar_bound(params: ScaleParams) -> float:
     """A-priori bound |kbar| < h r b for eigenvalues right of Re = -1/2."""
     return params.h * params.r * params.b
-
-
-def design_y(k: int, params: ScaleParams, poly: DesignPolynomial) -> float:
-    """Polynomial perturbation of the design equation at z = 1.
-
-    Y_k = 2 mu Psi0''(0) with Psi0 the stream response of the design
-    boundary-value problem; the factor 2 converts wall curvature into the
-    (z+1)^2-normalized residual at z = 1.
-    """
-    return 2.0 * params.mu * perturbation_response(k, poly, params.beta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ For each integer wavenumber k the stream/temperature pair solves
     lambda nu^{-1} L_k psi = L_k^2 psi + k^2 w,
     lambda w           = L_k w + U_y psi,            L_k = D_y^2 - k^2,
 
-with psi clamped at both walls and w Robin (w' = beta w at y=0,
-w' = beta1 w at y=h).  The sign of the coupling U_y psi follows the
-stream-function form of the linearized equations; see the decisions notes
-for the discrepancy with one printed variant.
+with psi clamped at both walls and w Robin: w' = beta w at y=0 (the
+scales' beta) and w' = beta1 w at y=h (the profile's beta1).  The sign of
+the coupling U_y psi follows the stream-function form of the linearized
+equations; see the decisions notes for the discrepancy with one printed variant.
 
 Solvers: assemble_pencil builds the Schur complement in w of the
 collocation pencil with boundary rows (the nu^{-1} block is ~1e-15 of the
@@ -117,11 +117,12 @@ def _operator(grid: Grid, k: int) -> np.ndarray:
     return grid.d2 - (k * k) * np.eye(len(grid.nodes))
 
 
-def _robin_rows(grid: Grid, params: ScaleParams) -> np.ndarray:
-    """The w Robin rows w' - beta w at y = 0 and w' - beta1 w at y = h."""
+def _robin_rows(grid: Grid, profile: TemperatureProfile) -> np.ndarray:
+    """The w Robin rows w' - beta w at y = 0 and w' - beta1 w at y = h,
+    with beta from the profile's scales and beta1 = U_y(h)/U(h) its own."""
     rows = grid.diff[[0, -1]]
-    rows[0, 0] -= params.beta
-    rows[1, -1] -= params.beta1
+    rows[0, 0] -= profile.params.beta
+    rows[1, -1] -= profile.beta1
     return rows
 
 
@@ -195,7 +196,7 @@ class Pencil:
         A[0, 0] = A[m - 1, m - 1] = 1.0
         A[1, :m] = Dy[0]
         A[m - 2, :m] = Dy[-1]
-        A[[m, 2 * m - 1], m:] = _robin_rows(g, self.profile.params)
+        A[[m, 2 * m - 1], m:] = _robin_rows(g, self.profile)
         return A
 
     @property
@@ -239,8 +240,7 @@ def assemble_pencil(k: int, profile: TemperatureProfile, grid: Grid) -> Pencil:
     """The Schur operator of the clamped/Robin collocation pencil."""
     if k < 1:
         raise SpectralError("wavenumber must be a positive integer")
-    p = profile.params
-    if not resolves_layer(grid, p.b):
+    if not resolves_layer(grid, profile.params.b):
         raise SpectralError("grid too coarse for the boundary layer; "
                             "node spacing near y=0 must resolve 1/(4b)")
     L = _operator(grid, k)
@@ -248,7 +248,7 @@ def assemble_pencil(k: int, profile: TemperatureProfile, grid: Grid) -> Pencil:
     # Schur operator: k^2 scales uy first, then G (the product order sets
     # Ared's rounding)
     Aop = L - ((k * k) * profile.u_y(grid.nodes))[:, None] * G
-    Bc = _robin_rows(grid, p)
+    Bc = _robin_rows(grid, profile)
     T = -np.linalg.solve(Bc[:, [0, -1]], Bc[:, 1:-1])
     Ared = Aop[1:-1, 1:-1] + Aop[1:-1, [0, -1]] @ T
     return Pencil(k=k, grid=grid, profile=profile, G=G, Ared=Ared, T=T)
@@ -277,14 +277,14 @@ class ConjugateMode:
     boundary_residual: float = 0.0
 
 
-def _boundary_residual(mode_psi, mode_w, grid: Grid, params) -> float:
+def _boundary_residual(mode_psi, mode_w, grid: Grid, profile) -> float:
     dpsi, dw = grid.diff @ mode_psi, grid.diff @ mode_w
     sp = np.max(np.abs(mode_psi)) or 1.0
     sw = np.max(np.abs(mode_w)) or 1.0
     res = [abs(mode_psi[0]) / sp, abs(mode_psi[-1]) / sp,
            abs(dpsi[0]) / sp, abs(dpsi[-1]) / sp,
-           abs(dw[0] - params.beta * mode_w[0]) / sw,
-           abs(dw[-1] - params.beta1 * mode_w[-1]) / sw]
+           abs(dw[0] - profile.params.beta * mode_w[0]) / sw,
+           abs(dw[-1] - profile.beta1 * mode_w[-1]) / sw]
     return float(max(res))
 
 
@@ -336,7 +336,7 @@ def solve_modes(pencil: Pencil) -> EigenMode:
     w = w * scalef
     mode = EigenMode(k=k, lam=lam, psi=psi, w=w,
                      boundary_residual=_boundary_residual(
-                         psi, w, grid, pencil.profile.params),
+                         psi, w, grid, pencil.profile),
                      pencil_residual=pencil.residual(
                          lam, np.concatenate([psi, w])))
     if (mode.pencil_residual > PENCIL_RESIDUAL_TOL
@@ -360,8 +360,7 @@ def solve_conjugate_modes(pencil: Pencil, mode: EigenMode) -> ConjugateMode:
     the boundary-row residual exceeds BOUNDARY_RESIDUAL_TOL.
     """
     k, lam = pencil.k, mode.lam
-    grid = pencil.grid
-    p = pencil.profile.params
+    grid, profile = pencil.grid, pencil.profile
     left = _left_vector(pencil.Ared, lam)
     wt = pencil.lift(np.conj(left) / grid.weights[1:-1])
     if abs(wt[0]) > 1e-10 * np.max(np.abs(wt)):
@@ -369,9 +368,9 @@ def solve_conjugate_modes(pencil: Pencil, mode: EigenMode) -> ConjugateMode:
     # conjugate stream part through the clamped solve (the residual
     # division (lam - L_k) wt / nu is cancellation-limited):
     # nu phi = k^2 phihat with L_k^2 phihat = -U_y wtilde
-    phi = -(k * k / p.nu) * (pencil.G @ (pencil.uy * wt))
+    phi = -(k * k / profile.params.nu) * (pencil.G @ (pencil.uy * wt))
     cm = ConjugateMode(k=k, lam=lam, phi=phi, wtilde=wt,
-                       boundary_residual=_boundary_residual(phi, wt, grid, p))
+                       boundary_residual=_boundary_residual(phi, wt, grid, profile))
     if cm.boundary_residual > BOUNDARY_RESIDUAL_TOL:
         raise SpectralError(
             f"adjoint mode at k={k}, lambda={lam:.6g} fails its boundary "
@@ -460,8 +459,16 @@ class SpectrumRecord:
 @dataclass
 class SpectrumReport:
     records: list[SpectrumRecord]
-    kernel_residual: float
-    gap: float
+
+    @property
+    def kernel_residual(self) -> float:
+        return float(max(abs(r.lam_design) for r in self.records
+                         if r.in_kernel and r.lam_design is not None))
+
+    @property
+    def gap(self) -> float:
+        return float(min(-np.real(r.lam_design) for r in self.records
+                         if not r.in_kernel and r.lam_design is not None))
 
     @property
     def passed(self) -> bool:
@@ -548,7 +555,7 @@ def check_survey(kernel, kmax: int, params) -> None:
 
 
 def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile,
-                    grid: Grid | None = None, pencil_kmax: int = 64,
+                    grid: Grid, pencil_kmax: int = 64,
                     finite_ks: tuple[int, ...] | None = None,
                     threads: int = 1) -> SpectrumReport:
     """Per-k eigenvalue survey with design, finite-b, and pencil methods.
@@ -581,8 +588,6 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
     kernel = tuple(int(k) for k in kernel)
     check_survey(kernel, kmax, params)
     bound = kbar_bound(params)
-    if grid is None:
-        grid = default_grid(profile)
 
     def pencil_eigenvalues(ks) -> dict:
         """The leading eigenvalue of each k's Schur operator, from one
@@ -627,13 +632,8 @@ def spectrum_report(kernel, kmax: int, params, poly, profile: TemperatureProfile
 
     ks, batch = range(1, kmax + 1), _stack_size(len(grid.nodes) - 2)
     groups = [ks[i:i + batch] for i in range(0, kmax, batch)]
-    records = [r for group in _map_cores(group_records, groups) for r in group]
-    kr = max(abs(r.lam_design) for r in records
-             if r.in_kernel and r.lam_design is not None)
-    gap = min(-np.real(r.lam_design) for r in records
-              if not r.in_kernel and r.lam_design is not None)
-    return SpectrumReport(records=records, kernel_residual=float(kr),
-                          gap=float(gap))
+    return SpectrumReport(
+        records=[r for group in _map_cores(group_records, groups) for r in group])
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,17 @@ def test_config_error_exits_2(tmp_path, overrides):
     assert main(["all", "--out", str(tmp_path)] + args) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"[1, 2]", b'"x"', b"null",                 # top level not a JSON object
+    b'{"seed": "\xff"}',                        # not UTF-8
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    assert main(["all", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("overrides, kernel, kmax, b", [
     (["spectrum.kmax=6"], [1, 7], 6, 30.0),
     (["scales.b=1.1"], [1, 7], 21, 1.1),
@@ -371,13 +382,16 @@ def test_spectrum_csv_writes_complex_eigenvalues(tmp_path, monkeypatch):
     import obrealize.cli as cli
     from obrealize.spectral import SpectrumRecord, SpectrumReport
     lam = complex(-1 / 3, 2 / 7)
-    rep = SpectrumReport([SpectrumRecord(k=2, lam_design=1e-7, lam_finite=lam,
-                                         lam_pencil=lam.conjugate(), in_kernel=False)],
-                         kernel_residual=0.0, gap=1.0)
+    # a passing report: kernel residual 0 at k = 1, gap 1e-7 at k = 2
+    rep = SpectrumReport([SpectrumRecord(k=1, lam_design=0.0, lam_finite=None,
+                                         lam_pencil=None, in_kernel=True),
+                          SpectrumRecord(k=2, lam_design=-1e-7, lam_finite=lam,
+                                         lam_pencil=lam.conjugate(), in_kernel=False)])
     monkeypatch.setattr(cli, "spectrum_report", lambda *args, **kwargs: rep)
     assert main(["spectrum", "--out", str(tmp_path)]) == 0
     assert _lines(tmp_path, "spectrum.csv")[1:] == [
-        "2,1e-07,0,design,0", "2,-0.333333333333,0.285714285714,finite,0",
+        "1,0,0,design,1",
+        "2,-1e-07,0,design,0", "2,-0.333333333333,0.285714285714,finite,0",
         "2,-0.333333333333,-0.285714285714,pencil,0"]
 
 

@@ -63,6 +63,12 @@ def test_pair_map_injective():
         extended_set(p).validate()
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_wavenumber_set_derives_full_from_base(p):
+    assert WavenumberSet(base=extended_set(p).base) == extended_set(p)
+    assert WavenumberSet(base=extended_set(p).base).full == extended_set(p).full
+
+
 def test_decomposition_solves(basis50, kset2, params50):
     K, _ = compute_K(basis50, params50.nu)
     rng = np.random.default_rng(11)
@@ -82,7 +88,7 @@ def test_decomposition_zero_rhs(basis50, kset2, params50):
 
 def test_decomposition_mod5_guard(basis50, params50):
     K, _ = compute_K(basis50, params50.nu)
-    bad = WavenumberSet(base=(1, 5), full=(1, 5, 2, 6, 10))
+    bad = WavenumberSet(base=(1, 5))
     with pytest.raises(ControlError):
         verify_decomposition(K, bad, np.zeros((2, 2)))
 

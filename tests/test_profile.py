@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 from obrealize.control import sidon_set
-from obrealize.profile import (DesignPolynomial, ProfileError, _kernel_lambda,
-                               build_profile, calibrate_offsets, compute_beta1,
+from obrealize.profile import (DesignPolynomial, ProfileError, TemperatureProfile,
+                               _kernel_lambda, build_profile, calibrate_offsets,
                                derive_scales, design_polynomial,
                                designed_profile, kernel_target_coeffs,
                                perturbation_response)
@@ -44,6 +45,14 @@ def test_amplitude_limit_large_b():
     p = derive_scales(1e6, s0=0.999)
     assert p.C_U == pytest.approx(-8.0 / 3.0, rel=1e-2)
     assert_scale_relations(p)
+
+
+def test_scales_are_derived_from_their_inputs():
+    # a record holds (b, s0, s2, gamma) and derives the rest, so a copy at
+    # another b carries that b's scales, and no derived scale can be set
+    assert replace(derive_scales(30.0), b=50.0) == derive_scales(50.0)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(derive_scales(30.0), C_U=0.0)
 
 
 def test_rejects_bad_inputs():
@@ -86,14 +95,30 @@ def test_profile_derivative_vs_finite_differences():
 def test_robin_identities(profile30):
     p = profile30.params
     r0 = profile30.u_y(0.0) - p.beta * profile30.u(0.0)
-    rh = profile30.u_y(p.h) - p.beta1 * profile30.u(p.h)
+    rh = profile30.u_y(p.h) - profile30.beta1 * profile30.u(p.h)
     assert abs(r0) <= 1e-12 * abs(p.beta * profile30.u(0.0))
-    assert abs(rh) <= 1e-12 * max(abs(p.beta1 * profile30.u(p.h)), 1.0)
+    assert abs(rh) <= 1e-12 * max(abs(profile30.beta1 * profile30.u(p.h)), 1.0)
+
+
+def test_designed_profile_keeps_its_scales_and_owns_beta1(params30):
+    prof = designed_profile(params30, [1, 7])
+    assert prof.params == params30
+    assert prof.beta1 == float(prof.u_y(params30.h)) / float(prof.u(params30.h))
+
+
+def test_degenerate_profile_rejected(params30):
+    class Vanishing(TemperatureProfile):
+        def u(self, y):
+            return np.zeros_like(np.asarray(y, dtype=float))
+
+    # beta1 = U_y(h)/U(h) is undefined
+    with pytest.raises(ProfileError, match=r"U\(h\) ~ 0"):
+        Vanishing(params=params30, poly=DesignPolynomial(coeffs=(0.0,)))
 
 
 def test_beta1_zero_poly_formula():
     p = derive_scales(8.0)
-    b1 = compute_beta1(p, DesignPolynomial(coeffs=(0.0,)))
+    b1 = build_profile(p, DesignPolynomial(coeffs=(0.0,))).beta1
     num = p.C_U * p.r * p.b**4 * np.exp(-p.b * p.h)
     den = p.Cbar_U + p.C_U * p.r * p.b**3 * (1 - np.exp(-p.b * p.h))
     assert b1 == pytest.approx(num / den, abs=1e-300)
@@ -101,9 +126,9 @@ def test_beta1_zero_poly_formula():
 
 def test_beta1_small_and_below_beta(profile30):
     p = profile30.params
-    assert abs(p.beta1) < p.beta
+    assert abs(profile30.beta1) < p.beta
     # pure-exponential profile: e^{-bh} = b^{-10b} underflows, so beta1 ~ 0
-    b1 = compute_beta1(derive_scales(30.0), DesignPolynomial(coeffs=(0.0,)))
+    b1 = build_profile(derive_scales(30.0), DesignPolynomial(coeffs=(0.0,))).beta1
     assert abs(b1) < 30.0 ** (-10) * derive_scales(30.0).beta
 
 

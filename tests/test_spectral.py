@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obrealize.profile import DesignPolynomial, build_profile
+from obrealize.profile import DesignPolynomial, TemperatureProfile
 from obrealize.reduction import numeric_basis
 from obrealize.spectral import (SpectralError, _leading_eigenpair, _left_vector,
                                 assemble_pencil, biorthogonalize, default_grid,
@@ -9,15 +9,24 @@ from obrealize.spectral import (SpectralError, _leading_eigenpair, _left_vector,
                                 solve_modes, spectrum_report)
 
 
+class _FlatProfile(TemperatureProfile):
+    """U = 1 and U_y = 0 at the scales' own beta: the temperature block
+    decouples from the stream function."""
+
+    def u(self, y):
+        return np.ones_like(np.asarray(y, dtype=float))
+
+    def u_y(self, y):
+        return np.zeros_like(np.asarray(y, dtype=float))
+
+
 def test_decoupled_heat_block(params30):
     """With U_y = 0 the temperature block reduces to the Robin Laplacian:
     eigenvalues -(k^2 + rho_m), checked against a bisection oracle for the
     smallest Robin mode."""
-    from dataclasses import replace
     from scipy.optimize import brentq
-    p = replace(params30, C_U=0.0, Cbar_U=1.0)
-    prof = build_profile(p, DesignPolynomial(coeffs=(0.0,)))
-    assert float(np.max(np.abs(prof.u_y(np.linspace(0, p.h, 99))))) == 0.0
+    prof = _FlatProfile(params=params30, poly=DesignPolynomial(coeffs=(0.0,)))
+    assert prof.beta1 == 0.0
     grid = default_grid(prof, n=300)
     k = 1
     lam = np.linalg.eigvals(assemble_pencil(k, prof, grid).Ared)
@@ -25,7 +34,7 @@ def test_decoupled_heat_block(params30):
     # oracle: smallest rho >= 0 with sqrt(rho) tan/cot matching Robin data:
     # solutions of s cos(s h) (beta ... ) -- use the determinant of the
     # 2x2 boundary system for w = A cos(s y) + B sin(s y)
-    beta, beta1, h = p.beta, prof.params.beta1, p.h
+    beta, beta1, h = params30.beta, prof.beta1, params30.h
 
     def det(s):
         # w = A cos(sy) + B sin(sy); rows: w'(0) = beta w(0), w'(h) = beta1 w(h)
@@ -69,7 +78,7 @@ def _index_array_pencil(k, profile, grid, G):
     L = grid.d2 - (k * k) * np.eye(m)
     Aop = L - ((k * k) * profile.u_y(y))[:, None] * G
     Bc = np.array([Dy[i0] - params.beta * np.eye(1, m, i0)[0],
-                   Dy[ih] - params.beta1 * np.eye(1, m, ih)[0]])
+                   Dy[ih] - profile.beta1 * np.eye(1, m, ih)[0]])
     T = -np.linalg.solve(Bc[:, rows], Bc[:, interior])
     Ared = Aop[np.ix_(interior, interior)] + Aop[np.ix_(interior, rows)] @ T
     return T, Ared
@@ -198,13 +207,13 @@ def test_spectrum_report_names_survey_errors(profile30, kernel, kmax, match):
     refused before any solve."""
     with pytest.raises(SpectralError, match=match):
         spectrum_report(kernel, kmax, profile30.params, profile30.poly, profile30,
-                        finite_ks=())
+                        default_grid(profile30), finite_ks=())
 
 
 def test_spectrum_report(profile30):
     p = profile30.params
     rep = spectrum_report([1, 7], 9, p, profile30.poly, profile30,
-                          pencil_kmax=4, finite_ks=())
+                          default_grid(profile30), pencil_kmax=4, finite_ks=())
     assert rep.kernel_residual < 1e-6
     assert rep.gap > 0.0
     assert rep.passed
@@ -219,7 +228,7 @@ def test_spectrum_report_apriori_bound(profile30):
     p = profile30.params
     kmax = int(kbar_bound(p)) + 3
     rep = spectrum_report([1, 7], kmax, p, profile30.poly, profile30,
-                          pencil_kmax=2, finite_ks=())
+                          default_grid(profile30), pencil_kmax=2, finite_ks=())
     # an a-priori-gapped record carries no eigenvalue, and only those do not
     gapped = [r for r in rep.records if r.lam_design is None]
     assert gapped and all(r.k > kbar_bound(p) for r in gapped)
@@ -235,7 +244,7 @@ def _report_with_leading_lambda(profile, monkeypatch, exc):
 
     monkeypatch.setattr(TransferHierarchy, "leading_lambda", leading_lambda)
     return spectrum_report([1], 2, profile.params, profile.poly, profile,
-                           pencil_kmax=0)
+                           default_grid(profile), pencil_kmax=0)
 
 
 def test_spectrum_report_no_finite_root(profile30, monkeypatch):
@@ -259,7 +268,7 @@ def test_spectrum_report_pencil_fault_propagates(profile30, monkeypatch):
     monkeypatch.setattr(spectral, "assemble_pencil", assemble_pencil)
     with pytest.raises(RuntimeError, match="fault") as excinfo:
         spectrum_report([1], 2, profile30.params, profile30.poly, profile30,
-                        finite_ks=())
+                        default_grid(profile30), finite_ks=())
     assert excinfo.type is RuntimeError     # not rewrapped as a SpectralError
 
 
@@ -269,7 +278,7 @@ def test_spectrum_report_pool_matches_serial(profile30, monkeypatch):
 
     def survey():
         return spectrum_report([1, 7], 9, profile30.params, profile30.poly,
-                               profile30).records
+                               profile30, default_grid(profile30)).records
 
     pooled = survey()
     monkeypatch.setattr(spectral, "_map_cores", map)
@@ -427,10 +436,12 @@ def test_spectrum_report_rejects_another_profiles_scales(profile30, params50):
     from obrealize.profile import DesignPolynomial
 
     with pytest.raises(SpectralError, match="profile's own"):
-        spectrum_report([1, 7], 2, params50, profile30.poly, profile30)
+        spectrum_report([1, 7], 2, params50, profile30.poly, profile30,
+                        default_grid(profile30))
     with pytest.raises(SpectralError, match="profile's own"):
         spectrum_report([1, 7], 2, profile30.params,
-                        DesignPolynomial(coeffs=(0.0,)), profile30)
+                        DesignPolynomial(coeffs=(0.0,)), profile30,
+                        default_grid(profile30))
 
 
 def test_assemble_pencil_peak_memory():
