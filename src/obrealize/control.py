@@ -52,14 +52,15 @@ def sidon_set(p: int) -> list[int]:
     """Base wavenumbers with pairwise-distinct sums, none divisible by 5.
 
     Inductive rule: seed {1, 7}; extend by the smallest odd integer that
-    exceeds every existing pairwise sum and is not a multiple of 5.
+    exceeds every existing pairwise sum and is not a multiple of 5.  The
+    base increases, so its largest pairwise sum is twice its last entry.
     extended_set checks the result (WavenumberSet.validate).
     """
     if p < 1:
         raise ControlError("p must be a positive integer")
     base = [1] if p == 1 else [1, 7]
     while len(base) < p:
-        cand = max(a + b for a in base for b in base) + 1
+        cand = 2 * base[-1] + 1
         if cand % 2 == 0:
             cand += 1
         while cand % 5 == 0:

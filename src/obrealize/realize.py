@@ -17,40 +17,43 @@ manifold residuals, empirical field discrepancy, and Benettin-style
 Lyapunov spectra.
 
 Every quadratic flow dX/dt = K(X, X) + M X + f has one stepper, the
-Cox-Matthews ETDRK4 step of _etdrk4_step, exact in the whole constant
-linear part M.  It is not fourth order in K(X, X) + f at the stiffness of
-a realized system: at xi = 1e-3 and steps of 0.005-0.02 its path error
-falls about 3x per halving of the step, about second order, not the 16x
-of fourth order.  A QuadraticSystem hands it its (K, M, f), where M
-holds the stiff fast diagonal -1/xi and the coupling T/xi alike; a
-TargetField hands it its bare form (D, R, f).  The e^{hM} and
-phi-functions come once per (field, step) from one augmented matrix
-exponential each, and each stage's K(X, X) is only ever multiplied
-by fixed weights, so those weights are folded into K once, and a stage
-costs two products with no outer product.  integrate drives one orbit
-with that step as a 1-D state; lyapunov drives a (B, n) stack of orbits
-of either kind of flow and, by the derivative of the same step, their
-(B, n, k) stack of tangent frames; and rescale_into_ball's bounding run
-drives a stack of raw orbits with an empty frame.  Non-stiff fast-slow
-systems (xi > 2e-3) are integrated by scipy's adaptive RK45 through
+five-stage exponential Runge-Kutta scheme of Hochbruck & Ostermann (SIAM
+J. Numer. Anal. 43, 2005) in _exprk_step, exact in the whole constant
+linear part M and of stiff order four: its error bound does not grow with
+the stiffness of M.  At xi = 1e-3 and 1e-4 the path error of a realized
+orbit falls 9-16x per halving of its step, against about 2-3x for the
+Cox-Matthews ETDRK4 step it replaced.  A QuadraticSystem hands it its
+(K, M, f), where M holds the stiff fast diagonal -1/xi and the coupling
+T/xi alike; a TargetField hands it its bare form (D, R, f).  The e^{hM}
+and phi-functions come once per (field, step) from one augmented matrix
+exponential each, and each stage's whole right-hand side, linear part and
+forcing included, is one quadratic form in the augmented state (X, 1), so
+a stage costs two products with no outer product.  integrate drives one
+orbit with that step as a 1-D augmented state; lyapunov drives a stack of
+orbits of either kind of flow and, by the derivative of the same step,
+their tangent frames as rows under each state; and rescale_into_ball's
+bounding run drives a stack of raw orbits with an empty frame.  States
+are stored without their constant entry.  Non-stiff fast-slow systems
+(xi > 2e-3) are integrated by scipy's adaptive RK45 through
 QuadraticSystem.rhs at one point, behind an escape check in the field,
 and realize_target evaluates the target's reference orbit, blend and
 all, at its sample times by scipy's DOP853, through a TargetField on a
 stack of one row.
 
-Since ETDRK4 is exact in M, the step of a stiff orbit is set by the slow
-dynamics, not by xi.  realize_target steps its orbit in s equal steps of
-at most _ORBIT_STEP = 0.009 between consecutive sample times, so each
-sample time is a node, where the interpolation of Trajectory.sample
-adds no error; the field error evaluates the realized field itself at
-the nodes, so it carries no truncation error of the step.
+Since the step is exact in M, the step of a stiff orbit is set by the
+slow dynamics, not by xi.  realize_target steps its orbit in s equal
+steps of at most _ORBIT_STEP = 0.126 between consecutive sample times:
+one step per sample interval, 399 steps, at the default horizon.  Each
+sample time is a node, where the interpolation of Trajectory.sample adds
+no error; the field error evaluates the realized field itself at the
+nodes, so it carries no truncation error of the step.
 
 The long loops run on ensembles of _ORBITS orbits.  Their states are 3- to
 9-vectors, where numpy's per-call overhead, not arithmetic, is the cost of
 a step, so one call that steps every orbit shares that cost: the Benettin
 runs of lyapunov split their measured horizon among the orbits and take
 the error bar from the orbits' scatter, and the bounding run samples the
-attractor along every orbit.  The ETDRK4 path of integrate writes its
+attractor along every orbit.  The exponential path of integrate writes its
 states, and the bounding run its samples (one per step), into one
 preallocated array, and each checks finiteness and the escape radius of
 every row once per block of _RENORM_EVERY = 10 entries, not on each; the
@@ -100,7 +103,7 @@ class _QuadraticForm:
     transposed for row points.
 
     A subclass's form is its field C(X, X) + L X + f as the (C, L, f) that
-    _etdrk4_coeffs takes, and the field is that form inside |X| <=
+    _exprk_coeffs takes, and the field is that form inside |X| <=
     bare_radius."""
 
     bare_radius = np.inf
@@ -350,106 +353,128 @@ def _phi_functions(Z):
     return tuple(top[:, k * n:(k + 1) * n] for k in range(4))
 
 
-def _etdrk4_coeffs(K, M, f, h):
-    """The fixed arrays of one Cox-Matthews ETDRK4 step of size h for
+def _exprk_coeffs(K, M, f, h):
+    """The fixed arrays of one step of size h of Hochbruck & Ostermann's
+    five-stage exponential Runge-Kutta scheme of stiff order four for
     dX/dt = K(X, X) + M X + f, K symmetric in its last two slots (a field's
     form).
 
-    With E = e^{hM}, E2 = e^{hM/2}, P = (h/2) phi1(hM/2), the weights
-    B1 = h (phi1 - 3 phi2 + 4 phi3), B2 = h (2 phi2 - 4 phi3) and
-    B4 = h (4 phi3 - phi2) of hM, and N(v) = K(v, v) + f, the step from u is
+    With phi_j = phi_j(hM), psi_j = phi_j(hM/2) and N(v) = K(v, v) + f, the
+    step from u is
 
-        a = E2 u + P N(u),    b = E2 u + P N(a),
-        c = E2 a + P (2 N(b) - N(u)) = E u + (E2 P - P) N(u) + 2 P N(b),
-        u' = E u + B1 N(u) + B2 (N(a) + N(b)) + B4 N(c).
+        U2 = e^{hM/2} u + h a21 N(u),
+        U3 = e^{hM/2} u + h (a31 N(u) + a32 N(U2)),
+        U4 = e^{hM} u + h (a41 N(u) + a42 (N(U2) + N(U3))),
+        U5 = e^{hM/2} u + h (a51 N(u) + a52 (N(U2) + N(U3)) + a54 N(U4)),
+        u' = e^{hM} u + h (b1 N(u) + b4 N(U4) + b5 N(U5)),
 
-    Each K(v, v) is only ever multiplied by fixed weights, so they are
-    folded into K once: for weights W stacked row-wise into an (m, n)
-    matrix, T_W[j, l, r] = sum_i K_ilj W_ri, kept as an (n, n m) matrix.
-    Then v.dot(v.dot(T_W).reshape(n, m)) is W K(v, v), and
-    q.dot(v.dot(T_W).reshape(n, m)) is W K(q, v).
+    a21 = psi1/2, a31 = psi1/2 - psi2, a32 = psi2, a41 = phi1 - 2 phi2,
+    a42 = phi2, a52 = psi2/2 - phi3 + phi2/4 - psi3/2, a54 = psi2/4 - a52,
+    a51 = psi1/2 - 2 a52 - a54, b1 = phi1 - 3 phi2 + 4 phi3,
+    b4 = 4 phi3 - phi2 and b5 = 4 phi2 - 8 phi3.
 
-    Returns (L, g, Tu, Ta, Tb, Tc), transposed for row states.  L stacks
-    [E2; E2; E; E], g the forcing terms [P f; P f; (B1 + 2 B2 + B4) f;
-    (E2 P + P) f], and Tu weights K(u, u) by [P; 0; B1; E2 P - P], so that
-    their sum at u holds side by side a, and the parts of b, u' and c that
-    come before K(a, a), K(b, b) and K(c, c).  Ta weights K(a, a) by
-    [P; B2], Tb weights K(b, b) by [2 P; B2] and Tc weights K(c, c) by B4.
+    Each stage's whole contribution to the later stages is one quadratic
+    form in the augmented state v = (U, 1) of k = n + 1 entries: for weights
+    W and linear part L, T[:n, :n] holds W K, T[:n, n] and T[n, :n] each
+    hold L^T/2, and T[n, n] holds W f, so v.dot(v.dot(T).reshape(k, -1)) is
+    L U + W N(U).  The forcing thus joins each stage's sum inside its
+    product: added to a state alone, its part below the state's last digit
+    would round the same way on every step, and the orbit would drift by
+    that much per step.  The k-th entry of each output slot is the constant 1 of
+    the augmented stage it starts: T[n, n] holds 1 there in the first
+    stage's tensor, and 0 in the later stages' tensors, which add no linear
+    part.  Returns the five tensors, each (k, k m) for m output slots of k
+    entries: u feeds [U2; U3; U4; U5; u'], U2 feeds [U3; U4; U5], U3 feeds
+    [U4; U5], U4 feeds [U5; u'] and U5 feeds u'.
     """
     n = len(M)
+    k = n + 1
     E, p1, p2, p3 = _phi_functions(h * M)
-    E2, q1 = _phi_functions(0.5 * h * M)[:2]
-    P = 0.5 * h * q1
-    B1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-    B2 = h * (2.0 * p2 - 4.0 * p3)
-    B4 = h * (4.0 * p3 - p2)
-    E2P = E2 @ P
+    E2, q1, q2, q3 = _phi_functions(0.5 * h * M)
+    a21, a31, a32, a41, a42 = 0.5 * q1, 0.5 * q1 - q2, q2, p1 - 2.0 * p2, p2
+    a52 = 0.5 * q2 - p3 + 0.25 * p2 - 0.5 * q3
+    a54 = 0.25 * q2 - a52
+    a51 = 0.5 * q1 - 2.0 * a52 - a54
+    b1, b4, b5 = p1 - 3.0 * p2 + 4.0 * p3, 4.0 * p3 - p2, 4.0 * p2 - 8.0 * p3
 
-    def fold(*W):
-        W = np.concatenate(W).T
-        return np.tensordot(K, W, (0, 0)).transpose(1, 0, 2).reshape(n, -1)
+    def fold(W, lin=None):
+        T = np.zeros((k, k, len(W), k))
+        W = h * np.stack(W)
+        T[:n, :n, :, :n] = np.einsum("ijl,rmi->ljrm", K, W)
+        T[n, n, :, :n] = W.dot(f)
+        if lin is not None:
+            half = 0.5 * np.stack(lin).transpose(2, 0, 1)
+            T[n, :n, :, :n] = T[:n, n, :, :n] = half
+            T[n, n, :, n] = 1.0
+        return T.reshape(k, -1)
 
-    L = np.concatenate([E2, E2, E, E]).T
-    g = np.concatenate([P @ f, P @ f, (B1 + 2.0 * B2 + B4) @ f, (E2P + P) @ f])
-    return (np.ascontiguousarray(L), g, fold(P, np.zeros((n, n)), B1, E2P - P),
-            fold(P, B2), fold(2.0 * P, B2), fold(B4))
+    return (fold([a21, a31, a41, a51, b1], [E2, E2, E, E2, E]),
+            fold([a32, a42, a52]), fold([a42, a52]), fold([a54, b4]), fold([b5]))
 
 
-def _etdrk4_step(x, coeffs, Q=None):
-    """One ETDRK4 step of dX/dt = M X + K(X, X) + f, exact in M, of one
-    state x, or of each row of a (B, N) stack of states x with its (B, N, k)
-    tangent frame Q.
+def _augment(x, Q=None):
+    """The augmented state (x, 1) of one state x, or the (B, 1 + k, n + 1)
+    stack of a (B, n) stack of states x, each row (x, 1) followed by the k
+    columns of its (B, n, k) tangent frame Q as rows (q, 0)."""
+    if Q is None:
+        return np.append(x, 1.0)
+    B, n, k = Q.shape
+    V = np.zeros((B, 1 + k, n + 1))
+    V[:, 0, :n] = x
+    V[:, 0, n] = 1.0
+    V[:, 1:, :n] = Q.transpose(0, 2, 1)
+    return V
 
-    With Q, also returns the frames carried by the derivative of the same
-    step: each stage's Jacobian 2 K(., stage) applied to that stage's frame.
-    The frame then rides as k more rows under each state, so one product
-    applies each linear operator to states and frames alike, and one
-    batched matmul per stage applies the folded K(., stage) to the state
-    (giving K(X, X)) and to twice the frame (giving the Jacobian product).
-    A (B, N, 0) frame steps a stack of states alone.
+
+def _exprk_step(V, coeffs):
+    """One step of the exponential scheme of _exprk_coeffs, exact in M, of
+    one augmented state (x, 1), or of a (B, 1 + k, n + 1) stack of augmented
+    states, each with its tangent frame as _augment lays it out.
+
+    A stage is one product with its tensor, added in place to the slots of
+    the later stages, and the last slot is the new augmented state.  The
+    frame is carried by the derivative of the same step: a frame row q
+    carries 0 in the constant slot, so 2 q.dot(v.dot(T)) is L q + 2 W K(q, U),
+    the derivative of the stage's form.  The frames ride as rows under each
+    state, and one batched matmul per stage applies v.dot(T) to the state
+    and its frame alike; a stack with no frame rows skips the doubling.
+    The lone state's stages are written out, at two numpy calls per
+    product.
     """
-    L, g, Tu, Ta, Tb, Tc = coeffs
-    n = len(L)
-    if Q is None:
-        m = 1
+    T1, T2, T3, T4, T5 = coeffs
+    k = len(T1)
+    if V.ndim == 1:
+        r = V.dot(V.dot(T1).reshape(k, -1))
+        U = r[:k]
+        r[k:4 * k] += U.dot(U.dot(T2).reshape(k, -1))
+        U = r[k:2 * k]
+        r[2 * k:4 * k] += U.dot(U.dot(T3).reshape(k, -1))
+        U = r[2 * k:3 * k]
+        r[3 * k:] += U.dot(U.dot(T4).reshape(k, -1))
+        U = r[3 * k:4 * k]
+        r[4 * k:] += U.dot(U.dot(T5).reshape(k, -1))
+        return r[4 * k:]
+    B, m = V.shape[:2]
+    scale = np.full((m, 1), 2.0)
+    scale[0] = 1.0
 
-        def weighted(u, T):
-            return u.dot(u.dot(T).reshape(n, -1))
-        V = x
-    else:
-        B, m = len(x), 1 + Q.shape[2]
-        scale = np.full((m, 1), 2.0)
-        scale[0] = 1.0
-
-        def weighted(U, T):
-            U = U.reshape(B, m, n)
-            KU = np.matmul(U, U[:, 0].dot(T).reshape(B, n, -1))
+    def product(U, T):
+        KU = np.matmul(U, U[:, 0].dot(T).reshape(B, k, -1))
+        if m > 1:
             KU *= scale
-            return KU.reshape(B * m, -1)
-        V = np.concatenate([x[:, None], Q.transpose(0, 2, 1)],
-                           axis=1).reshape(B * m, n)
-    # the forcing moves states, not frames, and joins the small stage terms
-    # before the linear part: added to a state alone, its part below the
-    # state's last digit would round the same way on every step, and the
-    # orbit would drift by that much per step
-    r = weighted(V, Tu)
-    r[::m] += g
-    r += V.dot(L)
-    a = r[..., :n]
-    Ka = weighted(a, Ta)
-    b = r[..., n:2 * n] + Ka[..., :n]
-    Kb = weighted(b, Tb)
-    c = r[..., 3 * n:] + Kb[..., :n]
-    Vn = r[..., 2 * n:3 * n] + Ka[..., n:] + Kb[..., n:] + weighted(c, Tc)
-    if Q is None:
-        return Vn
-    Vn = Vn.reshape(B, m, n)
-    return Vn[:, 0], Vn[:, 1:].transpose(0, 2, 1)
+        return KU
+    r = product(V, T1)
+    r[..., k:4 * k] += product(r[..., :k], T2)
+    r[..., 2 * k:4 * k] += product(r[..., k:2 * k], T3)
+    r[..., 3 * k:] += product(r[..., 2 * k:3 * k], T4)
+    r[..., 4 * k:] += product(r[..., 3 * k:4 * k], T5)
+    return r[..., 4 * k:]
 
 
 def _fill_checked(step, x, xs, radius):
-    """Fill xs[i], one state or a (B, n) stack of states, with x after
-    i + 1 steps.
+    """Fill xs[i], one state or a stack of states, with the state of x after
+    i + 1 steps: x is augmented along its last axis, and xs keeps the
+    first n entries there, n the length of xs's last axis.
 
     Each block of _RENORM_EVERY steps is checked once it is filled, not
     each step.  Returns the index of the first step at which some row is
@@ -459,12 +484,13 @@ def _fill_checked(step, x, xs, radius):
     walked step by step.  Steps run on past an escaped row to the end of
     its block, so the overflow they may meet is not warned about.
     """
-    n = len(xs)
+    n, steps = xs.shape[-1], len(xs)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n, _RENORM_EVERY):
-            i1 = min(i0 + _RENORM_EVERY, n)
+        for i0 in range(0, steps, _RENORM_EVERY):
+            i1 = min(i0 + _RENORM_EVERY, steps)
             for i in range(i0, i1):
-                x = xs[i] = step(x)
+                x = step(x)
+                xs[i] = x[..., :n]
             block = xs[i0:i1]
             if np.einsum("...i,...i->...", block, block).max() < (0.99 * radius) ** 2:
                 continue
@@ -475,17 +501,19 @@ def _fill_checked(step, x, xs, radius):
     return None
 
 
-def _integrate_etdrk4(system: QuadraticSystem, x0, t0, t1, dt, blowup):
-    """ETDRK4 over [t0, t1] in n = ceil((t1 - t0)/dt) equal steps, so the
-    path ends at t1; the step is dt itself wherever dt divides the span.
-    A quotient within 1e-12 relative above an integer counts as that
-    integer, so a dt computed as span/n takes n steps, not n + 1."""
+def _integrate_exprk(system: QuadraticSystem, x0, t0, t1, dt, blowup):
+    """The exponential step over [t0, t1] in n = ceil((t1 - t0)/dt) equal
+    steps, so the path ends at t1; the step is dt itself wherever dt
+    divides the span.  A quotient within 1e-12 relative above an integer
+    counts as that integer, so a dt computed as span/n takes n steps, not
+    n + 1."""
     nsteps = int(np.ceil((t1 - t0) / dt * (1.0 - 1e-12)))
     ts = np.linspace(t0, t1, nsteps + 1)
-    coeffs = _etdrk4_coeffs(*system.form, (t1 - t0) / nsteps)
+    coeffs = _exprk_coeffs(*system.form, (t1 - t0) / nsteps)
     xs = np.empty((nsteps + 1, len(x0)))
     xs[0] = x0
-    i = _fill_checked(lambda x: _etdrk4_step(x, coeffs), x0, xs[1:], blowup)
+    i = _fill_checked(lambda v: _exprk_step(v, coeffs), _augment(x0), xs[1:],
+                      blowup)
     if i is not None:
         raise RealizeError(f"trajectory blow-up at t={ts[i + 1]:.4g}")
     return ts, xs, 0
@@ -525,8 +553,9 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
     """Integrate the fast-slow system over tspan.
 
     method='dopri' is scipy's adaptive RK45 (the Dormand-Prince 5(4) pair)
-    at rtol = atol = tol; method='imex' is the fixed-step ETDRK4
-    exponential integrator, exact in M (the stable choice for stiff xi),
+    at rtol = atol = tol; method='imex' is the fixed-step exponential
+    Runge-Kutta step of stiff order four, exact in M (the stable choice
+    for stiff xi),
     in ceil(span/dt) equal steps that end on t1, span/dt rounded down to
     an integer it passes by 1e-12 relative or less (dt defaults to
     min(5e-3, 5% of the span)).  'auto' picks imex for xi <= 2e-3 and
@@ -549,7 +578,7 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
     elif method == "imex":
         if dt is None:
             dt = min(5e-3, 0.05 * (t1 - t0))
-        ts, xs, rej = _integrate_etdrk4(system, x0, t0, t1, dt, blowup_radius)
+        ts, xs, rej = _integrate_exprk(system, x0, t0, t1, dt, blowup_radius)
     else:
         raise RealizeError(f"unknown method {method!r}")
     return Trajectory(t=ts, X=xs, rejected=rej)
@@ -616,13 +645,13 @@ def lyapunov(flow, starts, horizon: float, dt: float = 1e-2,
     The B orbits are stepped together, each by transient and then by
     horizon / B time units: horizon is the measured time of the whole
     ensemble.  The flow, a QuadraticSystem or a TargetField, is stepped as
-    its quadratic form by ETDRK4, exact in the linear part, and its frames
-    are carried by the derivative of the same step, so the tangent has the
-    orbit's order (about second, not fourth, at xi = 1e-3; see the module
-    docstring).  A flow carries p tangent columns: all of a TargetField's,
-    and a QuadraticSystem's p slow ones, since the leading exponents of a
-    Benettin frame do not depend on its trailing columns, so the N - p
-    fast ones are never computed.  Every orbit starts from the
+    its quadratic form by the exponential step of stiff order four, exact
+    in the linear part, and its frames are carried by the derivative of
+    the same step, so the tangent has the orbit's order.  A flow carries
+    p tangent columns: all of a TargetField's, and a QuadraticSystem's p
+    slow ones, since the leading exponents of a Benettin frame do not
+    depend on its trailing columns, so the N - p fast ones are never
+    computed.  Every orbit starts from the
     leading columns of one seeded orthonormal frame, and every
     _RENORM_EVERY steps one stacked QR renormalizes all the frames, through
     the transient too, so the measured average starts from an aligned
@@ -654,8 +683,8 @@ def lyapunov(flow, starts, horizon: float, dt: float = 1e-2,
                            f"renormalization ({_RENORM_EVERY} steps at dt = {dt})")
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :flow.p]
-    Q = np.repeat(Q[None], B, axis=0)
-    coeffs = _etdrk4_coeffs(*flow.form, dt)
+    V = _augment(x, np.repeat(Q[None], B, axis=0))
+    coeffs = _exprk_coeffs(*flow.form, dt)
 
     def check(x):
         if not np.all(np.isfinite(x)):
@@ -670,12 +699,13 @@ def lyapunov(flow, starts, horizon: float, dt: float = 1e-2,
     blocks = [min(_RENORM_EVERY, nburn - i) for i in range(0, nburn, _RENORM_EVERY)]
     burn_blocks = len(blocks)
     blocks += [_RENORM_EVERY] * nblocks
-    sums = np.zeros((B, Q.shape[2]))
+    sums = np.zeros((B, flow.p))
     for r, nsteps in enumerate(blocks):
         for _ in range(nsteps):
-            x, Q = _etdrk4_step(x, coeffs, Q)
-        check(x)
-        Q, Rm = np.linalg.qr(Q)
+            V = _exprk_step(V, coeffs)
+        check(V[:, 0, :n])
+        Q, Rm = np.linalg.qr(V[:, 1:, :n].transpose(0, 2, 1))
+        V[:, 1:, :n] = Q.transpose(0, 2, 1)
         if r >= burn_blocks:
             d = np.abs(np.diagonal(Rm, axis1=1, axis2=2))
             d[d < 1e-300] = 1e-300
@@ -696,7 +726,7 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
     """Affine-conjugate a raw quadratic field into the ball contract.
 
     The empirical attractor is sampled at each step of the bare field's
-    ETDRK4 at dt = 0.025 on _ORBITS seeded orbits, each past a transient of
+    exponential step at dt = 0.025 on _ORBITS seeded orbits, each past a transient of
     20 time units, 200 time units in all; it is centered and scaled into
     radius ball_radius/2.  The box's center and radius are statistics of a
     chaotic sample, which move by more across seeds than by the step's
@@ -711,13 +741,13 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
     dt = 0.025
     nburn = round(20.0 / dt)
     nkeep = round(200.0 / dt) // _ORBITS
-    coeffs = _etdrk4_coeffs(*raw.form, dt)
-    no_frame = np.empty((_ORBITS, raw.p, 0))
+    coeffs = _exprk_coeffs(*raw.form, dt)
 
-    # every state is a sample, the transient's among them
-    xs = np.empty((nburn + nkeep, _ORBITS, raw.p))
-    if _fill_checked(lambda x: _etdrk4_step(x, coeffs, no_frame)[0],
-                     x, xs, 1e6) is not None:
+    # every state is a sample, the transient's among them; each orbit is
+    # its augmented state alone, a stack with no frame rows
+    xs = np.empty((nburn + nkeep, _ORBITS, 1, raw.p))
+    V = _augment(x, np.empty((_ORBITS, raw.p, 0)))
+    if _fill_checked(lambda V: _exprk_step(V, coeffs), V, xs, 1e6) is not None:
         raise RealizeError("raw field escaped during the bounding run")
     pts = xs[nburn:].reshape(-1, raw.p)
     center = 0.5 * (pts.max(axis=0) + pts.min(axis=0))
@@ -741,15 +771,15 @@ def rescale_into_ball(raw: TargetField, ball_radius: float = 1.0,
 # end-to-end report
 # ---------------------------------------------------------------------------
 
-# the largest ETDRK4 step of realize_target's orbit, which takes equal
-# steps from one sample time of its sup error to the next.  ETDRK4 loses
-# order at this stiffness (its path error at the samples falls about 3x
-# per halving of the step at xi = 1e-3, not 16x), so the step is set by
-# accuracy: 0.009 (14 steps per interval at the default horizon) keeps
-# the path error at the samples of the CLI's Lorenz realization below
-# that of the 5e-3 path read through interpolation at seeds 1234, 101
-# and 17; 0.025 (6 per interval) read 3.2x that at seed 1234
-_ORBIT_STEP = 0.009
+# the largest step of realize_target's orbit, which takes equal steps from
+# one sample time of its sup error to the next: one step per sample
+# interval at the default horizon (50/399 = 0.1253), 399 steps.  The step
+# is set by accuracy: the five-stage step has stiff order four, and at one
+# step per interval the path error at the samples of the CLI's Lorenz
+# realization at xi = 1e-3 (2.2e-9, 1.9e-10 and 4.6e-10 at seeds 1234, 101
+# and 17) lies 10x or more below that of the former orbit of 5586
+# Cox-Matthews steps
+_ORBIT_STEP = 0.126
 
 
 @dataclass
@@ -779,14 +809,15 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     the realized slow field from the target at the nodes of the orbit's
     tail (empirical_field_error), and the Lyapunov spectra of both
     dynamics with their standard errors (None without with_lyapunov).
-    For xi <= 2e-3 the realized orbit is the ETDRK4 path in
-    s = ceil(spacing / _ORBIT_STEP) equal steps per sample interval
-    (spacing = horizon / 399: at the default horizon of 50, s = 14 and
-    5586 steps of 0.00895), so each sample time is a node; above, it is
-    the RK45 path, interpolated between its nodes.  The target is
-    evaluated at the sample times themselves by DOP853 at rtol 1e-10,
-    atol 1e-12, a method independent of the realized system's ETDRK4 and
-    RK45.  The report carries the realized trajectory.
+    For xi <= 2e-3 the realized orbit is the path of the five-stage
+    exponential step of stiff order four in s = ceil(spacing / _ORBIT_STEP)
+    equal steps per sample interval (spacing = horizon / 399: at the
+    default horizon of 50, s = 1 and 399 steps of 0.1253), so each sample
+    time is a node; above, it is the RK45 path, interpolated between its
+    nodes.  The target is evaluated at the sample times themselves by
+    DOP853 at rtol 1e-10, atol 1e-12, a method independent of the realized
+    system's exponential step and RK45.  The report carries the realized
+    trajectory.
 
     The Benettin runs step _ORBITS orbits each, from starts drawn after y0
     and as y0 is drawn (y0 is drawn even when given, so the starts depend
@@ -795,8 +826,8 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     among their orbits.  The ensemble study behind _ORBITS and _TRANSIENT
     is in CHANGES.md: on the rescaled Lorenz target, over 16 seeds, it
     keeps the exponent sums within 2.1e-6 (target) and 1.5e-5 (realized)
-    of the exact trace (with the target's ETDRK4 step, 3.3e-7 and 1.1e-5
-    over seeds 0-15), and at lyap_horizon 12000 a single 12000-unit
+    of the exact trace (with the five-stage step, 6.9e-9 and 2.4e-6 over
+    seeds 0-15), and at lyap_horizon 12000 a single 12000-unit
     orbit's LLE lies within two ensemble standard errors of the ensemble
     LLE on 28 of 32 runs.
     """

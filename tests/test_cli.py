@@ -308,8 +308,8 @@ def artifacts(tmp_path_factory):
     returned to the CLI on it, and the config keys it read.  Each recorded
     name maps to the (args, result) of its first call; a key counts as
     read when load_config's rules or a stage reads it.  The target is the
-    explicit p = 2 field, so N = 5, and the orbit is the ETDRK4 path,
-    whose step 10/1197 shows the t column's digits."""
+    explicit p = 2 field, so N = 5, and the orbit is the exponential path,
+    whose step 10/399 shows the t column's digits."""
     import obrealize.cli as cli
     out = tmp_path_factory.mktemp("all")
     seen, reads = {}, set()

@@ -20,6 +20,27 @@ def test_sidon_base_cases():
     assert sidon_set(3) == [1, 7, 17]
 
 
+def _sidon_by_every_sum(p):
+    """Oracle: the inductive rule as stated, each candidate past the
+    largest sum of every pair of the base so far."""
+    base = [1] if p == 1 else [1, 7]
+    while len(base) < p:
+        cand = max(a + b for a in base for b in base) + 1
+        if cand % 2 == 0:
+            cand += 1
+        while cand % 5 == 0:
+            cand += 2
+        base.append(cand)
+    return base
+
+
+def test_sidon_set_is_the_rule_over_every_pair():
+    # the next candidate reads the last entry alone; the base is the one
+    # the rule over every pairwise sum builds
+    for p in range(1, 60):
+        assert sidon_set(p) == _sidon_by_every_sum(p)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(min_value=1, max_value=12))
 def test_sidon_property_exhaustive(p):

@@ -9,8 +9,8 @@ from scipy.linalg import expm
 from obrealize.control import extended_set
 from obrealize.profile import derive_scales
 from obrealize.realize import (QuadraticSystem, RealizeError, TargetField,
-                               Trajectory, _etdrk4_coeffs, _etdrk4_step,
-                               _phi_functions, build_fast_slow,
+                               Trajectory, _augment, _exprk_coeffs,
+                               _exprk_step, _phi_functions, build_fast_slow,
                                contraction_field, empirical_field_error,
                                integrate, lorenz_field, lyapunov,
                                manifold_residual, realize_target,
@@ -43,6 +43,14 @@ def reduced_field(Y: np.ndarray, system: QuadraticSystem,
 @pytest.fixture(scope="module")
 def kset3():
     return extended_set(3)
+
+
+@pytest.fixture(scope="module")
+def K50(kset3):
+    """The CLI's K at its default b = 50 and p = 3."""
+    params = derive_scales(50.0)
+    return compute_K(asymptotic_basis(kset3.full, params, scale_grid(params)),
+                     params.nu)[0]
 
 
 @pytest.fixture(scope="module")
@@ -232,8 +240,8 @@ def test_rk45_rejections_counted_from_its_evaluations(kset3):
 
 @pytest.mark.parametrize("horizon", [12.3456, 0.004])
 def test_etdrk4_path_ends_at_t1(kset3, horizon):
-    # ETDRK4 is exact in M, so on a linear system the end state is
-    # e^{M t1} x0 whatever the step, if the steps add up to t1
+    # the exponential step is exact in M, so on a linear system the end
+    # state is e^{M t1} x0 whatever the step, if the steps add up to t1
     N = kset3.N
     M = -np.diag(np.linspace(0.5, 3.0, N))
     M[0, 1] = 0.7
@@ -259,29 +267,29 @@ def test_etdrk4_takes_n_steps_of_a_dt_computed_as_span_over_n(kset3):
 
 
 @pytest.mark.parametrize("horizon, s", [
-    (0.004, 1), (1.0, 1), (12.3456, 4), (50.0, 14), (500.0, 140), (1000.0, 279)])
+    (0.004, 1), (1.0, 1), (12.3456, 1), (50.0, 1), (500.0, 10), (1000.0, 20)])
 def test_realized_orbit_steps_onto_the_sample_times(K9, kset3, horizon, s):
-    # s = ceil(spacing / 0.009) equal steps per interval between the 400
-    # sample times, so every s-th node is a sample time
+    # s = ceil(spacing / 0.126) equal steps per interval between the 400
+    # sample times, so every s-th node is a sample time: one step per
+    # interval, 399 steps, at the default horizon of 50
     rep = realize_target(contraction_field(3), K9, kset3, xi=1e-3,
                          horizon=horizon, with_lyapunov=False)
     t = rep.trajectory.t
     assert rep.trajectory.steps == len(t) - 1 == 399 * s
-    assert np.diff(t).max() <= 0.009
+    assert np.diff(t).max() <= 0.126
     assert np.allclose(t[::s], np.linspace(0.0, horizon, 400), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed, bound", [(1234, 3.56e-8), (101, 1.07e-8),
                                          (17, 2.20e-8)])
-def test_realized_path_at_the_samples_is_no_less_accurate_than_a_5e3_step(seed, bound):
+def test_realized_path_at_the_samples_is_no_less_accurate_than_a_5e3_step(
+        K50, kset3, seed, bound):
     # the CLI's Lorenz realization at xi = 1e-3: the bound is the path
     # error at the sample times of the orbit's former 5e-3 steps read
     # through interpolation, against the same 80 steps per sample interval;
-    # the sample-aligned path reads 2.97e-8, 1.85e-9 and 5.97e-9
-    kset = extended_set(3)
-    params = derive_scales(50.0)
-    K, _ = compute_K(asymptotic_basis(kset.full, params, scale_grid(params)),
-                     params.nu)
+    # the sample-aligned path of one step per interval reads 2.2e-9,
+    # 1.9e-10 and 4.6e-10
+    kset, K = kset3, K50
     target = rescale_into_ball(lorenz_field(), seed=seed)
     rep = realize_target(target, K, kset, xi=1e-3, seed=seed,
                          with_lyapunov=False)
@@ -293,6 +301,30 @@ def test_realized_path_at_the_samples_is_no_less_accurate_than_a_5e3_step(seed, 
     err = np.linalg.norm(rep.trajectory.sample(samples)[:, :3] - ref.X[::80, :3],
                          axis=1)
     assert err.max() < bound
+
+
+@pytest.mark.parametrize("xi", [1e-3, 1e-4])
+def test_realized_path_error_falls_as_stiff_order_four(K50, kset3, xi):
+    # the CLI's Lorenz realization, at one and two steps per sample interval
+    # against 16: halving the step cuts the path error at the samples by
+    # 9.0-15.9x over seeds 1234, 101 and 17 (16x at fourth order), at
+    # xi = 1e-3 and 1e-4 alike, where the former Cox-Matthews step cut it by
+    # about 2x
+    samples = slice(None, None, 16)
+    for seed in (1234, 101, 17):
+        target = rescale_into_ball(lorenz_field(), seed=seed)
+        rep = realize_target(target, K50, kset3, xi=xi, seed=seed,
+                             with_lyapunov=False)
+        assert rep.trajectory.steps == 399
+        system = build_fast_slow(target, K50, kset3, xi)
+        x0 = rep.trajectory.X[0]
+        ref = integrate(system, x0, (0.0, 50.0), method="imex",
+                        dt=50.0 / (399 * 16)).X[samples, :3]
+        half = integrate(system, x0, (0.0, 50.0), method="imex",
+                         dt=50.0 / (399 * 2)).X[::2, :3]
+        errs = [np.linalg.norm(Y - ref, axis=1).max()
+                for Y in (rep.trajectory.X[:, :3], half)]
+        assert errs[0] / errs[1] > 7.0
 
 
 def _field_error_by_loop(traj, system, target):
@@ -367,8 +399,9 @@ def test_lyapunov_linear_contraction():
 
 
 def test_lyapunov_contraction_is_exact_in_the_linear_part():
-    # ETDRK4 steps -Y by e^{-h} exactly, so even at dt = 0.5 the exponents
-    # are -1 to rounding (RK4's Taylor polynomial of e^{-h} gave -0.99921)
+    # the exponential step takes -Y by e^{-h} exactly, so even at dt = 0.5
+    # the exponents are -1 to rounding (RK4's Taylor polynomial of e^{-h}
+    # gave -0.99921)
     exps, _ = lyapunov(contraction_field(3),
                        np.array([[0.1, 0.05, -0.08], [-0.2, 0.1, 0.03]]),
                        horizon=50.0, dt=0.5, transient=1.0)
@@ -425,18 +458,18 @@ def _full_frame_spectrum(system, starts, horizon, dt, transient, seed):
     """Oracle: each start alone, all N tangent columns, QR on every step
     over the orbit's share of the horizon; all N exponents, averaged over
     the orbits."""
-    coeffs = _etdrk4_coeffs(*system.form, dt)
+    coeffs = _exprk_coeffs(*system.form, dt)
     rng = np.random.default_rng(seed)
     Q0 = np.linalg.qr(rng.standard_normal((system.N, system.N)))[0]
     nburn, nsteps = int(transient / dt), int(horizon / len(starts) / dt)
     spectra = []
     for x0 in starts:
-        x, Q = np.array([x0], dtype=float), Q0[None]
+        V = _augment(np.array([x0], dtype=float), Q0[None])
         sums = np.zeros(system.N)
         for i in range(nburn + nsteps):
-            x, Q = _etdrk4_step(x, coeffs, Q)
-            Q, Rm = np.linalg.qr(Q[0])
-            Q = Q[None]
+            V = _exprk_step(V, coeffs)
+            Q, Rm = np.linalg.qr(V[0, 1:, :-1].T)
+            V[0, 1:, :-1] = Q.T
             if i >= nburn:
                 sums += np.log(np.abs(np.diag(Rm)))
         spectra.append(np.sort(sums / (nsteps * dt))[::-1])
@@ -487,73 +520,113 @@ def _full_system():
                            f=0.3 * rng.standard_normal(N), xi=1.0)
 
 
-def _unfolded_etdrk4_step(system, x, h, Q=None):
-    """Oracle: the Cox-Matthews stages as written, for one state x and its
-    (N, k) frame Q, each N(v) = K(v, v) + f and each frame term
-    2 K(F, v) formed and then multiplied by its weight."""
+def _unfolded_scheme(system, h, dtype=float):
+    """Oracle: Hochbruck & Ostermann's five stages as written, as a function
+    step(x, Q=None) of one state x and its (N, k) frame Q, each
+    N(v) = K(v, v) + f and each frame term 2 K(F, v) formed and then
+    multiplied by its weight.  The weights come from _phi_functions; the
+    stages are summed in dtype."""
     M, K, f = system.M, system.K, system.f
     E, p1, p2, p3 = _phi_functions(h * M)
-    E2, q1 = _phi_functions(0.5 * h * M)[:2]
-    P = 0.5 * h * q1
-    B1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-    B2 = h * (2.0 * p2 - 4.0 * p3)
-    B4 = h * (4.0 * p3 - p2)
+    E2, q1, q2, q3 = _phi_functions(0.5 * h * M)
+    a52 = q2 / 2 - p3 + p2 / 4 - q3 / 2
+    a54 = q2 / 4 - a52
+    a51 = q1 / 2 - 2 * a52 - a54
+    E, E2, K, f = (np.asarray(a, dtype=dtype) for a in (E, E2, K, f))
+    a21, a31, a32, a41, a42, a51, a52, a54, b1, b4, b5 = (
+        np.asarray(h * w, dtype=dtype) for w in (
+            q1 / 2, q1 / 2 - q2, q2, p1 - 2 * p2, p2, a51, a52, a54,
+            p1 - 3 * p2 + 4 * p3, 4 * p3 - p2, 4 * p2 - 8 * p3))
 
-    def N(v):
-        return np.einsum("ijl,j,l->i", K, v, v) + f
-    a = E2 @ x + P @ N(x)
-    b = E2 @ x + P @ N(a)
-    c = E2 @ a + P @ (2.0 * N(b) - N(x))
-    xn = E @ x + B1 @ N(x) + B2 @ (N(a) + N(b)) + B4 @ N(c)
-    if Q is None:
-        return xn
+    def stages(x, N):
+        U2 = E2 @ x + a21 @ N(x, 0)
+        U3 = E2 @ x + a31 @ N(x, 0) + a32 @ N(U2, 1)
+        U4 = E @ x + a41 @ N(x, 0) + a42 @ (N(U2, 1) + N(U3, 2))
+        U5 = (E2 @ x + a51 @ N(x, 0) + a52 @ (N(U2, 1) + N(U3, 2))
+              + a54 @ N(U4, 3))
+        xn = E @ x + b1 @ N(x, 0) + b4 @ N(U4, 3) + b5 @ N(U5, 4)
+        return [x, U2, U3, U4, U5], xn
 
-    def J(v, F):
-        return 2.0 * np.einsum("ijl,jk,l->ik", K, F, v)
-    Qa = E2 @ Q + P @ J(x, Q)
-    Qb = E2 @ Q + P @ J(a, Qa)
-    Qc = E2 @ Qa + P @ (2.0 * J(b, Qb) - J(x, Q))
-    Qn = (E @ Q + B1 @ J(x, Q) + B2 @ (J(a, Qa) + J(b, Qb))
-          + B4 @ J(c, Qc))
-    return xn, Qn
+    def step(x, Q=None):
+        states, xn = stages(x, lambda v, i: np.einsum("ijl,j,l->i", K, v, v) + f)
+        if Q is None:
+            return xn
+        return xn, stages(Q, lambda F, i: 2.0 * np.einsum("ijl,jk,l->ik", K, F,
+                                                          states[i]))[1]
+    return step
 
 
 @pytest.mark.parametrize("case, h", [("stiff", 5e-3), ("stiff", 0.5),
                                      ("full", 0.25)])
 def test_folded_etdrk4_step_matches_unfolded_stages(K9, kset3, lorenz_target,
                                                     case, h):
-    # the stage weights folded into K give the stages as written, for one
-    # state and for a stack of states with their frames
+    # each stage's weights, linear part and forcing folded into one quadratic
+    # form of the augmented state give the stages as written, for one state
+    # and for a stack of states with their frames
     if case == "stiff":
         sysd = build_fast_slow(lorenz_target, K9, kset3, xi=1e-3)
     else:
         sysd = _full_system()
-    coeffs = _etdrk4_coeffs(*sysd.form, h)
+    coeffs = _exprk_coeffs(*sysd.form, h)
     rng = np.random.default_rng(16)
     X = 0.3 * rng.standard_normal((4, sysd.N))
     Q = np.linalg.qr(rng.standard_normal((4, sysd.N, 2)))[0]
-    x, F = _etdrk4_step(X, coeffs, Q)
+    V = _exprk_step(_augment(X, Q), coeffs)
+    assert np.all(V[:, 0, -1] == 1.0) and np.all(V[:, 1:, -1] == 0.0)
+    unfolded = _unfolded_scheme(sysd, h)
     for i in range(4):
-        xn, Qn = _unfolded_etdrk4_step(sysd, X[i], h, Q[i])
-        for got, want in ((_etdrk4_step(X[i], coeffs), xn), (x[i], xn),
-                          (F[i], Qn)):
+        xn, Qn = unfolded(X[i], Q[i])
+        lone = _exprk_step(_augment(X[i]), coeffs)
+        assert lone[-1] == 1.0
+        for got, want in ((lone[:-1], xn), (V[i, 0, :-1], xn),
+                          (V[i, 1:, :-1].T, Qn)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_forcing_in_the_fold_does_not_drift():
+    # the CLI's explicit preset, whose slow flow settles where its forcing
+    # f = (0.3, 0) balances -Y: 10 000 steps of 1e-3 at xi = 1e-3 stay
+    # within 3.5e-15 of the same five stages summed in long double.  Its
+    # forcing adds a nearly constant amount to a nearly constant state, and
+    # a fold that added it to each stage's sum alone, after the products,
+    # would round it the same way on each step and drift by 2.9e-14
+    kset = extended_set(2)
+    params = derive_scales(50.0)
+    K, _ = compute_K(asymptotic_basis(kset.full, params, scale_grid(params)),
+                     params.nu)
+    target = TargetField(D=[[[0, 0], [0, 0.2]], [[0, 0], [0, 0]]],
+                         R=[[-1, 0], [0, -1]], f=[0.3, 0])
+    system = build_fast_slow(target, K, kset, 1e-3)
+    y0 = np.array([0.1, -0.2])
+    x0 = np.r_[y0, 1e-3 * system.kt1(y0)]
+    traj = integrate(system, x0, (0.0, 10.0), method="imex", dt=1e-3)
+    assert traj.steps == 10000
+    step = _unfolded_scheme(system, 1e-3, dtype=np.longdouble)
+    x = np.asarray(x0, dtype=np.longdouble)
+    dev = 0.0
+    for X in traj.X[1:]:
+        x = step(x)
+        dev = max(dev, np.max(np.abs(X - x)))
+    assert dev < 1e-14
 
 
 def test_etdrk4_frame_is_the_step_derivative_for_unsymmetric_K():
     # the system is handed a K not symmetric in its last two slots; the
     # frames the step carries by 2 K(., stage) must still be the derivative
     # of its state step: against central differences at h = 1e-6 they
-    # differ by 5.0e-11 of max|fd|
+    # differ by 7.5e-11 of max|fd|
     sysd = _full_system()
-    coeffs = _etdrk4_coeffs(*sysd.form, 0.25)
+    coeffs = _exprk_coeffs(*sysd.form, 0.25)
     rng = np.random.default_rng(11)
     x = 0.3 * rng.standard_normal(sysd.N)
-    _, F = _etdrk4_step(x[None], coeffs, np.eye(sysd.N)[None])
+    F = _exprk_step(_augment(x[None], np.eye(sysd.N)[None]), coeffs)[0, 1:, :-1].T
+
+    def step(y):
+        return _exprk_step(_augment(y), coeffs)[:-1]
     h = 1e-6
-    fd = np.stack([(_etdrk4_step(x + e, coeffs) - _etdrk4_step(x - e, coeffs))
-                   / (2 * h) for e in h * np.eye(sysd.N)], axis=-1)
-    assert np.max(np.abs(F[0] - fd)) < 1e-8 * np.max(np.abs(fd))
+    fd = np.stack([(step(x + e) - step(x - e)) / (2 * h)
+                   for e in h * np.eye(sysd.N)], axis=-1)
+    assert np.max(np.abs(F - fd)) < 1e-8 * np.max(np.abs(fd))
 
 
 def test_lyapunov_slow_columns_match_full_frame():
@@ -578,14 +651,14 @@ def test_lyapunov_slow_columns_match_full_frame():
 
 
 def test_lyapunov_target_exponents_pinned(lorenz_target):
-    # the ETDRK4 step of the Lorenz target's bare form and its derivative
+    # the exponential step of the Lorenz target's bare form and its derivative
     # on the frames, bit for bit as the stacked QR gives it for two orbits
     # past the default transient
     tgt = lorenz_target
     exps, stderr = lyapunov(tgt, np.array([[0.05, 0.02, 0.1], [-0.1, 0.05, 0.0]]),
                             horizon=50.0, dt=0.02)
-    assert exps == pytest.approx([0.007824814948709728, -0.010212268034326429,
-                                  -0.18663898369177884], rel=1e-15, abs=0.0)
+    assert exps == pytest.approx([-0.007864381020647949, -0.014935425925886231,
+                                  -0.16870242382844164], rel=1e-15, abs=0.0)
     assert np.all(np.isfinite(stderr)) and np.all(stderr > 0.0)
 
 
@@ -637,10 +710,10 @@ def test_rescale_into_ball_properties(lorenz_target):
 
 
 @pytest.mark.parametrize("seed, center, scale, tau", [
-    pytest.param(1, [-0.2119486014557861, -0.414338210004507, 24.884389822735663],
-                 61.77680161356157, 0.013831202691020224, id="1"),
-    pytest.param(1234, [0.35715820356919714, 0.6617004752804885, 24.652634341887506],
-                 62.164728143233035, 0.013702905210929666, id="1234"),
+    pytest.param(1, [-0.4116998309106652, -0.7686563435010356, 24.83820268802912],
+                 60.746164761114684, 0.014012358349387369, id="1"),
+    pytest.param(1234, [-0.10465311388040277, -0.16573370410533173, 25.0979778603039],
+                 60.68520238976761, 0.014122754012865536, id="1234"),
 ])
 def test_rescale_into_ball_affine_pinned(seed, center, scale, tau):
     # the raw bounding run over its 16 orbits, bit for bit: every realize
@@ -710,16 +783,17 @@ def _rows_match(batched, lone, rtol=1e-14):
 
 def test_etdrk4_step_rows_match_lone_rows(K9, kset3, lorenz_target):
     sysd = build_fast_slow(lorenz_target, K9, kset3, xi=1e-3)
-    coeffs = _etdrk4_coeffs(*sysd.form, 0.5)
+    coeffs = _exprk_coeffs(*sysd.form, 0.5)
     rng = np.random.default_rng(13)
     X = 0.3 * rng.standard_normal((16, kset3.N))
     Q = np.linalg.qr(rng.standard_normal((16, kset3.N, 3)))[0]
-    x, F = _etdrk4_step(X, coeffs, Q)
-    lone = [_etdrk4_step(X[i:i + 1], coeffs, Q[i:i + 1]) for i in range(16)]
-    _rows_match(x, [l[0][0] for l in lone])
-    _rows_match(F, [l[1][0] for l in lone])
+    V = _exprk_step(_augment(X, Q), coeffs)
+    lone = [_exprk_step(_augment(X[i:i + 1], Q[i:i + 1]), coeffs)[0]
+            for i in range(16)]
+    _rows_match(V[:, 0], [l[0] for l in lone])
+    _rows_match(V[:, 1:], [l[1:] for l in lone])
     # the one orbit of integrate, a lone 1-D state, steps as its row does
-    _rows_match(x, [_etdrk4_step(y, coeffs) for y in X])
+    _rows_match(V[:, 0], [_exprk_step(_augment(y), coeffs) for y in X])
 
 
 def test_lyapunov_exponents_do_not_depend_on_start_order(lorenz_target):
