@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control import extended_set, control_solve, g1_from_u1
+from .control import extended_set, control_solve, g1_from_u1, sidon_reach
 from .profile import ProfileError, derive_scales, designed_profile
 from .realize import (contraction_field, lorenz_field, realize_target,
                       rescale_into_ball, RealizeError, TargetField)
 from .reduction import asymptotic_basis, compute_K
 from .spectral import (SpectralError, check_survey, default_grid, resolves_layer,
-                       scale_grid, spectrum_report)
+                       scale_grid, scale_nodes, spectrum_report)
 
 
 # Every config key with its default and the bound on its value: a test and
@@ -43,8 +43,10 @@ CONFIG_KEYS = {
     "scales.gamma": (1e-3, None),
     "wavenumbers.p": (2, (lambda v: v >= 1, ">= 1")),
     "spectrum.kmax": (21, (lambda v: v >= 1, ">= 1")),
-    "spectrum.grid_n": (0, (lambda v: v == 0 or v >= 2,
-                            "0 (the default grid) or >= 2")),
+    # spectrum at 2000 intervals (b = 30, 2 cores) takes 76 s and 760 MB,
+    # which grow as n^3 and n^2
+    "spectrum.grid_n": (0, (lambda v: v == 0 or 2 <= v <= 2000,
+                            "0 (the default grid) or 2 to 2000")),
     "reduce.b": (50.0, None),
     "control.target": ("random", None),
     "realize.preset": ("lorenz", _PRESET),
@@ -127,27 +129,48 @@ def _scales(cfg: dict, b: float):
     return derive_scales(b, s["s0"], s["s2"], gamma=s["gamma"])
 
 
+def _check_reach(p: int, nodes: np.ndarray, key: str, b: float) -> None:
+    """The reach of wavenumbers.p on a grid: the largest p whose extended
+    set's largest wavenumber k has its 1/(4k) layer resolved by the node
+    spacing at the wall.  Found before any set is built."""
+    reach = sidon_reach(lambda k: resolves_layer(nodes, k))
+    if p > reach:
+        raise SystemExit(f"invalid wavenumbers.p: need at most {reach} at {key} = "
+                         f"{b}, the reach of its grid: the largest p whose "
+                         f"extended set's largest wavenumber k has its 1/(4k) "
+                         f"layer resolved by the node spacing at the wall")
+
+
 def _validate(cfg: dict, stage: str) -> None:
     """The rules that read more than one key, or that a constructor enforces.
     Each binds only the stages that read its keys: the grid and survey
-    rules spectrum and all, the explicit-preset rule realize and all, and
-    the control-target rule control and all."""
+    rules, and the reach of wavenumbers.p on the spectrum grid, spectrum
+    and all; its reach on the reduce.b grid the stages that build a basis
+    over wavenumbers.p (reduce, control, all and the contraction preset of
+    realize); the explicit-preset rule realize and all; and the
+    control-target rule control and all."""
     for key, b in (("scales.b", cfg["scales"]["b"]), ("reduce.b", cfg["reduce"]["b"])):
         try:
             _scales(cfg, b)
         except ProfileError as exc:
             raise SystemExit(f"invalid scales for {key} = {b}: {exc}") from None
+    p, r = cfg["wavenumbers"]["p"], cfg["realize"]
+    if stage in ("reduce", "control", "all") or (stage == "realize"
+                                                 and r["preset"] == "contraction"):
+        b = cfg["reduce"]["b"]
+        _check_reach(p, scale_nodes(_scales(cfg, b)), "reduce.b", b)
     if stage in ("spectrum", "all"):
         b, n = cfg["scales"]["b"], cfg["spectrum"]["grid_n"]
-        if n and not resolves_layer(scale_grid(_scales(cfg, b), n), b):
+        nodes = scale_nodes(_scales(cfg, b), n or None)
+        if n and not resolves_layer(nodes, b):
             raise SystemExit(f"invalid spectrum.grid_n: {n} intervals do not resolve "
                              f"the 1/(4b) boundary layer at scales.b = {b}")
+        _check_reach(p, nodes, "scales.b", b)
         try:
-            check_survey(extended_set(cfg["wavenumbers"]["p"]).base,
+            check_survey(extended_set(p).base,
                          cfg["spectrum"]["kmax"], _scales(cfg, b))
         except SpectralError as exc:
             raise SystemExit(f"invalid spectrum.kmax or scales.b: {exc}") from None
-    r = cfg["realize"]
     if stage in ("realize", "all") and r["preset"] == "explicit":
         if not {"D", "R", "f"} <= r.keys():
             raise SystemExit("the explicit preset needs realize.D, realize.R and realize.f")
@@ -158,7 +181,7 @@ def _validate(cfg: dict, stage: str) -> None:
                              "realize.R p x p and realize.f of length p") from None
     target = cfg["control"]["target"]
     if stage in ("control", "all") and target != "random":
-        N = extended_set(cfg["wavenumbers"]["p"]).N
+        N = extended_set(p).N
         try:
             shape = np.asarray(target, dtype=float).shape
         except (TypeError, ValueError):

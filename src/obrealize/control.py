@@ -19,6 +19,7 @@ kind of problem for prescribed exponential moments of a single profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -32,6 +33,7 @@ __all__ = [
     "ControlSolution",
     "ControlError",
     "sidon_set",
+    "sidon_reach",
     "extended_set",
     "verify_decomposition",
     "moment_profile",
@@ -48,6 +50,17 @@ class ControlError(ValueError):
 # wavenumber sets
 # ---------------------------------------------------------------------------
 
+def _sidon_base():
+    """sidon_set's base wavenumbers in order, without end."""
+    yield 1
+    k = 7
+    while True:
+        yield k
+        k = 2 * k + 1
+        while k % 5 == 0:
+            k += 2
+
+
 def sidon_set(p: int) -> list[int]:
     """Base wavenumbers with pairwise-distinct sums, none divisible by 5.
 
@@ -58,15 +71,17 @@ def sidon_set(p: int) -> list[int]:
     """
     if p < 1:
         raise ControlError("p must be a positive integer")
-    base = [1] if p == 1 else [1, 7]
-    while len(base) < p:
-        cand = 2 * base[-1] + 1
-        if cand % 2 == 0:
-            cand += 1
-        while cand % 5 == 0:
-            cand += 2
-        base.append(cand)
-    return base
+    return list(itertools.islice(_sidon_base(), p))
+
+
+def sidon_reach(resolved) -> int:
+    """The largest p whose extended set's largest wavenumber k, twice the
+    last base entry, passes resolved(k), which must fail past some k.  The
+    entries more than double, so the walk takes about log2 of that k steps
+    and builds no set."""
+    for p, k in enumerate(_sidon_base()):
+        if not resolved(2 * k):
+            return p
 
 
 def _check_sidon(base) -> None:

@@ -76,17 +76,23 @@ def make_grid(h: float, n: int = 280, alpha: float = 5.0) -> Grid:
     nodes inside a 1/30 boundary layer at n ~ 280 without wrecking the
     conditioning of the second-derivative operator.
     """
-    if h <= 0:
-        raise ValueError("domain height must be positive")
+    y = graded_nodes(h, n, alpha)
     D, x = chebyshev_diff(n)
     wx = clenshaw_curtis(n)
-    s = (1.0 - x) / 2.0     # s = 0 at x = 1; s, and so y, rise with the node index
-    denom = np.expm1(alpha)
-    y = h * np.expm1(alpha * s) / denom
-    dyds = h * alpha * np.exp(alpha * s) / denom
-    dydx = -0.5 * dyds
+    s = (1.0 - x) / 2.0
+    dydx = -0.5 * h * alpha * np.exp(alpha * s) / np.expm1(alpha)
     Dy = D / dydx[:, None]
     wy = wx * np.abs(dydx)
+    return Grid(h=h, nodes=y, weights=wy, diff=Dy, d2=Dy @ Dy)
+
+
+def graded_nodes(h: float, n: int, alpha: float = 5.0) -> np.ndarray:
+    """The nodes of make_grid(h, n, alpha) alone, with no matrix built."""
+    if h <= 0:
+        raise ValueError("domain height must be positive")
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    s = (1.0 - x) / 2.0     # s = 0 at x = 1; s, and so y, rise with the node index
+    y = h * np.expm1(alpha * s) / np.expm1(alpha)
     y[0] = 0.0
     y[-1] = h
-    return Grid(h=h, nodes=y, weights=wy, diff=Dy, d2=Dy @ Dy)
+    return y

@@ -21,8 +21,7 @@ five-stage exponential Runge-Kutta scheme of Hochbruck & Ostermann (SIAM
 J. Numer. Anal. 43, 2005) in _exprk_step, exact in the whole constant
 linear part M and of stiff order four: its error bound does not grow with
 the stiffness of M.  At xi = 1e-3 and 1e-4 the path error of a realized
-orbit falls 9-16x per halving of its step, against about 2-3x for the
-Cox-Matthews ETDRK4 step it replaced.  A QuadraticSystem hands it its
+orbit falls 9-16x per halving of its step.  A QuadraticSystem hands it its
 (K, M, f), where M holds the stiff fast diagonal -1/xi and the coupling
 T/xi alike; a TargetField hands it its bare form (D, R, f).  The e^{hM}
 and phi-functions come once per (field, step) from one augmented matrix
@@ -33,20 +32,21 @@ orbit with that step as a 1-D augmented state; lyapunov drives a stack of
 orbits of either kind of flow and, by the derivative of the same step,
 their tangent frames as rows under each state; and rescale_into_ball's
 bounding run drives a stack of raw orbits with an empty frame.  States
-are stored without their constant entry.  Non-stiff fast-slow systems
-(xi > 2e-3) are integrated by scipy's adaptive RK45 through
-QuadraticSystem.rhs at one point, behind an escape check in the field,
-and realize_target evaluates the target's reference orbit, blend and
-all, at its sample times by scipy's DOP853, through a TargetField on a
-stack of one row.
+are stored without their constant entry.  scipy's adaptive RK45 serves
+integrate's method "auto" alone, above xi = 2e-3, through
+QuadraticSystem.rhs at one point, behind an escape check in the field;
+realize_target evaluates the target's reference orbit, blend and all, at
+its sample times by scipy's DOP853, through a TargetField on a stack of
+one row.
 
-Since the step is exact in M, the step of a stiff orbit is set by the
-slow dynamics, not by xi.  realize_target steps its orbit in s equal
-steps of at most _ORBIT_STEP = 0.126 between consecutive sample times:
-one step per sample interval, 399 steps, at the default horizon.  Each
-sample time is a node, where the interpolation of Trajectory.sample adds
-no error; the field error evaluates the realized field itself at the
-nodes, so it carries no truncation error of the step.
+Since the step is exact in M, the step of an orbit is set by the slow
+dynamics, not by xi.  realize_target steps its orbit at every xi in s
+equal steps of at most _ORBIT_STEP = 0.126 between consecutive sample
+times, 399 s steps in all: one step per sample interval, 399 steps, at
+the default horizon.  Each sample time is a node, and every gate reads
+nodes, none an interpolation: the sup error reads the sample nodes, and
+the field error evaluates the realized field itself at the tail's nodes,
+so it carries no truncation error of the step.
 
 The long loops run on ensembles of _ORBITS orbits.  Their states are 3- to
 9-vectors, where numpy's per-call overhead, not arithmetic, is the cost of
@@ -519,8 +519,8 @@ def _integrate_exprk(system: QuadraticSystem, x0, t0, t1, dt, blowup):
     return ts, xs, 0
 
 
-def _integrate_rk45(system: QuadraticSystem, x0, t0, t1, tol, blowup):
-    """scipy's RK45 at rtol = atol = tol, max step min(xi/4, 1/4).
+def _integrate_rk45(system: QuadraticSystem, x0, t0, t1, blowup):
+    """scipy's RK45 at rtol = atol = 1e-8, max step min(xi/4, 1/4).
 
     The field handed to solve_ivp raises RealizeError at the first point it
     is evaluated at with |X| > blowup, a stage of an attempted step among
@@ -540,29 +540,27 @@ def _integrate_rk45(system: QuadraticSystem, x0, t0, t1, tol, blowup):
                                f"|X| = {np.sqrt(xx):.3g}")
         return rhs(x)
 
-    sol = solve_ivp(field, (t0, t1), x0, method="RK45", rtol=tol, atol=tol,
+    sol = solve_ivp(field, (t0, t1), x0, method="RK45", rtol=1e-8, atol=1e-8,
                     max_step=min(0.25 * system.xi, 0.25))
     if not sol.success:
         raise RealizeError(sol.message)
     return sol.t, sol.y.T, (sol.nfev - 2) // 6 - (len(sol.t) - 1)
 
 
-def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
-              method: str = "auto", dt: float | None = None,
+def integrate(system: QuadraticSystem, x0, tspan, method: str = "auto",
+              dt: float | None = None,
               blowup_radius: float | None = None) -> Trajectory:
     """Integrate the fast-slow system over tspan.
 
-    method='dopri' is scipy's adaptive RK45 (the Dormand-Prince 5(4) pair)
-    at rtol = atol = tol; method='imex' is the fixed-step exponential
-    Runge-Kutta step of stiff order four, exact in M (the stable choice
-    for stiff xi),
-    in ceil(span/dt) equal steps that end on t1, span/dt rounded down to
-    an integer it passes by 1e-12 relative or less (dt defaults to
-    min(5e-3, 5% of the span)).  'auto' picks imex for xi <= 2e-3 and
-    RK45 above; RK45 chooses its own steps and does not read dt.  Either
-    raises RealizeError once |X| passes blowup_radius (default
-    10 max(1, |x0|)); imex also once a state is not finite, and both
-    reject a non-finite x0.  Deterministic: identical inputs give
+    method='imex' is the fixed-step exponential Runge-Kutta step of stiff
+    order four, exact in M, in ceil(span/dt) equal steps that end on t1,
+    span/dt rounded down to an integer it passes by 1e-12 relative or less
+    (dt defaults to min(5e-3, 5% of the span)).  'auto' takes imex for
+    xi <= 2e-3 and, above, scipy's adaptive RK45 (the Dormand-Prince 5(4)
+    pair) at rtol = atol = 1e-8, which chooses its own steps and does not
+    read dt.  Either raises RealizeError once |X| passes blowup_radius
+    (default 10 max(1, |x0|)); imex also once a state is not finite, and
+    both reject a non-finite x0.  Deterministic: identical inputs give
     identical output.
     """
     t0, t1 = tspan
@@ -571,11 +569,9 @@ def integrate(system: QuadraticSystem, x0, tspan, tol: float = 1e-8,
         raise RealizeError("x0 must be finite")
     if blowup_radius is None:
         blowup_radius = 10.0 * max(1.0, np.linalg.norm(x0))
-    if method == "auto":
-        method = "imex" if system.xi <= 2e-3 else "dopri"
-    if method == "dopri":
-        ts, xs, rej = _integrate_rk45(system, x0, t0, t1, tol, blowup_radius)
-    elif method == "imex":
+    if method == "auto" and system.xi > 2e-3:
+        ts, xs, rej = _integrate_rk45(system, x0, t0, t1, blowup_radius)
+    elif method in ("auto", "imex"):
         if dt is None:
             dt = min(5e-3, 0.05 * (t1 - t0))
         ts, xs, rej = _integrate_exprk(system, x0, t0, t1, dt, blowup_radius)
@@ -809,15 +805,14 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     the realized slow field from the target at the nodes of the orbit's
     tail (empirical_field_error), and the Lyapunov spectra of both
     dynamics with their standard errors (None without with_lyapunov).
-    For xi <= 2e-3 the realized orbit is the path of the five-stage
-    exponential step of stiff order four in s = ceil(spacing / _ORBIT_STEP)
-    equal steps per sample interval (spacing = horizon / 399: at the
-    default horizon of 50, s = 1 and 399 steps of 0.1253), so each sample
-    time is a node; above, it is the RK45 path, interpolated between its
-    nodes.  The target is evaluated at the sample times themselves by
-    DOP853 at rtol 1e-10, atol 1e-12, a method independent of the realized
-    system's exponential step and RK45.  The report carries the realized
-    trajectory.
+    The realized orbit is the path of the five-stage exponential step of
+    stiff order four at every xi, in s = ceil(spacing / _ORBIT_STEP) equal
+    steps per sample interval (spacing = horizon / 399: at the default
+    horizon of 50, s = 1 and 399 steps of 0.1253), so every s-th node is a
+    sample time and the sup error reads those nodes.  The target is
+    evaluated at the sample times themselves by DOP853 at rtol 1e-10, atol
+    1e-12, a method independent of the realized system's exponential step.
+    The report carries the realized trajectory.
 
     The Benettin runs step _ORBITS orbits each, from starts drawn after y0
     and as y0 is drawn (y0 is drawn even when given, so the starts depend
@@ -846,14 +841,13 @@ def realize_target(target: TargetField, K: np.ndarray, kset: WavenumberSet,
     x0[p:] = xi * system.kt1(y0)
     samples = np.linspace(0.0, horizon, 400)
     s = math.ceil(horizon / 399 / _ORBIT_STEP)      # steps per sample interval
-    traj = integrate(system, x0, (0.0, horizon), method="auto",
+    traj = integrate(system, x0, (0.0, horizon), method="imex",
                      dt=horizon / (399 * s))
     ref = solve_ivp(lambda t, y: target(y[None])[0], (0.0, horizon), y0,
                     method="DOP853", t_eval=samples, rtol=1e-10, atol=1e-12)
     if not ref.success:
         raise RealizeError(ref.message)
-    realized_Y = traj.sample(samples)[:, :p]
-    sup_err = float(np.max(np.linalg.norm(realized_Y - ref.y.T, axis=1)))
+    sup_err = float(np.max(np.linalg.norm(traj.X[::s, :p] - ref.y.T, axis=1)))
     man = manifold_residual(traj, system)
     c0 = empirical_field_error(traj, system, target)
     lyap_t = lyap_r = err_t = err_r = None

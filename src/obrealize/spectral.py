@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .grid import Grid, make_grid
+from .grid import Grid, graded_nodes, make_grid
 from .profile import KERNEL_TOL, ScaleParams, TemperatureProfile
 from .scalar import (ScalarError, TransferHierarchy, find_root_z, kbar_bound,
                      lambda_from_z)
@@ -74,6 +74,7 @@ __all__ = [
     "semigroup_decay",
     "default_grid",
     "scale_grid",
+    "scale_nodes",
     "resolves_layer",
     "SpectralError",
 ]
@@ -94,18 +95,26 @@ def default_grid(profile: TemperatureProfile, n: int | None = None) -> Grid:
     return scale_grid(profile.params, n)
 
 
+def _intervals(params: ScaleParams, n: int | None) -> int:
+    """n, or 5b clipped to [260, 560] when n is None."""
+    return min(max(260, int(5.0 * params.b)), 560) if n is None else n
+
+
 def scale_grid(params: ScaleParams, n: int | None = None) -> Grid:
     """The graded grid on [0, h] at these scales, with n = 5b clipped to
     [260, 560] intervals unless n is given."""
-    if n is None:
-        n = max(260, int(5.0 * params.b))
-        n = min(n, 560)
-    return make_grid(params.h, n, 5.0)
+    return make_grid(params.h, _intervals(params, n), 5.0)
 
 
-def resolves_layer(grid: Grid, b: float) -> bool:
-    """Whether the node spacing near y = 0 resolves the 1/(4b) layer."""
-    return bool(np.min(np.diff(grid.nodes[:8])) <= 0.25 / b)
+def scale_nodes(params: ScaleParams, n: int | None = None) -> np.ndarray:
+    """The nodes of scale_grid(params, n) alone, with no matrix built."""
+    return graded_nodes(params.h, _intervals(params, n), 5.0)
+
+
+def resolves_layer(nodes: np.ndarray, b: float) -> bool:
+    """Whether the node spacing near y = 0 resolves the 1/(4b) layer: the
+    thermal layer at b, or the e^{-by} decay of a mode at wavenumber b."""
+    return bool(np.min(np.diff(nodes[:8])) <= 0.25 / b)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +249,7 @@ def assemble_pencil(k: int, profile: TemperatureProfile, grid: Grid) -> Pencil:
     """The Schur operator of the clamped/Robin collocation pencil."""
     if k < 1:
         raise SpectralError("wavenumber must be a positive integer")
-    if not resolves_layer(grid, profile.params.b):
+    if not resolves_layer(grid.nodes, profile.params.b):
         raise SpectralError("grid too coarse for the boundary layer; "
                             "node spacing near y=0 must resolve 1/(4b)")
     L = _operator(grid, k)

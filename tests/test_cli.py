@@ -226,6 +226,48 @@ def test_target_rules_bind_only_the_stages_that_read_them(tmp_path, stage,
     assert main([stage, "--out", str(tmp_path), "--set", override]) == code
 
 
+@pytest.mark.parametrize("b, reach", [(30.0, 10), (50.0, 10), (112.0, 11)])
+def test_wavenumber_reach_is_checked_before_any_set_is_built(tmp_path, monkeypatch,
+                                                             b, reach):
+    # the default basis grid at reduce.b resolves the 1/(4k) layer of the
+    # largest wavenumber k of p's extended set up to p = reach; one past
+    # it, doubling the grid moves an entry of K by 0.18-0.29 at b = 30 and
+    # 50 (6.7e-3 at b = 112), where it moves it by 1.8e-4 to 5.0e-3 at the
+    # reach.  No set is built to find it, so no p stalls the check
+    import obrealize.control as control
+
+    def refused(p):
+        raise AssertionError(f"sidon_set({p}) ran before the reach check")
+
+    monkeypatch.setattr(control, "sidon_set", refused)
+    load_config(None, [f"reduce.b={b}", f"wavenumbers.p={reach}"], "reduce")
+    for p in (reach + 1, 13, 100000):
+        with pytest.raises(SystemExit, match=rf"need at most {reach} at reduce.b"):
+            load_config(None, [f"reduce.b={b}", f"wavenumbers.p={p}"], "reduce")
+        # spectrum's grid, at scales.b, has its own reach
+        with pytest.raises(SystemExit, match=rf"need at most {reach} at scales.b"):
+            load_config(None, [f"scales.b={b}", f"wavenumbers.p={p}"], "spectrum")
+    monkeypatch.undo()
+    assert main(["reduce", "--out", str(tmp_path), "--set", f"reduce.b={b}",
+                 "--set", f"wavenumbers.p={reach}"]) == 0
+
+
+def test_grid_n_is_bounded_and_checked_on_its_nodes(tmp_path, monkeypatch):
+    # spectrum at grid_n = 2000 (b = 30) takes 76 s and 760 MB; the load
+    # checks read the node map alone, with no differentiation matrix built
+    import obrealize.grid as grid
+
+    def refused(n):
+        raise AssertionError("a differentiation matrix was built at load")
+
+    monkeypatch.setattr(grid, "chebyshev_diff", refused)
+    load_config(None, ["spectrum.grid_n=2000"], "spectrum")
+    with pytest.raises(SystemExit, match="grid_n: need an integer 0 .* or 2 to 2000"):
+        load_config(None, ["spectrum.grid_n=2001"], "spectrum")
+    assert main(["spectrum", "--out", str(tmp_path),
+                 "--set", "spectrum.grid_n=2001"]) == 2
+
+
 @pytest.mark.parametrize("stage, calls", [
     ("spectrum", 1), ("reduce", 0), ("control", 1), ("realize", 0)])
 def test_stage_designs_profile_only_where_read(tmp_path, monkeypatch, stage, calls):

@@ -100,12 +100,12 @@ def test_integrator_constant_and_linear(kset3):
     sys0 = QuadraticSystem(p=3, K=np.zeros((N, N, N)), M=np.zeros((N, N)),
                            f=np.zeros(N), xi=1.0)
     x0 = np.arange(1.0, N + 1.0)
-    traj = integrate(sys0, x0, (0.0, 2.0), method="dopri")
+    traj = integrate(sys0, x0, (0.0, 2.0), method="auto")
     assert np.allclose(traj.X[-1], x0, atol=1e-12)
     # dX/dt = -X decays exactly
     sys1 = QuadraticSystem(p=3, K=np.zeros((N, N, N)), M=-np.eye(N),
                            f=np.zeros(N), xi=1.0)
-    traj = integrate(sys1, x0, (0.0, 1.0), method="dopri", tol=1e-10)
+    traj = integrate(sys1, x0, (0.0, 1.0), method="auto")
     assert np.allclose(traj.X[-1], x0 * np.exp(-1.0), rtol=1e-7)
 
 
@@ -118,7 +118,7 @@ def test_fast_block_entry_time(K9, kset3):
     x0 = np.zeros(kset3.N)
     x0[:3] = 0.2 * rng.standard_normal(3)
     x0[3:] = 0.5 * rng.standard_normal(kset3.N - 3)
-    traj = integrate(sysd, x0, (0.0, 1.0), method="dopri", tol=1e-9)
+    traj = integrate(sysd, x0, (0.0, 1.0), method="auto")
     tube = 4.0 * np.max(np.abs(sysd.kt1(x0[:3]))) * xi + 10 * xi
     entry = None
     for t, X in zip(traj.t, traj.X):
@@ -152,7 +152,7 @@ def test_blowup_detection(kset3):
     x0 = np.zeros(kset3.N)
     x0[0] = 5.0
     with pytest.raises(RealizeError) as err:
-        integrate(_squaring_system(kset3), x0, (0.0, 10.0), method="dopri",
+        integrate(_squaring_system(kset3), x0, (0.0, 10.0), method="auto",
                   blowup_radius=20.0)
     found = re.fullmatch(r"trajectory blow-up at t=(\S+): \|X\| = (\S+)",
                          str(err.value))
@@ -167,7 +167,7 @@ def test_rk45_path_is_solve_ivp_of_rhs(K9, kset3, lorenz_target):
     sysd = build_fast_slow(lorenz_target, K9, kset3, xi=xi)
     y0 = np.array([0.05, 0.02, 0.1])
     x0 = np.r_[y0, xi * sysd.kt1(y0)]
-    traj = integrate(sysd, x0, (0.0, 5.0), method="dopri")
+    traj = integrate(sysd, x0, (0.0, 5.0), method="auto")
     sol = solve_ivp(lambda t, x: sysd.rhs(x), (0.0, 5.0), x0, method="RK45",
                     rtol=1e-8, atol=1e-8, max_step=0.25 * xi)
     assert np.array_equal(traj.t, sol.t)
@@ -206,7 +206,7 @@ def test_etdrk4_non_finite_state_is_a_blowup(kset3):
                   dt=1e-3, blowup_radius=np.inf)
 
 
-@pytest.mark.parametrize("method", ["imex", "dopri"])
+@pytest.mark.parametrize("method", ["imex", "auto"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_integrate_rejects_non_finite_start(kset3, method, bad):
     x0 = np.zeros(kset3.N)
@@ -231,7 +231,7 @@ def test_rk45_rejections_counted_from_its_evaluations(kset3):
         return rhs(x)
 
     sysd.rhs = counted
-    traj = integrate(sysd, np.ones(N), (0.0, 5.0), method="dopri", tol=1e-6)
+    traj = integrate(sysd, np.ones(N), (0.0, 5.0), method="auto")
     assert traj.rejected > 0
     # two evaluations before the first step, six on each attempted step
     assert 2 + 6 * (traj.steps + traj.rejected) == calls
@@ -266,13 +266,16 @@ def test_etdrk4_takes_n_steps_of_a_dt_computed_as_span_over_n(kset3):
     assert traj.t[-1] == 1.0
 
 
-@pytest.mark.parametrize("horizon, s", [
-    (0.004, 1), (1.0, 1), (12.3456, 1), (50.0, 1), (500.0, 10), (1000.0, 20)])
-def test_realized_orbit_steps_onto_the_sample_times(K9, kset3, horizon, s):
+@pytest.mark.parametrize("xi, horizon, s", [
+    *(pytest.param(1e-3, horizon, s, id=f"{horizon}-{s}") for horizon, s in (
+        (0.004, 1), (1.0, 1), (12.3456, 1), (50.0, 1), (500.0, 10), (1000.0, 20))),
+    *(pytest.param(xi, horizon, s, id=f"xi={xi}-{horizon}-{s}")
+      for xi in (1e-2, 1e-1) for horizon, s in ((50.0, 1), (500.0, 10)))])
+def test_realized_orbit_steps_onto_the_sample_times(K9, kset3, xi, horizon, s):
     # s = ceil(spacing / 0.126) equal steps per interval between the 400
-    # sample times, so every s-th node is a sample time: one step per
-    # interval, 399 steps, at the default horizon of 50
-    rep = realize_target(contraction_field(3), K9, kset3, xi=1e-3,
+    # sample times at every xi, so every s-th node is a sample time: one
+    # step per interval, 399 steps, at the default horizon of 50
+    rep = realize_target(contraction_field(3), K9, kset3, xi=xi,
                          horizon=horizon, with_lyapunov=False)
     t = rep.trajectory.t
     assert rep.trajectory.steps == len(t) - 1 == 399 * s
@@ -308,8 +311,7 @@ def test_realized_path_error_falls_as_stiff_order_four(K50, kset3, xi):
     # the CLI's Lorenz realization, at one and two steps per sample interval
     # against 16: halving the step cuts the path error at the samples by
     # 9.0-15.9x over seeds 1234, 101 and 17 (16x at fourth order), at
-    # xi = 1e-3 and 1e-4 alike, where the former Cox-Matthews step cut it by
-    # about 2x
+    # xi = 1e-3 and 1e-4 alike
     samples = slice(None, None, 16)
     for seed in (1234, 101, 17):
         target = rescale_into_ball(lorenz_field(), seed=seed)
@@ -325,6 +327,24 @@ def test_realized_path_error_falls_as_stiff_order_four(K50, kset3, xi):
         errs = [np.linalg.norm(Y - ref, axis=1).max()
                 for Y in (rep.trajectory.X[:, :3], half)]
         assert errs[0] / errs[1] > 7.0
+
+
+@pytest.mark.parametrize("seed, bound", [(1234, 4e-8), (101, 7e-10),
+                                         (17, 3e-9)])
+def test_realized_path_error_at_xi_1e2(K50, kset3, seed, bound):
+    # the CLI's Lorenz realization at xi = 1e-2, one step per sample
+    # interval against 16: the path error at the samples reads 1.9e-8,
+    # 3.1e-10 and 1.3e-9, each bound about twice that, where supError (the
+    # O(xi) realization error) reads 1.4e-3, 2.4e-4 and 4.5e-4
+    target = rescale_into_ball(lorenz_field(), seed=seed)
+    rep = realize_target(target, K50, kset3, xi=1e-2, seed=seed,
+                         with_lyapunov=False)
+    assert rep.trajectory.steps == 399
+    system = build_fast_slow(target, K50, kset3, 1e-2)
+    ref = integrate(system, rep.trajectory.X[0], (0.0, 50.0), method="imex",
+                    dt=50.0 / (399 * 16))
+    err = np.linalg.norm(rep.trajectory.X[:, :3] - ref.X[::16, :3], axis=1)
+    assert err.max() < bound
 
 
 def _field_error_by_loop(traj, system, target):
@@ -348,9 +368,9 @@ def test_field_error_is_the_realized_field_at_each_tail_node(K9, kset3,
                                     rel=rtol, abs=0)
 
 
-def test_sup_error_is_measured_at_the_sample_times(K9, kset3, lorenz_target):
-    rep = realize_target(lorenz_target, K9, kset3, xi=1e-3,
-                         with_lyapunov=False)
+@pytest.mark.parametrize("xi", [1e-3, 1e-2, 1e-1])
+def test_sup_error_is_measured_at_the_sample_times(K9, kset3, lorenz_target, xi):
+    rep = realize_target(lorenz_target, K9, kset3, xi=xi, with_lyapunov=False)
     samples = np.linspace(0.0, 50.0, 400)
     y0 = rep.trajectory.X[0, :3]
     ref = solve_ivp(lambda t, y: lorenz_target(y), (0.0, 50.0), y0,
@@ -385,7 +405,7 @@ def test_manifold_local_invariance(K9, kset3):
     x0 = np.zeros(kset3.N)
     x0[:3] = y0
     x0[3:] = xi * sysd.kt1(y0)
-    traj = integrate(sysd, x0, (0.0, 3.0), method="dopri", tol=1e-10)
+    traj = integrate(sysd, x0, (0.0, 3.0), method="auto")
     res = manifold_residual(traj, sysd, transient=0.0)
     first = np.linalg.norm(traj.X[0, 3:] / xi - sysd.kt1(traj.X[0, :3]))
     assert res["sup"] <= 2.0 * max(first, 0.05)
